@@ -2,26 +2,22 @@
 sweeps, figure presets, CSV emission.
 
 Output rows use one frozen schema regardless of subcommand; columns
-that do not apply to a given row are left empty. Sweep points are
-evaluated concurrently (TELEFID_THREADS caps the pool) but row order
-always follows input order, so identical invocations produce identical
-bytes.
+that do not apply to a given row are left empty. Points are evaluated
+in input order, so identical invocations produce identical bytes.
 """
 
 import argparse
 import csv
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError, QuadratureError
+from .errors import NumericalError, ParameterError
 from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
                        fidelity_quadrature)
-from .optimize import (_build_spec, optimize_beta_independent,
-                       optimize_gain_average)
+from .optimize import optimize_beta_independent, optimize_gain_average
 from .phase_space import FAMILIES, CoherentInput, ResourceSpec
 from .protocol import GainSetting, NoiseParams
 
@@ -61,9 +57,11 @@ class ResultRow:
     fidelity: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.fidelity <= 1.0 + FIDELITY_SLACK:
+        if not math.isfinite(self.fidelity):
+            raise NumericalError(f"fidelity {self.fidelity} is not finite")
+        if not 0.0 <= self.fidelity <= 1.0 + FIDELITY_SLACK:
             raise ParameterError(
-                f"fidelity {self.fidelity} outside (0, 1]")
+                f"fidelity {self.fidelity} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -153,23 +151,15 @@ def parse_cli(argv):
         if ns.vary in ("beta_re", "beta_im") and ns.sigma is not None:
             parser.error("--vary over beta needs point evaluations, "
                          "drop --sigma")
+    if ns.command in ("fidelity", "sweep"):
+        averaged = ns.sigma is not None or getattr(ns, "vary", "") == "sigma"
+        point_only = (ns.method == "quadrature" or ns.beta_re is not None
+                      or ns.beta_im is not None)
+        if averaged and point_only:
+            parser.error("--sigma averages over the prior; drop the "
+                         "point-only --method quadrature, --beta-re and "
+                         "--beta-im")
     return ns
-
-
-def _max_workers():
-    raw = os.environ.get("TELEFID_THREADS", "").strip()
-    if not raw:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ParameterError(
-            f"TELEFID_THREADS must be a positive integer, got {raw!r}"
-        ) from exc
-    if n < 1:
-        raise ParameterError(
-            f"TELEFID_THREADS must be a positive integer, got {n}")
-    return n
 
 
 def _make_spec(ns, r, delta=None, gamma=None):
@@ -215,13 +205,6 @@ def _gain_setting(ns, override=None):
     return GainSetting.unity_over_t()
 
 
-def _opt_gain(noise, g_opt):
-    # keep the exact unity rule when the optimizer settled on g = 1/T
-    if g_opt == 1.0 / noise.transmissivity:
-        return GainSetting.unity_over_t()
-    return GainSetting.fixed(g_opt)
-
-
 def _point_row(ns, axis=None, value=None):
     """One fidelity evaluation with an optional axis override."""
     over = {} if axis is None else {axis: value}
@@ -255,32 +238,33 @@ def _point_row(ns, axis=None, value=None):
                      fidelity=rep.value)
 
 
+def _opt_row(family, r, noise, opt, sigma=None, beta=None):
+    """Row for an optimum, or for the fidelity at input amplitude beta
+    with the optimal parameters."""
+    fidelity, method = opt.best_value, opt.method
+    if beta is not None:
+        rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
+        fidelity, method = rep.value, rep.method
+    return ResultRow(resource=family, r=r, tau=noise.tau, nth=noise.n_th,
+                     r2=noise.r2, gain=opt.gain.gain(noise),
+                     delta_opt=opt.delta_opt, gamma_opt=opt.gamma_opt,
+                     sigma=sigma,
+                     beta_re=None if beta is None else beta.real,
+                     beta_im=None if beta is None else beta.imag,
+                     method=method, fidelity=fidelity)
+
+
 def _optimize_row(ns):
     noise = NoiseParams(tau=ns.tau, n_th=ns.nth, r2=ns.r2)
     family, r = ns.resource, ns.r
     if ns.sigma is None:
         opt = optimize_beta_independent(family, r, noise)
-        return ResultRow(resource=family, r=r, tau=ns.tau, nth=ns.nth,
-                         r2=ns.r2, gain=1.0 / noise.transmissivity,
-                         delta_opt=opt.delta_opt, gamma_opt=opt.gamma_opt,
-                         method=opt.method, fidelity=opt.best_value)
-    prior = AlphabetPrior(ns.sigma)
-    opt = optimize_gain_average(family, r, noise, prior)
-    if ns.beta_re is None and ns.beta_im is None:
-        return ResultRow(resource=family, r=r, tau=ns.tau, nth=ns.nth,
-                         r2=ns.r2, gain=opt.g_opt, delta_opt=opt.delta_opt,
-                         gamma_opt=opt.gamma_opt, sigma=ns.sigma,
-                         method=opt.method, fidelity=opt.best_value)
-    beta_re = ns.beta_re or 0.0
-    beta_im = ns.beta_im or 0.0
-    spec = _build_spec(family, r, opt.delta_opt, opt.gamma_opt)
-    rep = fidelity_closed(spec, noise, _opt_gain(noise, opt.g_opt),
-                          complex(beta_re, beta_im))
-    return ResultRow(resource=family, r=r, tau=ns.tau, nth=ns.nth,
-                     r2=ns.r2, gain=opt.g_opt, delta_opt=opt.delta_opt,
-                     gamma_opt=opt.gamma_opt, sigma=ns.sigma,
-                     beta_re=beta_re, beta_im=beta_im, method=rep.method,
-                     fidelity=rep.value)
+        return _opt_row(family, r, noise, opt)
+    opt = optimize_gain_average(family, r, noise, AlphabetPrior(ns.sigma))
+    beta = None
+    if ns.beta_re is not None or ns.beta_im is not None:
+        beta = complex(ns.beta_re or 0.0, ns.beta_im or 0.0)
+    return _opt_row(family, r, noise, opt, ns.sigma, beta)
 
 
 def run_figure_preset(tag):
@@ -289,8 +273,7 @@ def run_figure_preset(tag):
     parameters (presets 5 and 6), swept over r or tau on [0, 2]."""
     if tag not in FIGURE_TAGS:
         raise ParameterError(f"unknown figure tag {tag!r}")
-    axis = np.linspace(0.0, AXIS_STOP, AXIS_STEPS)
-    workers = _max_workers()
+    axis = [float(x) for x in np.linspace(0.0, AXIS_STOP, AXIS_STEPS)]
 
     if tag in ("3-I", "3-II", "4"):
         if tag == "3-I":
@@ -304,17 +287,9 @@ def run_figure_preset(tag):
         else:
             resources = FIG4_RESOURCES
             noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)]
-        tasks = [(res, float(r), noise)
-                 for res in resources for noise in noises for r in axis]
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            opts = list(ex.map(
-                lambda t: optimize_beta_independent(t[0], t[1], t[2]),
-                tasks))
-        return [ResultRow(resource=res, r=r, tau=noise.tau, nth=noise.n_th,
-                          r2=noise.r2, gain=1.0 / noise.transmissivity,
-                          delta_opt=opt.delta_opt, gamma_opt=opt.gamma_opt,
-                          method=opt.method, fidelity=opt.best_value)
-                for (res, r, noise), opt in zip(tasks, opts)]
+        return [_opt_row(res, r, noise,
+                         optimize_beta_independent(res, r, noise))
+                for res in resources for noise in noises for r in axis]
 
     if tag.endswith("-I"):
         sigma, betas = 10.0, (1.0, 2.0, 3.0)
@@ -322,33 +297,18 @@ def run_figure_preset(tag):
         sigma, betas = 100.0, (3.0, 5.0, 10.0)
     prior = AlphabetPrior(sigma)
     if tag.startswith("5"):
-        points = [(float(r), NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2))
+        points = [(r, NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2))
                   for r in axis]
     else:
-        points = [(0.8, NoiseParams(tau=float(t), n_th=0.0, r2=FIG_R2))
+        points = [(0.8, NoiseParams(tau=t, n_th=0.0, r2=FIG_R2))
                   for t in axis]
-    tasks = [(res, r, noise)
-             for res in FIG56_RESOURCES for (r, noise) in points]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        opts = list(ex.map(
-            lambda t: optimize_gain_average(t[0], t[1], t[2], prior),
-            tasks))
     rows = []
-    per = len(points)
-    for i, res in enumerate(FIG56_RESOURCES):
-        chunk = list(zip(points, opts[i * per:(i + 1) * per]))
+    for res in FIG56_RESOURCES:
+        opts = [optimize_gain_average(res, r, noise, prior)
+                for r, noise in points]
         # one optimization per axis point is reused for every beta
-        for beta in betas:
-            for (r, noise), opt in chunk:
-                spec = _build_spec(res, r, opt.delta_opt, opt.gamma_opt)
-                rep = fidelity_closed(spec, noise,
-                                      _opt_gain(noise, opt.g_opt),
-                                      complex(beta, 0.0))
-                rows.append(ResultRow(
-                    resource=res, r=r, tau=noise.tau, nth=noise.n_th,
-                    r2=noise.r2, gain=opt.g_opt, delta_opt=opt.delta_opt,
-                    gamma_opt=opt.gamma_opt, sigma=sigma, beta_re=beta,
-                    beta_im=0.0, method=rep.method, fidelity=rep.value))
+        rows += [_opt_row(res, r, noise, opt, sigma, complex(beta, 0.0))
+                 for beta in betas for (r, noise), opt in zip(points, opts)]
     return rows
 
 
@@ -380,10 +340,7 @@ def emit_csv(rows, path=None):
 def _run_sweep(ns):
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
                       steps=ns.steps, output=ns.output)
-    values = [float(v) for v in sweep.values]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        rows = list(ex.map(lambda v: _point_row(ns, sweep.axis, v), values))
-    return rows
+    return [_point_row(ns, sweep.axis, float(v)) for v in sweep.values]
 
 
 def _dispatch(ns):
@@ -417,7 +374,7 @@ def main(argv=None):
     except OSError as exc:
         print(f"telefid: {exc}", file=sys.stderr)
         return 3
-    except (QuadratureError, DegeneracyError) as exc:
+    except NumericalError as exc:
         print(f"telefid: {exc}", file=sys.stderr)
         return 4
 

@@ -17,9 +17,13 @@ class PhaseSpecializationError(ParameterError):
     """
 
 
-class QuadratureError(TelefidError, RuntimeError):
+class NumericalError(TelefidError, RuntimeError):
+    """A computation failed numerically or gave a non-finite value."""
+
+
+class QuadratureError(NumericalError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
-class DegeneracyError(TelefidError, RuntimeError):
+class DegeneracyError(NumericalError):
     """A conditioning covariance is numerically singular."""

@@ -3,16 +3,23 @@ alphabet averages, and the classical benchmark.
 
 The closed forms hold at the protocol-optimal phases phi = pi, theta = 0
 with real cat amplitude; fidelity_closed rejects anything else so that
-callers fall back to the universal quadrature overlap.
+callers fall back to the universal quadrature overlap. Each family's
+closed form is written once, as a FidelityForm: a ratio of quadratic
+forms in (cos delta, sin delta) whose input dependence enters through a
+few scalar factors, taken at one beta or averaged over the prior. Point
+values, prior averages and the optimizers all read it, and the best
+delta is a 2x2 eigenvalue.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ParameterError, PhaseSpecializationError
+from .errors import (NumericalError, ParameterError,
+                     PhaseSpecializationError)
 from .phase_space import (CoherentInput, ResourceSpec, _chi_input_arrays,
                           _require_finite)
 from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
@@ -56,78 +63,172 @@ def _gh_nodes():
     return t, w / w.sum()
 
 
+class FidelityForm(NamedTuple):
+    """One family's closed-form fidelity as a function of the Bell angle
+    delta, at fixed r, gamma, noise, gain and beta (or prior):
+
+        F(delta) = a + (2 b s c + e s^2) / (h + n (c + s)^2),
+
+    with c = cos delta, s = sin delta. The numerator and denominator are
+    quadratic forms in (c, s), shifted by the delta = 0 value a (the twin
+    beam, except for Buridan's core |01>). The denominator is the cat core norm 1 + n sin 2 delta with
+    n = e^{-gamma^2} and h = 1 - n, and 1 (n = 0, h = 1) for the other
+    families. For the cat, b, e and h vanish like gamma^2 and are formed
+    without cancellation, so small gamma loses no digits.
+
+    Fields may be arrays over gamma; delta is a scalar.
+    """
+
+    a: object
+    b: object
+    e: object
+    n: object = 0.0
+    h: object = 1.0
+
+    def value(self, delta):
+        c, s = math.cos(delta), math.sin(delta)
+        return self.a + ((2 * self.b * s * c + self.e * s * s)
+                         / (self.h + self.n * (c + s) ** 2))
+
+    def top(self):
+        """(max over delta of F, its argmax in [-pi/2, pi/2]): a plus the
+        top generalized eigenvalue of the shifted numerator and
+        denominator forms."""
+        a, b, e, n, h = self
+        w = h * (1 + n)
+        x = e / 2 - b * n
+        root = np.sqrt((b - n * e / 2) ** 2 + w * e * e / 4)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.where(x >= 0, (x + root) / w, b * b / (root - x))
+        # gamma = 0: every delta gives the twin beam
+        lam = np.where(w > 0, lam, 0.0)
+        return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
+
+
 def _delta_scale(r, gt, tau, gam):
     """The common denominator scale Delta of all closed forms."""
-    ep = np.exp(tau / 2)
-    return (np.exp(-2 * r - tau) * (1 + ep * gt) ** 2
-            + np.exp(2 * r - tau) * (1 - ep * gt) ** 2
+    ep = math.exp(tau / 2)
+    return (math.exp(-2 * r - tau) * (1 + ep * gt) ** 2
+            + math.exp(2 * r - tau) * (1 - ep * gt) ** 2
             + 2 * (1 + gt * gt + 2 * gam))
 
 
 def _ab_plus_minus(r, gt, tau):
-    ep = np.exp(tau / 2)
+    ep = math.exp(tau / 2)
     lo = (1 + ep * gt) ** 2
-    hi = np.exp(4 * r) * (1 - ep * gt) ** 2
+    hi = math.exp(4 * r) * (1 - ep * gt) ** 2
     return lo + hi, lo - hi
 
 
-def _f_twb(r, gt, tau, gam, beta):
-    D = _delta_scale(r, gt, tau, gam)
-    u = (gt - 1) ** 2 * np.abs(beta) ** 2
-    return 4 / D * np.exp(-4 * u / D)
+def _bell_factors(gt, D, at):
+    """e^{-4u/D} times 1, u, u^2 and 2 Re beta^2, u = (g~ - 1)^2 |beta|^2:
+    at one amplitude beta, or averaged over an AlphabetPrior as products
+    of 1-D Gauss-Hermite sums in Re beta and Im beta."""
+    if isinstance(at, AlphabetPrior):
+        t, w = _gh_nodes()
+        q = (gt - 1) ** 2 * at.sigma
+        ew = w * np.exp(-4 * q / D * t * t)
+        s0 = float(np.sum(ew))
+        s1 = q * float(np.sum(ew * t * t))
+        s2 = q * q * float(np.sum(ew * t ** 4))
+        # Re beta^2 = x^2 - y^2 has zero mean under the isotropic prior
+        return s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1), 0.0
+    u = (gt - 1) ** 2 * abs(at) ** 2
+    e0 = math.exp(-4 * u / D)
+    return e0, u * e0, u * u * e0, 2 * (at * at).real * e0
 
 
-def _f_sb(r, delta, gt, tau, gam, beta):
-    D = _delta_scale(r, gt, tau, gam)
-    u = (gt - 1) ** 2 * np.abs(beta) ** 2
+def _bell_form(family, r, gt, tau, D, factors):
+    """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm."""
+    e0, e1, e2, eb = factors
     ap, am = _ab_plus_minus(r, gt, tau)
-    s, c = np.sin(delta), np.cos(delta)
-    brace = (1
-             + 2 * np.exp(-4 * r - 2 * tau) / D ** 4 * am ** 2
-             * (D * D - 8 * D * u + 8 * u * u) * s * s
-             + 2 * np.exp(-2 * r - tau) / D ** 2
-             * (4 * u - D) * s * (-c * am + s * ap))
-    return 4 / D * np.exp(-4 * u / D) * brace
+    k = 4 / D
+    kb = math.exp(-2 * r - tau) / D ** 2
+    if family == "buridan":
+        base = e0 + kb * ap * (4 * e1 - D * e0)
+        c2 = (2 * kb * math.exp(2 * r) * (math.exp(tau) * gt * gt - 1)
+              * (D * e0 - 4 * e1))
+        return FidelityForm(k * (base + c2),
+                            -2 * k * kb * (gt - 1) ** 2 * eb * am,
+                            -2 * k * c2)
+    cross = 2 * kb * (4 * e1 - D * e0)
+    pair = (2 * math.exp(-4 * r - 2 * tau) / D ** 4 * am ** 2
+            * (D * D * e0 - 8 * D * e1 + 8 * e2))
+    return FidelityForm(k * e0, -k * cross * am / 2, k * (pair + cross * ap))
 
 
-def _f_sc(r, delta, gamma, gt, tau, gam, beta):
-    """Squeezed-cat closed form (real gamma, can be signed).
+def _exp_expm1(lo, ex):
+    """e^lo (e^ex - 1) for lo <= 0 and lo + ex <= 0, as
+    -e^{lo + ex} expm1(-ex) when ex > 0: no cancellation at small ex
+    and no overflow at large ex."""
+    if isinstance(ex, np.ndarray):
+        return (-np.sign(ex) * np.exp(lo + np.maximum(ex, 0.0))
+                * np.expm1(-np.abs(ex)))
+    if ex > 0:
+        return -math.exp(lo + ex) * math.expm1(-ex)
+    return math.exp(lo) * math.expm1(ex)
 
-    The three exponent factors carry e^{r}(gt - e^{-tau/2}) gamma,
-    e^{-r}(gt + e^{-tau/2}) gamma and e^{r} gamma (gt - e^{-tau/2});
-    they follow from the Gaussian overlap integral with Bogoliubov
-    coefficients k1 = cosh(r) gt - sinh(r) e^{-tau/2} and
-    k2 = cosh(r) e^{-tau/2} - sinh(r) gt.
+
+def _cat_form(r, gamma, gt, tau, D, at):
+    """Squeezed-cat FidelityForm for real, signed gamma (scalar or
+    array).
+
+    The exponents carry u = e^{r}(g~ - e^{-tau/2}) gamma and
+    v = e^{-r}(g~ + e^{-tau/2}) gamma; they follow from the Gaussian
+    overlap integral with Bogoliubov coefficients
+    k1 = cosh(r) g~ - sinh(r) e^{-tau/2} and
+    k2 = cosh(r) e^{-tau/2} - sinh(r) g~. With x + i y = (g~ - 1) beta
+    and t1 = e^{-4 (x^2 + y^2)/D} the twin-beam term, the cross term is
+    n t1 Re e^{(4 x u - u^2 + v^2 + 4 i y v)/D} and the cat term
+    t1 e^{-4 u (u - 2 x)/D}; the prior average takes x and y on the
+    Gauss-Hermite nodes, where both factorize.
     """
-    D = _delta_scale(r, gt, tau, gam)
-    s, c = np.sin(delta), np.cos(delta)
-    eps = np.exp(-tau / 2)
-    u = np.exp(r) * (gt - eps) * gamma
-    v = np.exp(-r) * (gt + eps) * gamma
-    g2 = gamma * gamma
-    beta = np.asarray(beta, dtype=complex)
-    t1 = c * c * np.exp(-4 * (gt - 1) ** 2 * np.abs(beta) ** 2 / D)
-    e_re = np.exp(-g2 - ((gt - 1) * 2 * beta.real - u) ** 2 / D)
-    e_im = np.exp((2j * (gt - 1) * beta.imag + v) ** 2 / D)
-    t2 = s * c * 2 * (e_re * e_im).real
-    t3 = s * s * np.exp(
-        -4 * np.abs((gt - 1) * beta - np.exp(r) * gamma * (gt - eps)) ** 2 / D)
-    norm = 1 + np.exp(-g2) * np.sin(2 * delta)
-    return 4 / (D * norm) * (t1 + t2 + t3)
+    prior = isinstance(at, AlphabetPrior)
+    xp = np if prior or isinstance(gamma, np.ndarray) else math
+    if xp is np:
+        gamma = np.asarray(gamma, dtype=float)
+    eps = math.exp(-tau / 2)
+    u = math.exp(r) * (gt - eps) * gamma
+    v = math.exp(-r) * (gt + eps) * gamma
+    n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
+    if prior:
+        t, w = _gh_nodes()
+        x = math.sqrt(at.sigma) * (gt - 1) * t
+        s0 = float(w @ np.exp(-4 * x * x / D))
+        # nodes along the first axis, gamma along the rest
+        x = x.reshape((-1,) + (1,) * gamma.ndim)
+        lo = -4 * x * x / D
+        xu = 4 * x * u / D
+        t1 = s0 * s0
+        # the cross term's x and y sums are s0 + re / n and s0 - im
+        re = w @ _exp_expm1(lo - gamma * gamma, xu + (v * v - u * u) / D)
+        im = w @ (np.exp(lo) * 2 * np.sin(2 * x * v / D) ** 2)
+        cross = s0 * (re - n * im) - re * im
+        cat = s0 * (w @ _exp_expm1(lo, 2 * xu - 4 * u * u / D))
+    else:
+        x, y = (gt - 1) * at.real, (gt - 1) * at.imag
+        lo = -4 * (x * x + y * y) / D
+        xu = 4 * x * u / D
+        t1 = math.exp(lo)
+        ph = 4 * y * v / D
+        cross = (_exp_expm1(lo - gamma * gamma, xu + (v * v - u * u) / D)
+                 * xp.cos(ph) - 2 * n * t1 * xp.sin(ph / 2) ** 2)
+        cat = _exp_expm1(lo, 2 * xu - 4 * u * u / D)
+    k = 4 / D
+    return FidelityForm(k * t1, k * cross, k * cat, n, h)
 
 
-def _f_sb2(r, delta, gt, tau, gam, beta):
-    D = _delta_scale(r, gt, tau, gam)
-    u = (gt - 1) ** 2 * np.abs(beta) ** 2
-    ap, am = _ab_plus_minus(r, gt, tau)
-    beta = np.asarray(beta, dtype=complex)
-    b_sq = 2 * (beta * beta).real
-    brace = (1 + np.exp(-2 * r - tau) / D ** 2
-             * (ap * (4 * u - D)
-                + 2 * np.cos(2 * delta) * np.exp(2 * r)
-                * (np.exp(tau) * gt * gt - 1) * (D - 4 * u)
-                - 2 * np.sin(2 * delta) * (gt - 1) ** 2 * b_sq * am))
-    return 4 / D * np.exp(-4 * u / D) * brace
+def _fidelity_form(family, r, gamma, gt, gam, tau, at):
+    """The family's FidelityForm at effective gain g~ and noise Gamma, at
+    one amplitude beta or averaged over an AlphabetPrior."""
+    try:
+        D = _delta_scale(r, gt, tau, gam)
+        if family == "squeezed-cat":
+            return _cat_form(r, gamma, gt, tau, D, at)
+        return _bell_form(family, r, gt, tau, D, _bell_factors(gt, D, at))
+    except OverflowError as exc:
+        raise NumericalError(
+            f"{family} closed form overflows at r = {r}") from exc
 
 
 def _is_multiple(angle, period):
@@ -158,21 +259,13 @@ def _specialized_params(spec):
     return base.family, base.r, base.delta, gamma
 
 
-def _closed_value(spec, noise, gain, beta):
-    """Dispatch to the family kernel; beta may be an array."""
+def _closed_value(spec, noise, gain, at):
+    """Closed-form fidelity at one amplitude beta or averaged over an
+    AlphabetPrior."""
     family, r, delta, gamma = _specialized_params(spec)
-    gt = gain.effective(noise)
-    gam = gamma_cov(noise, gain)
-    tau = noise.tau
-    if family == "twin-beam":
-        return _f_twb(r, gt, tau, gam, beta)
-    if family == "squeezed-bell":
-        return _f_sb(r, delta, gt, tau, gam, beta)
-    if family == "squeezed-cat":
-        return _f_sc(r, delta, gamma, gt, tau, gam, beta)
-    if family == "buridan":
-        return _f_sb2(r, delta, gt, tau, gam, beta)
-    raise ParameterError(f"unknown resource family {family!r}")
+    form = _fidelity_form(family, r, gamma, gain.effective(noise),
+                          gamma_cov(noise, gain), noise.tau, at)
+    return float(form.value(delta))
 
 
 def fidelity_closed(spec, noise, gain, beta=0j):
@@ -183,9 +276,9 @@ def fidelity_closed(spec, noise, gain, beta=0j):
           + e^{2r-tau}(1 - e^{tau/2} g~)^2 + 2(1 + g~^2 + 2 Gamma)
     set the overall 4/Delta prefactor and every exponent.
     """
-    val = float(_closed_value(spec, noise, gain, complex(beta)))
-    return FidelityReport(val, "closed", spec, noise, gain,
-                          beta=complex(beta))
+    beta = complex(beta)
+    return FidelityReport(_closed_value(spec, noise, gain, beta), "closed",
+                          spec, noise, gain, beta=beta)
 
 
 def fidelity_quadrature(inp, spec, noise, gain):
@@ -207,24 +300,24 @@ def fidelity_quadrature(inp, spec, noise, gain):
 def average_fidelity(spec, noise, gain, prior):
     """Fidelity averaged over the Gaussian alphabet prior.
 
-    Gauss-Hermite tensor rule of order GH_ORDER in (Re beta, Im beta),
-    scaled by sqrt(sigma). Falls back to quadrature fidelities when the
-    closed forms do not apply.
+    Gauss-Hermite rule of order GH_ORDER in Re beta and Im beta, scaled
+    by sqrt(sigma): on the closed path the closed forms factorize it into
+    1-D node sums; otherwise it is the tensor rule over quadrature
+    fidelities.
     """
-    t, w = _gh_nodes()
-    scale = math.sqrt(prior.sigma)
-    betas = scale * (t[:, None] + 1j * t[None, :])
-    weights = np.outer(w, w)
     try:
-        vals = _closed_value(spec, noise, gain, betas)
+        val = _closed_value(spec, noise, gain, prior)
         method = "closed"
     except PhaseSpecializationError:
-        vals = np.array([[fidelity_quadrature(CoherentInput(b), spec, noise,
-                                              gain).value
-                          for b in row] for row in betas])
+        t, w = _gh_nodes()
+        scale = math.sqrt(prior.sigma)
+        val = float(sum(
+            w[i] * w[j] * fidelity_quadrature(
+                CoherentInput(scale * complex(t[i], t[j])), spec, noise,
+                gain).value
+            for i in range(len(t)) for j in range(len(t))))
         method = "quadrature"
-    avg = float(np.sum(weights * vals))
-    return FidelityReport(avg, method, spec, noise, gain, sigma=prior.sigma)
+    return FidelityReport(val, method, spec, noise, gain, sigma=prior.sigma)
 
 
 def fidelity_gaussian_oracle(inp, r, noise, gain):

@@ -1,11 +1,15 @@
 """Fidelity maximization over resource parameters and gain.
 
-Deterministic throughout: coarse vectorized grids pin the basin, a
-golden section (one free parameter) or Nelder-Mead simplex (several)
-refines it, and the reported best is the maximum over grid, candidate
-points, and refinement. Candidate points (delta = 0, the
-photon-subtraction angle, the unity-gain rule g = 1/T) make the
-subcase-domination inequalities exact by construction.
+At fixed r, noise, gain and cat amplitude gamma, every family's fidelity
+is a ratio of quadratic forms in (cos delta, sin delta)
+(fidelity.FidelityForm), so the best Bell angle delta is the top
+eigenvalue of a 2x2 pair and takes no search. What is left is searched
+deterministically: the cat's gamma on a grid refined by golden section,
+the averaged gain on a grid refined by golden section, and the averaged
+cat's (gain, gamma) on a grid refined by bounded Nelder-Mead. The
+subcase points (delta = 0, the photon-subtraction angle, gamma = 0 and
+the unity-gain rule g = 1/T) stay in as a floor, so the
+subcase-domination inequalities hold exactly rather than to rounding.
 """
 
 import math
@@ -18,19 +22,16 @@ from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import expm_multiply
 
 from .errors import ParameterError
-from .fidelity import (FidelityReport, _delta_scale, _f_sb, _f_sb2, _f_sc,
-                       _f_twb, _gh_nodes, average_fidelity, fidelity_closed)
-from .phase_space import NORM_SQ_FLOOR, ResourceSpec, _core_terms
+from .fidelity import (FidelityReport, _fidelity_form, average_fidelity,
+                       fidelity_closed)
+from .phase_space import ResourceSpec, _core_terms
 from .protocol import GainSetting, gamma_cov
 
-DELTA_POINTS = 201
 GAMMA_POINTS = 201
 AVG_GAIN_POINTS = 101
-AVG_DELTA_POINTS = 101
 AVG_GAMMA_POINTS = 51
 GAMMA_MAX = 5.0
 PARAM_XTOL = 1e-8
-PENALTY = -1e9
 
 AFFINITY_CUTOFF = 40
 AFFINITY_RMAX = 5.0
@@ -42,12 +43,17 @@ _OPTIMIZABLE = ("twin-beam", "squeezed-bell", "squeezed-cat", "buridan",
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The best fidelity, the parameters reaching it (also as the spec
+    and gain to evaluate them with) and how they were found."""
+
     best_value: float
     delta_opt: float | None = None
     gamma_opt: float | None = None
     g_opt: float | None = None
     evaluations: int = 0
     method: str = ""
+    spec: ResourceSpec | None = None
+    gain: GainSetting | None = None
 
 
 def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
@@ -83,310 +89,7 @@ def _pss_delta(r):
     return math.atan(math.tanh(r))
 
 
-def _fidelity_kernel(family, r, noise, gain):
-    """Vectorized beta = 0 fidelity as a function of (delta, gamma)."""
-    gt = gain.effective(noise)
-    gam = gamma_cov(noise, gain)
-    tau = noise.tau
-
-    if family == "twin-beam":
-        return lambda: float(_f_twb(r, gt, tau, gam, 0.0))
-    if family == "photon-subtracted":
-        return lambda: float(_f_sb(r, _pss_delta(r), gt, tau, gam, 0.0))
-    if family == "squeezed-bell":
-        return lambda d: _f_sb(r, d, gt, tau, gam, 0.0)
-    if family == "buridan":
-        return lambda d: _f_sb2(r, d, gt, tau, gam, 0.0)
-    if family == "squeezed-cat":
-        def kern(d, g):
-            norm = 1 + np.exp(-np.asarray(g) ** 2) * np.sin(2 * np.asarray(d))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = _f_sc(r, d, g, gt, tau, gam, 0.0)
-            return np.where(norm < NORM_SQ_FLOOR, -np.inf, vals)
-        return kern
-    raise ParameterError(f"unknown resource family {family!r}")
-
-
-def optimize_beta_independent(family, r, noise):
-    """Maximize the beta-independent fidelity (gain rule g = 1/T) over
-    the family's free resource parameters."""
-    if family not in _OPTIMIZABLE:
-        raise ParameterError(f"unknown resource family {family!r}")
-    gain = GainSetting.unity_over_t()
-    kern = _fidelity_kernel(family, r, noise, gain)
-
-    if family == "twin-beam":
-        return OptimizationResult(kern(), evaluations=1, method="grid+golden")
-    if family == "photon-subtracted":
-        return OptimizationResult(kern(), delta_opt=_pss_delta(r),
-                                  evaluations=1, method="grid+golden")
-
-    if family in ("squeezed-bell", "buridan"):
-        grid = np.linspace(-math.pi / 2, math.pi / 2, DELTA_POINTS)
-        vals = kern(grid)
-        i = int(np.argmax(vals))
-        best_d, best_v = float(grid[i]), float(vals[i])
-        nfev = DELTA_POINTS
-        for cand in (0.0, _pss_delta(r), -_pss_delta(r)):
-            v = float(kern(cand))
-            nfev += 1
-            if v > best_v or (v == best_v and cand < best_d):
-                best_d, best_v = cand, v
-        lo = grid[max(i - 1, 0)]
-        hi = grid[min(i + 1, DELTA_POINTS - 1)]
-        x, fx, n = golden_section_max(lambda d: float(kern(d)), lo, hi)
-        nfev += n
-        if fx > best_v:
-            best_d, best_v = float(x), float(fx)
-        return OptimizationResult(best_v, delta_opt=best_d,
-                                  evaluations=nfev, method="grid+golden")
-
-    # squeezed-cat: joint (delta, gamma) search
-    dd = np.linspace(-math.pi / 2, math.pi / 2, DELTA_POINTS)
-    gg = np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS)
-    D, G = np.meshgrid(dd, gg, indexing="ij")
-    vals = kern(D, G)
-    i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    best = (float(dd[i]), float(gg[j]))
-    best_v = float(vals[i, j])
-    nfev = vals.size
-    # delta = gamma = 0 reduces to the twin beam bit-for-bit; the grid
-    # midpoint misses 0 by an ulp, so inject it as a candidate
-    v00 = float(kern(np.asarray(0.0), np.asarray(0.0)))
-    nfev += 1
-    if v00 > best_v or (v00 == best_v and (0.0, 0.0) < best):
-        best, best_v = (0.0, 0.0), v00
-
-    def neg(v):
-        d, g = v
-        if not (-math.pi / 2 <= d <= math.pi / 2 and 0 <= g <= GAMMA_MAX):
-            return -PENALTY
-        out = float(kern(np.asarray(d), np.asarray(g)))
-        return -out if np.isfinite(out) else -PENALTY
-
-    res = minimize(neg, np.array(best), method="Nelder-Mead",
-                   options={"xatol": PARAM_XTOL, "fatol": 1e-14})
-    nfev += res.nfev
-    if -res.fun > best_v:
-        best = (float(res.x[0]), float(res.x[1]))
-        best_v = float(-res.fun)
-    return OptimizationResult(best_v, delta_opt=best[0], gamma_opt=best[1],
-                              evaluations=nfev, method="grid+nelder-mead")
-
-
-def _avg_objective(family, r, noise, sigma):
-    """Gauss-Hermite averaged fidelity, factorized into 1D node sums.
-
-    Every closed form is algebraic in delta with beta entering through
-    separable Gaussian factors, so the tensor average collapses exactly
-    into products of 1D sums taken once per (g, gamma). Returns
-    f(g, deltas, gammas) -> array of shape (len(deltas), len(gammas))
-    (or (len(deltas),) for families without gamma).
-    """
-    t, w = _gh_nodes()
-    rt_sig = math.sqrt(sigma)
-    T = noise.transmissivity
-    tau = noise.tau
-
-    def moments(g):
-        gt = g * T
-        gam = ((1 - math.exp(-tau)) * (0.5 + noise.n_th)
-               + g * g * noise.r2)
-        D = float(_delta_scale(r, gt, tau, gam))
-        q = (gt - 1) ** 2 * sigma
-        lam = 4 * q / D
-        e = w * np.exp(-lam * t * t)
-        s0 = float(np.sum(e))
-        s1 = q * float(np.sum(e * t * t))
-        s2 = q * q * float(np.sum(e * t ** 4))
-        m0 = s0 * s0
-        m1 = 2 * s1 * s0
-        m2 = 2 * (s2 * s0 + s1 * s1)
-        return gt, gam, D, m0, m1, m2
-
-    if family == "twin-beam":
-        def f(g, deltas=None, gammas=None):
-            _, _, D, m0, _, _ = moments(g)
-            return 4 / D * m0
-        return f
-
-    if family in ("squeezed-bell", "photon-subtracted"):
-        def f(g, deltas, gammas=None):
-            gt, _, D, m0, m1, m2 = moments(g)
-            ep = math.exp(tau / 2)
-            lo = (1 + ep * gt) ** 2
-            hi = math.exp(4 * r) * (1 - ep * gt) ** 2
-            ap, am = lo + hi, lo - hi
-            s, c = np.sin(deltas), np.cos(deltas)
-            return 4 / D * (m0
-                            + 2 * math.exp(-4 * r - 2 * tau) / D ** 4
-                            * am ** 2 * (D * D * m0 - 8 * D * m1 + 8 * m2)
-                            * s * s
-                            + 2 * math.exp(-2 * r - tau) / D ** 2
-                            * (4 * m1 - D * m0) * s * (-c * am + s * ap))
-        return f
-
-    if family == "buridan":
-        def f(g, deltas, gammas=None):
-            gt, _, D, m0, m1, _ = moments(g)
-            ep = math.exp(tau / 2)
-            lo = (1 + ep * gt) ** 2
-            hi = math.exp(4 * r) * (1 - ep * gt) ** 2
-            ap = lo + hi
-            # the beta^2 + conj(beta)^2 cross term has zero prior mean
-            return 4 / D * (m0 + math.exp(-2 * r - tau) / D ** 2
-                            * (ap * (4 * m1 - D * m0)
-                               + 2 * np.cos(2 * deltas) * math.exp(2 * r)
-                               * (math.exp(tau) * gt * gt - 1)
-                               * (D * m0 - 4 * m1)))
-        return f
-
-    if family == "squeezed-cat":
-        def f(g, deltas, gammas):
-            gt = g * T
-            gam = ((1 - math.exp(-tau)) * (0.5 + noise.n_th)
-                   + g * g * noise.r2)
-            D = float(_delta_scale(r, gt, tau, gam))
-            q = (gt - 1) ** 2 * sigma
-            lam = 4 * q / D
-            e0 = w * np.exp(-lam * t * t)
-            s0 = float(np.sum(e0))
-            eps = math.exp(-tau / 2)
-            gammas = np.asarray(gammas, dtype=float)
-            u = math.exp(r) * (gt - eps) * gammas
-            v = math.exp(-r) * (gt + eps) * gammas
-            shift = 2 * rt_sig * (gt - 1) * t
-            # (60, n_gamma) off-center sums for the cross and cat terms
-            a_re = w @ np.exp(-(shift[:, None] - u[None, :]) ** 2 / D)
-            a_cat = w @ np.exp(
-                -4 * (rt_sig * (gt - 1) * t[:, None] - u[None, :]) ** 2 / D)
-            cosm = w @ (np.exp(-lam * t * t)[:, None]
-                        * np.cos(4 * rt_sig * (gt - 1)
-                                 * t[:, None] * v[None, :] / D))
-            t2 = 2 * np.exp(-gammas ** 2 + v * v / D) * a_re * cosm
-            t3 = a_cat * s0
-            s, c = np.sin(deltas), np.cos(deltas)
-            num = (np.outer(c * c, np.full_like(gammas, s0 * s0))
-                   + np.outer(s * c, t2) + np.outer(s * s, t3))
-            norm = 1 + np.exp(-gammas[None, :] ** 2) * np.sin(
-                2 * deltas[:, None])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = 4 * num / (D * norm)
-            return np.where(norm < NORM_SQ_FLOOR, -np.inf, out)
-        return f
-
-    raise ParameterError(f"unknown resource family {family!r}")
-
-
-def optimize_gain_average(family, r, noise, prior):
-    """Maximize the prior-averaged fidelity over gain and the family's
-    free resource parameters; g runs over (0, 2/T]."""
-    if family not in _OPTIMIZABLE:
-        raise ParameterError(f"unknown resource family {family!r}")
-    T = noise.transmissivity
-    g_top = 2.0 / T
-    g_unity = 1.0 / T
-    g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top, AVG_GAIN_POINTS)
-    fbar = _avg_objective(family, r, noise, prior.sigma)
-    base = optimize_beta_independent(family, r, noise)
-    nfev = base.evaluations
-
-    has_delta = family in ("squeezed-bell", "buridan", "squeezed-cat")
-    has_gamma = family == "squeezed-cat"
-    deltas = np.linspace(-math.pi / 2, math.pi / 2, AVG_DELTA_POINTS)
-    gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
-
-    def eval_point(g, d, gm):
-        if has_gamma:
-            return float(fbar(g, np.array([d]), np.array([gm]))[0, 0])
-        if has_delta:
-            return float(fbar(g, np.array([d]))[0])
-        if family == "photon-subtracted":
-            return float(fbar(g, np.array([_pss_delta(r)]))[0])
-        return float(fbar(g))
-
-    # coarse scan, lexicographically first argmax on ascending grids
-    best_v = -np.inf
-    best = (None, None, None)
-    for g in g_grid:
-        if has_gamma:
-            vals = fbar(g, deltas, gammas)
-            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            v, d, gm = float(vals[i, j]), float(deltas[i]), float(gammas[j])
-            nfev += vals.size
-        elif has_delta:
-            vals = fbar(g, deltas)
-            i = int(np.argmax(vals))
-            v, d, gm = float(vals[i]), float(deltas[i]), None
-            nfev += vals.size
-        else:
-            v, d, gm = eval_point(g, None, None), None, None
-            nfev += 1
-        if v > best_v:
-            best_v, best = v, (float(g), d, gm)
-
-    # the unity-gain rule with the beta-independent optimum is always a
-    # feasible candidate; at g~ = 1 its average equals the plain value
-    cand = (g_unity,
-            base.delta_opt if has_delta else None,
-            base.gamma_opt if has_gamma else None)
-    cand_v = eval_point(cand[0], cand[1], cand[2])
-    nfev += 1
-    if cand_v > best_v or (cand_v == best_v
-                           and _param_key(cand) < _param_key(best)):
-        best_v, best = cand_v, cand
-
-    # simplex or golden refinement
-    if has_delta:
-        x0 = [best[0], best[1]] + ([best[2]] if has_gamma else [])
-
-        def neg(vec):
-            g, d = vec[0], vec[1]
-            gm = vec[2] if has_gamma else None
-            if not (0 < g <= g_top and -math.pi / 2 <= d <= math.pi / 2):
-                return -PENALTY
-            if has_gamma and not 0 <= gm <= GAMMA_MAX:
-                return -PENALTY
-            out = eval_point(g, d, gm)
-            return -out if np.isfinite(out) else -PENALTY
-
-        res = minimize(neg, np.array(x0), method="Nelder-Mead",
-                       options={"xatol": PARAM_XTOL, "fatol": 1e-14})
-        nfev += res.nfev
-        if -res.fun > best_v:
-            best_v = float(-res.fun)
-            best = (float(res.x[0]), float(res.x[1]),
-                    float(res.x[2]) if has_gamma else None)
-        method = "grid+nelder-mead"
-    else:
-        i = int(np.argmin(np.abs(g_grid - best[0])))
-        lo = g_grid[max(i - 1, 0)]
-        hi = g_grid[min(i + 1, AVG_GAIN_POINTS - 1)]
-        x, fx, n = golden_section_max(
-            lambda g: eval_point(g, None, None), lo, hi)
-        nfev += n
-        if fx > best_v:
-            best_v, best = float(fx), (float(x), best[1], best[2])
-        method = "grid+golden"
-
-    # recompute through the public average for the reported value; the
-    # unity candidate keeps its exact rule to preserve g~ = 1
-    g_opt, d_opt, gm_opt = best
-    gain = (GainSetting.unity_over_t() if g_opt == g_unity
-            else GainSetting.fixed(g_opt))
-    spec = _build_spec(family, r, d_opt, gm_opt)
-    best_v = average_fidelity(spec, noise, gain, prior).value
-    if family == "photon-subtracted":
-        d_opt = _pss_delta(r)
-    return OptimizationResult(best_v, delta_opt=d_opt, gamma_opt=gm_opt,
-                              g_opt=g_opt, evaluations=nfev, method=method)
-
-
-def _param_key(params):
-    return tuple(-math.inf if p is None else p for p in params)
-
-
-def _build_spec(family, r, delta, gamma):
+def _spec(family, r, delta, gamma):
     if family == "twin-beam":
         return ResourceSpec.twin_beam(r)
     if family == "photon-subtracted":
@@ -395,12 +98,128 @@ def _build_spec(family, r, delta, gamma):
         return ResourceSpec.squeezed_bell(r, delta=delta)
     if family == "buridan":
         return ResourceSpec.buridan_donkey(r, delta=delta)
+    return ResourceSpec.squeezed_cat(r, delta=delta, gamma_mod=gamma)
+
+
+def _bracket(grid, i):
+    return grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+
+
+def _best_delta(family, r, form):
+    """(delta, value) maximizing the form: the top eigenvector, unless a
+    subcase point is at least as high (delta = 0 and, for squeezed-Bell,
+    the photon-subtraction angle)."""
+    if family == "twin-beam":
+        return None, float(form.a)
+    if family == "photon-subtracted":
+        return _pss_delta(r), float(form.value(_pss_delta(r)))
+    floor = (0.0, _pss_delta(r)) if family == "squeezed-bell" else (0.0,)
+    best = (None, -math.inf)
+    for d in floor + (float(form.top()[1]),):
+        v = float(form.value(d))
+        if v > best[1]:
+            best = (d, v)
+    return best
+
+
+def optimize_beta_independent(family, r, noise):
+    """Maximize the beta-independent fidelity (gain rule g = 1/T) over
+    the family's free resource parameters."""
+    if family not in _OPTIMIZABLE:
+        raise ParameterError(f"unknown resource family {family!r}")
+    gain = GainSetting.unity_over_t()
+    gam = gamma_cov(noise, gain)
+
+    def form(gamma=0.0):
+        return _fidelity_form(family, r, gamma, 1.0, gam, noise.tau, 0j)
+
+    if family != "squeezed-cat":
+        delta, value = _best_delta(family, r, form())
+        method = ("eigen" if family in ("squeezed-bell", "buridan")
+                  else "closed")
+        return OptimizationResult(value, delta_opt=delta, evaluations=1,
+                                  method=method,
+                                  spec=_spec(family, r, delta, None),
+                                  gain=gain)
+
+    # the best delta at each gamma is the eigenvalue
+    grid = np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS)
+    i = int(np.argmax(form(grid).top()[0]))
+    gamma, _, nfev = golden_section_max(
+        lambda g: float(form(g).top()[0]), *_bracket(grid, i))
+    delta, value = _best_delta(family, r, form(gamma))
+    # delta = 0 is the twin beam at every gamma
+    gamma = float(gamma) if delta else 0.0
+    return OptimizationResult(value, delta_opt=delta, gamma_opt=gamma,
+                              evaluations=GAMMA_POINTS + nfev + 1,
+                              method="eigen+golden",
+                              spec=_spec(family, r, delta, gamma), gain=gain)
+
+
+def optimize_gain_average(family, r, noise, prior):
+    """Maximize the prior-averaged fidelity over gain and the family's
+    free resource parameters; g runs over [2/(T N), 2/T] with N =
+    AVG_GAIN_POINTS."""
+    if family not in _OPTIMIZABLE:
+        raise ParameterError(f"unknown resource family {family!r}")
+    T = noise.transmissivity
+    g_top = 2.0 / T
+    g_unity = 1.0 / T
+    g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top, AVG_GAIN_POINTS)
+
+    def gain_at(g):
+        # the unity rule keeps g~ = 1 exactly
+        return (GainSetting.unity_over_t() if g == g_unity
+                else GainSetting.fixed(g))
+
+    def form(g, gamma=0.0):
+        gain = gain_at(g)
+        return _fidelity_form(family, r, gamma, gain.effective(noise),
+                              gamma_cov(noise, gain), noise.tau, prior)
+
+    # the unity-gain rule is always a candidate: at g~ = 1 the average
+    # equals the beta-independent value, so the optimum never falls below
+    # the beta-independent one
     if family == "squeezed-cat":
-        if gamma >= 0:
-            return ResourceSpec.squeezed_cat(r, delta=delta, gamma_mod=gamma)
-        return ResourceSpec.squeezed_cat(r, delta=delta, gamma_mod=-gamma,
-                                         gamma_phase=math.pi)
-    raise ParameterError(f"unknown resource family {family!r}")
+        base = optimize_beta_independent(family, r, noise)
+        gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
+        vals = np.array([form(g, gammas).top()[0] for g in g_grid])
+        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        start = (float(g_grid[i]), float(gammas[j]))
+        res = minimize(lambda x: -float(form(x[0], x[1]).top()[0]),
+                       np.array(start), method="Nelder-Mead",
+                       bounds=[(g_grid[0], g_top), (0.0, GAMMA_MAX)],
+                       options={"xatol": PARAM_XTOL, "fatol": 1e-14})
+        nfev = base.evaluations + vals.size + res.nfev + 1
+        cands = [(float(vals[i, j]), start),
+                 (float(form(g_unity, base.gamma_opt).top()[0]),
+                  (g_unity, base.gamma_opt)),
+                 (float(-res.fun), (float(res.x[0]), float(res.x[1])))]
+        method = "eigen+nelder-mead"
+    else:
+        def objective(g):
+            return _best_delta(family, r, form(g))[1]
+
+        vals = [objective(g) for g in g_grid]
+        i = int(np.argmax(vals))
+        x, fx, n = golden_section_max(objective, *_bracket(g_grid, i))
+        nfev = len(vals) + n + 1
+        cands = [(vals[i], (float(g_grid[i]), None)),
+                 (objective(g_unity), (g_unity, None)),
+                 (fx, (float(x), None))]
+        method = ("golden" if family in ("twin-beam", "photon-subtracted")
+                  else "eigen+golden")
+    # first of the highest candidates
+    g_opt, gamma = max(cands, key=lambda c: c[0])[1]
+    delta = _best_delta(family, r, form(g_opt, gamma or 0.0))[0]
+    if gamma is not None and not delta:
+        gamma = 0.0
+    spec = _spec(family, r, delta, gamma)
+    gain = gain_at(g_opt)
+    return OptimizationResult(
+        average_fidelity(spec, noise, gain, prior).value, delta_opt=delta,
+        gamma_opt=gamma, g_opt=g_opt, evaluations=nfev, method=method,
+        spec=spec, gain=gain)
 
 
 def one_shot_fidelity(family, r, noise, prior, beta):
@@ -412,12 +231,8 @@ def one_shot_fidelity(family, r, noise, prior, beta):
             f"|beta|^2 = {abs(beta) ** 2:.3g} lies outside the numerical "
             f"support of the sigma = {prior.sigma} prior")
     opt = optimize_gain_average(family, r, noise, prior)
-    gain = (GainSetting.unity_over_t()
-            if opt.g_opt == 1.0 / noise.transmissivity
-            else GainSetting.fixed(opt.g_opt))
-    spec = _build_spec(family, r, opt.delta_opt, opt.gamma_opt)
-    rep = fidelity_closed(spec, noise, gain, beta)
-    return FidelityReport(rep.value, rep.method, spec, noise, gain,
+    rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
+    return FidelityReport(rep.value, rep.method, opt.spec, noise, opt.gain,
                           beta=beta, sigma=prior.sigma)
 
 
@@ -428,8 +243,9 @@ def r_max(tau):
         raise ParameterError(f"tau must be >= 0, got {tau}")
     if tau == 0:
         return None
-    ch = math.cosh(tau / 2)
-    return 0.25 * math.log((ch + 1.0) / (ch - 1.0))
+    # (1/4) log((cosh(tau/2) + 1)/(cosh(tau/2) - 1)), without the
+    # cancellation in cosh(tau/2) - 1 at small tau
+    return -0.5 * math.log(math.tanh(tau / 4))
 
 
 def _fock_core_vector(spec, dim):

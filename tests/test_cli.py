@@ -7,7 +7,7 @@ import math
 import pytest
 
 import telefid.cli_sweep as cli
-from telefid import ParameterError, QuadratureError
+from telefid import NumericalError, ParameterError, QuadratureError
 from telefid.cli_sweep import (CSV_HEADER, ResultRow, SweepSpec, emit_csv,
                                main, parse_cli)
 
@@ -45,6 +45,14 @@ class TestParseCli:
         ["fidelity", "--resource", "twin-beam", "--r", "1",
          "--gain", "1.0", "--gain-mode", "unity-over-t"],  # exclusive pair
         ["figure", "--figure", "7"],                       # unknown preset
+        ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "tau",
+         "--from", "0", "--to", "0.3", "--steps", "2", "--sigma", "10",
+         "--method", "quadrature"],                        # prior + quadrature
+        ["fidelity", "--resource", "twin-beam", "--r", "1",
+         "--sigma", "10", "--beta-re", "2"],               # prior + beta
+        ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "sigma",
+         "--from", "1", "--to", "10", "--steps", "2",
+         "--beta-im", "1"],                                # prior axis + beta
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -56,8 +64,16 @@ class TestParseCli:
 class TestResultRow:
 
     def test_rejects_out_of_range_fidelity(self):
-        for bad in (0.0, -0.5, 1.5):
+        for bad in (-0.5, 1.5):
             with pytest.raises(ParameterError):
+                ResultRow(resource="twin-beam", fidelity=bad)
+
+    def test_accepts_underflow_to_zero(self):
+        assert ResultRow(resource="twin-beam", fidelity=0.0).fidelity == 0.0
+
+    def test_non_finite_is_a_numerical_error(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(NumericalError):
                 ResultRow(resource="twin-beam", fidelity=bad)
 
     def test_accepts_rounding_slack(self):
@@ -102,12 +118,25 @@ class TestMainExitCodes:
         assert code == 2
         assert "does not apply" in capsys.readouterr().err
 
-    def test_bad_thread_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("TELEFID_THREADS", "many")
-        code = main(["sweep", "--resource", "twin-beam", "--vary", "r",
-                     "--from", "0.1", "--to", "1", "--steps", "3"])
-        assert code == 2
-        capsys.readouterr()
+    def test_prior_sweep_takes_the_closed_method(self, capsys):
+        code = main(["sweep", "--resource", "twin-beam", "--r", "1",
+                     "--vary", "tau", "--from", "0", "--to", "0.3",
+                     "--steps", "2", "--sigma", "10", "--method", "closed"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["method"] for row in rows] == ["closed", "closed"]
+
+    def test_underflowing_fidelity_prints_zero(self, capsys):
+        code = main(["fidelity", "--resource", "twin-beam", "--r", "1",
+                     "--gain", "1.3", "--beta-re", "1000"])
+        assert code == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_overflowing_closed_form_exits_4(self, capsys):
+        code = main(["fidelity", "--resource", "squeezed-bell", "--r", "300",
+                     "--gain", "1.3"])
+        assert code == 4
+        assert "telefid:" in capsys.readouterr().err
 
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["fidelity", "--resource", "twin-beam", "--r", "1",
@@ -172,7 +201,7 @@ class TestCsvSchema:
         assert float(row["gain"]) == pytest.approx(1 / math.sqrt(0.95))
         assert float(row["delta_opt"]) > 0
         assert row["gamma_opt"] == "" and row["beta_re"] == ""
-        assert row["method"] == "grid+golden"
+        assert row["method"] == "eigen"
 
     def test_emit_csv_stdout(self, capsys):
         emit_csv([ResultRow(resource="twin-beam", r=1.0, fidelity=0.5)])
@@ -198,10 +227,8 @@ class TestDeterminism:
         assert code == 0
         return path.read_bytes()
 
-    def test_rows_keep_input_order_across_pools(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TELEFID_THREADS", "8")
+    def test_rows_keep_input_order_across_pools(self, tmp_path):
         first = self._sweep_bytes(tmp_path, "a.csv")
-        monkeypatch.setenv("TELEFID_THREADS", "1")
         second = self._sweep_bytes(tmp_path, "b.csv")
         assert first == second
         values = [row["r"] for row in

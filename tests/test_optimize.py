@@ -8,8 +8,7 @@ import pytest
 from telefid import (AlphabetPrior, GainSetting, NoiseParams, ParameterError,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed)
-from telefid.optimize import (_avg_objective, _build_spec, _pss_delta,
-                              affinity, golden_section_max,
+from telefid.optimize import (_pss_delta, affinity, golden_section_max,
                               one_shot_fidelity, optimize_beta_independent,
                               optimize_gain_average, r_max)
 
@@ -66,6 +65,12 @@ class TestSqueezingSweetSpot:
         assert twb == pytest.approx(f_star, abs=1e-6)
         assert sb == pytest.approx(f_star, abs=1e-6)
         assert sc == pytest.approx(f_star, abs=1e-6)
+
+    def test_tiny_tau(self):
+        """cosh(tau/2) - 1 rounds to 0 here; the closed expression
+        -log(tanh(tau/4))/2 does not."""
+        assert r_max(1e-300) == pytest.approx(-0.5 * math.log(2.5e-301),
+                                              rel=1e-15)
 
     def test_validation(self):
         assert r_max(0.0) is None
@@ -125,10 +130,36 @@ class TestBetaIndependentOptimization:
 
     def test_cat_optimum_metadata(self):
         opt = optimize_beta_independent("squeezed-cat", 1.0, NONIDEAL)
-        assert opt.method == "grid+nelder-mead"
+        assert opt.method == "eigen+golden"
         assert opt.best_value == pytest.approx(0.752540968191, abs=1e-9)
         assert opt.delta_opt == pytest.approx(0.244730616209, abs=1e-5)
         assert opt.gamma_opt == pytest.approx(0.834822832584, abs=1e-5)
+
+    def test_cat_optimum_beats_dense_scan(self):
+        """At r = 1.3 the cat's best point sits on a shallow ridge at
+        delta ~ -0.002, 4.5e-7 above the twin beam; a (delta, gamma) scan
+        refined twice must not find a higher value."""
+        r = 1.3
+        gain = GainSetting.unity_over_t()
+
+        def scan(deltas, gammas):
+            return max((fidelity_closed(
+                ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=g),
+                NONIDEAL, gain).value, d, g)
+                for d in deltas for g in gammas)
+
+        best, d0, g0 = scan(np.linspace(-0.5, 0.5, 201),
+                            np.linspace(0.1, 2.0, 20))
+        for dd, dg in ((0.005, 0.1), (0.0005, 0.01)):
+            best, d0, g0 = scan(np.linspace(d0 - dd, d0 + dd, 21),
+                                np.linspace(g0 - dg, g0 + dg, 21))
+        opt = optimize_beta_independent("squeezed-cat", r, NONIDEAL)
+        assert opt.best_value >= best - 1e-12
+        at_opt = fidelity_closed(
+            ResourceSpec.squeezed_cat(r, delta=opt.delta_opt,
+                                      gamma_mod=opt.gamma_opt),
+            NONIDEAL, gain).value
+        assert at_opt == pytest.approx(opt.best_value, abs=1e-15)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(ParameterError):
@@ -167,33 +198,34 @@ class TestPhotonSubtractionCrossover:
 class TestAveragedOptimization:
 
     def test_factorized_objective_matches_tensor_average(self):
-        """The separable Gauss-Hermite sums inside the optimizer must
-        reproduce the public tensor-rule average."""
+        """The closed-path average, taken as 1-D node sums, must equal
+        the 60 x 60 tensor Gauss-Hermite rule over point fidelities."""
         rng = np.random.default_rng(31)
         noise = NoiseParams(tau=0.2, n_th=0.1, r2=0.05)
         sigma = 8.0
         prior = AlphabetPrior(sigma)
+        t, w = np.polynomial.hermite.hermgauss(60)
+        w = w / w.sum()
         for family in ("twin-beam", "squeezed-bell", "buridan",
                        "squeezed-cat", "photon-subtracted"):
-            fbar = _avg_objective(family, 0.9, noise, sigma)
             for _ in range(3):
                 g = rng.uniform(0.7, 1.4)
                 d = rng.uniform(-1.2, 1.2)
                 gm = rng.uniform(0.1, 1.5)
-                if family == "squeezed-cat":
-                    ours = float(fbar(g, np.array([d]), np.array([gm]))[0, 0])
-                elif family in ("squeezed-bell", "buridan"):
-                    ours = float(fbar(g, np.array([d]))[0])
-                elif family == "photon-subtracted":
-                    d = _pss_delta(0.9)
-                    ours = float(fbar(g, np.array([d]))[0])
-                else:
-                    ours = float(fbar(g))
-                spec = _build_spec(family, 0.9,
-                                   None if family == "twin-beam" else d,
-                                   gm if family == "squeezed-cat" else None)
-                ref = average_fidelity(spec, noise, GainSetting.fixed(g),
-                                       prior).value
+                spec = {"twin-beam": ResourceSpec.twin_beam(0.9),
+                        "squeezed-bell": ResourceSpec.squeezed_bell(
+                            0.9, delta=d),
+                        "buridan": ResourceSpec.buridan_donkey(0.9, delta=d),
+                        "squeezed-cat": ResourceSpec.squeezed_cat(
+                            0.9, delta=d, gamma_mod=gm),
+                        "photon-subtracted": ResourceSpec.photon_subtracted(
+                            0.9)}[family]
+                gain = GainSetting.fixed(g)
+                ours = average_fidelity(spec, noise, gain, prior).value
+                ref = sum(w[i] * w[j] * fidelity_closed(
+                    spec, noise, gain,
+                    math.sqrt(sigma) * complex(t[i], t[j])).value
+                          for i in range(60) for j in range(60))
                 assert ours == pytest.approx(ref, abs=1e-12)
 
     def test_never_below_unity_gain_baseline(self):
@@ -222,7 +254,28 @@ class TestAveragedOptimization:
         assert opt.best_value == pytest.approx(0.793071310803, abs=1e-9)
         assert opt.g_opt == pytest.approx(0.951308935551, abs=1e-6)
         assert opt.delta_opt == pytest.approx(0.404832762182, abs=1e-5)
-        assert opt.method == "grid+nelder-mead"
+        assert opt.method == "eigen+golden"
+
+    def test_wide_prior_bell_optimum_beats_dense_scan(self):
+        """At sigma = 100 and r = 1.325 the best Bell angle is small but
+        not 0 (delta ~ 0.007); a (g, delta) scan refined twice must not
+        beat the optimizer."""
+        r = 1.325
+        prior = AlphabetPrior(100.0)
+
+        def scan(gains, deltas):
+            return max((average_fidelity(
+                ResourceSpec.squeezed_bell(r, delta=d), NONIDEAL,
+                GainSetting.fixed(g), prior).value, g, d)
+                for g in gains for d in deltas)
+
+        best, g0, d0 = scan(np.linspace(0.95, 1.1, 31),
+                            np.linspace(-0.1, 0.1, 41))
+        for dg, dd in ((0.005, 0.005), (0.0005, 0.0005)):
+            best, g0, d0 = scan(np.linspace(g0 - dg, g0 + dg, 21),
+                                np.linspace(d0 - dd, d0 + dd, 21))
+        opt = optimize_gain_average("squeezed-bell", r, NONIDEAL, prior)
+        assert opt.best_value >= best - 1e-12
 
     def test_beats_classical_benchmark(self):
         prior = AlphabetPrior(10.0)
