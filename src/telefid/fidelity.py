@@ -105,19 +105,13 @@ class FidelityForm(NamedTuple):
         return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
 
 
-def _delta_scale(r, gt, tau, gam):
-    """The common denominator scale Delta of all closed forms."""
+def _delta_terms(r, gt, tau, gam):
+    """The three terms of Delta, the scale of all closed forms (see
+    fidelity_closed)."""
     ep = math.exp(tau / 2)
-    return (math.exp(-2 * r - tau) * (1 + ep * gt) ** 2
-            + math.exp(2 * r - tau) * (1 - ep * gt) ** 2
-            + 2 * (1 + gt * gt + 2 * gam))
-
-
-def _ab_plus_minus(r, gt, tau):
-    ep = math.exp(tau / 2)
-    lo = (1 + ep * gt) ** 2
-    hi = math.exp(4 * r) * (1 - ep * gt) ** 2
-    return lo + hi, lo - hi
+    return (math.exp(-2 * r - tau) * (1 + ep * gt) ** 2,
+            math.exp(2 * r - tau) * (1 - ep * gt) ** 2,
+            2 * (1 + gt * gt + 2 * gam))
 
 
 def _bell_factors(gt, D, at):
@@ -138,23 +132,22 @@ def _bell_factors(gt, D, at):
     return e0, u * e0, u * u * e0, 2 * (at * at).real * e0
 
 
-def _bell_form(family, r, gt, tau, D, factors):
-    """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm."""
+def _bell_form(family, gt, tau, D, terms, factors):
+    """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm,
+    in the Delta terms over Delta (pm + mm + z = 1), e1/D and e2/D^2: all
+    O(1) times 4/Delta, so large r neither overflows nor cancels."""
     e0, e1, e2, eb = factors
-    ap, am = _ab_plus_minus(r, gt, tau)
+    pm, mm, z = terms[0] / D, terms[1] / D, terms[2] / D
     k = 4 / D
-    kb = math.exp(-2 * r - tau) / D ** 2
     if family == "buridan":
-        base = e0 + kb * ap * (4 * e1 - D * e0)
-        c2 = (2 * kb * math.exp(2 * r) * (math.exp(tau) * gt * gt - 1)
-              * (D * e0 - 4 * e1))
-        return FidelityForm(k * (base + c2),
-                            -2 * k * kb * (gt - 1) ** 2 * eb * am,
+        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1 / D) / D
+        return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 / D + c2),
+                            -2 * k * (gt - 1) ** 2 * eb * (pm - mm) / D,
                             -2 * k * c2)
-    cross = 2 * kb * (4 * e1 - D * e0)
-    pair = (2 * math.exp(-4 * r - 2 * tau) / D ** 4 * am ** 2
-            * (D * D * e0 - 8 * D * e1 + 8 * e2))
-    return FidelityForm(k * e0, -k * cross * am / 2, k * (pair + cross * ap))
+    pair = 16 * (pm - mm) ** 2 * (e2 / D - e1) / D
+    twin = 8 * (pm + mm) * e1 / D - 2 * e0 * ((pm + mm) * z + 4 * pm * mm)
+    return FidelityForm(k * e0, -k * (pm - mm) * (4 * e1 / D - e0),
+                        k * (pair + twin))
 
 
 def _exp_expm1(lo, ex):
@@ -222,10 +215,11 @@ def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
     one amplitude beta or averaged over an AlphabetPrior."""
     try:
-        D = _delta_scale(r, gt, tau, gam)
+        terms = _delta_terms(r, gt, tau, gam)
+        D = sum(terms)
         if family == "squeezed-cat":
             return _cat_form(r, gamma, gt, tau, D, at)
-        return _bell_form(family, r, gt, tau, D, _bell_factors(gt, D, at))
+        return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
     except OverflowError as exc:
         raise NumericalError(
             f"{family} closed form overflows at r = {r}") from exc
@@ -248,14 +242,11 @@ def _specialized_params(spec):
             f"closed forms need theta = 0, got {base.theta}; use quadrature")
     gamma = 0.0
     if base.family == "squeezed-cat" and base.gamma_mod > 0:
-        if _is_multiple(base.gamma_phase, 2 * math.pi):
-            gamma = base.gamma_mod
-        elif _is_multiple(base.gamma_phase - math.pi, 2 * math.pi):
-            gamma = -base.gamma_mod
-        else:
+        if not _is_multiple(base.gamma_phase, math.pi):
             raise PhaseSpecializationError(
                 f"closed forms need real gamma, got phase "
                 f"{base.gamma_phase}; use quadrature")
+        gamma = math.copysign(base.gamma_mod, math.cos(base.gamma_phase))
     return base.family, base.r, base.delta, gamma
 
 
@@ -281,41 +272,41 @@ def fidelity_closed(spec, noise, gain, beta=0j):
                           spec, noise, gain, beta=beta)
 
 
+def _overlap(inp, spec, noise, gain, spread=0.0):
+    """(1/2pi) int chi_in(x,p) chi_out(-x,-p) e^{-spread (x^2+p^2)} dx dp
+    by adaptive quadrature."""
+    def integrand(x, p):
+        val = (_chi_input_arrays(inp.beta, x, p)
+               * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
+        return val * np.exp(-spread * (x * x + p * p)) if spread else val
+
+    L = box_halfwidth(0.25 + gamma_cov(noise, gain) / 2
+                      + gain.effective(noise) ** 2 / 4 + spread)
+    return float((integrate_adaptive(integrand, L) / (2 * math.pi)).real)
+
+
 def fidelity_quadrature(inp, spec, noise, gain):
     """Overlap fidelity (1/2pi) int chi_in(x,p) chi_out(-x,-p) dx dp by
     adaptive quadrature. Universal: any phases, any family."""
-    gt = gain.effective(noise)
-    gam = gamma_cov(noise, gain)
-
-    def integrand(x, p):
-        return (_chi_input_arrays(inp.beta, x, p)
-                * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
-
-    L = box_halfwidth(0.25 + gam / 2 + gt * gt / 4)
-    val = integrate_adaptive(integrand, L) / (2 * math.pi)
-    return FidelityReport(float(val.real), "quadrature", spec, noise, gain,
-                          beta=inp.beta)
+    return FidelityReport(_overlap(inp, spec, noise, gain),
+                          "quadrature", spec, noise, gain, beta=inp.beta)
 
 
 def average_fidelity(spec, noise, gain, prior):
     """Fidelity averaged over the Gaussian alphabet prior.
 
-    Gauss-Hermite rule of order GH_ORDER in Re beta and Im beta, scaled
-    by sqrt(sigma): on the closed path the closed forms factorize it into
-    1-D node sums; otherwise it is the tensor rule over quadrature
-    fidelities.
+    On the closed path the closed forms factorize a Gauss-Hermite rule
+    of order GH_ORDER in Re beta and Im beta into 1-D node sums.
+    Otherwise beta enters the overlap integrand only as a plane wave,
+    e^{i sqrt2 (1 - g~)(p Re beta - x Im beta)}, which the prior averages
+    to the envelope e^{-(1 - g~)^2 sigma (x^2 + p^2)/2}: one quadrature.
     """
     try:
         val = _closed_value(spec, noise, gain, prior)
         method = "closed"
     except PhaseSpecializationError:
-        t, w = _gh_nodes()
-        scale = math.sqrt(prior.sigma)
-        val = float(sum(
-            w[i] * w[j] * fidelity_quadrature(
-                CoherentInput(scale * complex(t[i], t[j])), spec, noise,
-                gain).value
-            for i in range(len(t)) for j in range(len(t))))
+        spread = (1 - gain.effective(noise)) ** 2 * prior.sigma / 2
+        val = _overlap(CoherentInput(0j), spec, noise, gain, spread)
         method = "quadrature"
     return FidelityReport(val, method, spec, noise, gain, sigma=prior.sigma)
 

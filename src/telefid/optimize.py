@@ -1,4 +1,5 @@
-"""Fidelity maximization over resource parameters and gain.
+"""Fidelity maximization over resource parameters and gain, and the
+affinity of a resource to the two-mode squeezed vacuum.
 
 At fixed r, noise, gain and cat amplitude gamma, every family's fidelity
 is a ratio of quadratic forms in (cos delta, sin delta)
@@ -6,25 +7,22 @@ is a ratio of quadratic forms in (cos delta, sin delta)
 eigenvalue of a 2x2 pair and takes no search. What is left is searched
 deterministically: the cat's gamma on a grid refined by golden section,
 the averaged gain on a grid refined by golden section, and the averaged
-cat's (gain, gamma) on a grid refined by bounded Nelder-Mead. The
+cat's (gain, gamma) on a grid refined by a 3 x 3 stencil search. The
 subcase points (delta = 0, the photon-subtraction angle, gamma = 0 and
 the unity-gain rule g = 1/T) stay in as a floor, so the
 subcase-domination inequalities hold exactly rather than to rounding.
 """
 
+import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import expm_multiply
 
 from .errors import ParameterError
 from .fidelity import (FidelityReport, _fidelity_form, average_fidelity,
                        fidelity_closed)
-from .phase_space import ResourceSpec, _core_terms
+from .phase_space import FAMILIES, ResourceSpec, _core_terms
 from .protocol import GainSetting, gamma_cov
 
 GAMMA_POINTS = 201
@@ -33,12 +31,8 @@ AVG_GAMMA_POINTS = 51
 GAMMA_MAX = 5.0
 PARAM_XTOL = 1e-8
 
-AFFINITY_CUTOFF = 40
 AFFINITY_RMAX = 5.0
-TAIL_WEIGHT_WARN = 1e-8
-
-_OPTIMIZABLE = ("twin-beam", "squeezed-bell", "squeezed-cat", "buridan",
-                "photon-subtracted")
+AFFINITY_POINTS = 201
 
 
 @dataclass(frozen=True)
@@ -85,6 +79,34 @@ def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
     return x, fx, nfev
 
 
+def _stencil_max(row, start, value, steps, box):
+    """Maximize f(x, y) on a box from a start of known value: move to the
+    best point of a 3 x 3 stencil of half-widths steps, halve them when
+    the centre wins, stop below PARAM_XTOL. row(x, ys) gives f along an
+    array of y. Points lie on the lattice start + (i hx, j hy), so one
+    met again is the same floats and is not recomputed. Returns (point,
+    value, evaluations)."""
+    (x0, y0), (hx, hy), ((xlo, xhi), (ylo, yhi)) = start, steps, box
+    seen, point, i, j = {start: value}, start, 0, 0
+    while max(hx, hy) >= PARAM_XTOL:
+        ys = [min(max(y0 + (j + d) * hy, ylo), yhi) for d in (-1, 0, 1)]
+        best = (value, i, j, point)
+        for di in (-1, 0, 1):
+            x = min(max(x0 + (i + di) * hx, xlo), xhi)
+            new = [y for y in dict.fromkeys(ys) if (x, y) not in seen]
+            if new:
+                seen.update(zip([(x, y) for y in new],
+                                row(x, np.array(new)).tolist()))
+            for dj, y in zip((-1, 0, 1), ys):
+                if seen[x, y] > best[0]:
+                    best = (seen[x, y], i + di, j + dj, (x, y))
+        if best[0] > value:
+            value, i, j, point = best
+        else:
+            i, j, hx, hy = 2 * i, 2 * j, hx / 2, hy / 2
+    return point, value, len(seen) - 1
+
+
 def _pss_delta(r):
     return math.atan(math.tanh(r))
 
@@ -125,7 +147,7 @@ def _best_delta(family, r, form):
 def optimize_beta_independent(family, r, noise):
     """Maximize the beta-independent fidelity (gain rule g = 1/T) over
     the family's free resource parameters."""
-    if family not in _OPTIMIZABLE:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
     gain = GainSetting.unity_over_t()
     gam = gamma_cov(noise, gain)
@@ -160,7 +182,7 @@ def optimize_gain_average(family, r, noise, prior):
     """Maximize the prior-averaged fidelity over gain and the family's
     free resource parameters; g runs over [2/(T N), 2/T] with N =
     AVG_GAIN_POINTS."""
-    if family not in _OPTIMIZABLE:
+    if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
     T = noise.transmissivity
     g_top = 2.0 / T
@@ -186,16 +208,16 @@ def optimize_gain_average(family, r, noise, prior):
         vals = np.array([form(g, gammas).top()[0] for g in g_grid])
         i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
         start = (float(g_grid[i]), float(gammas[j]))
-        res = minimize(lambda x: -float(form(x[0], x[1]).top()[0]),
-                       np.array(start), method="Nelder-Mead",
-                       bounds=[(g_grid[0], g_top), (0.0, GAMMA_MAX)],
-                       options={"xatol": PARAM_XTOL, "fatol": 1e-14})
-        nfev = base.evaluations + vals.size + res.nfev + 1
+        x, fx, n = _stencil_max(
+            lambda g, cs: form(g, cs).top()[0], start, float(vals[i, j]),
+            ((g_grid[1] - g_grid[0]) / 2, (gammas[1] - gammas[0]) / 2),
+            ((g_grid[0], g_top), (0.0, GAMMA_MAX)))
+        nfev = base.evaluations + vals.size + n + 1
         cands = [(float(vals[i, j]), start),
                  (float(form(g_unity, base.gamma_opt).top()[0]),
                   (g_unity, base.gamma_opt)),
-                 (float(-res.fun), (float(res.x[0]), float(res.x[1])))]
-        method = "eigen+nelder-mead"
+                 (float(fx), x)]
+        method = "eigen+stencil"
     else:
         def objective(g):
             return _best_delta(family, r, form(g))[1]
@@ -248,55 +270,40 @@ def r_max(tau):
     return -0.5 * math.log(math.tanh(tau / 4))
 
 
-def _fock_core_vector(spec, dim):
-    """Core superposition as a two-mode Fock-basis vector."""
-    norm, terms = _core_terms(spec)
-    vec = np.zeros(dim * dim, dtype=complex)
-    ns = np.arange(dim)
-    for coeff, kind, k1, k2 in terms:
-        if kind == "fock":
-            vec[k1 * dim + k2] += coeff
-        else:
-            logfact = np.cumsum(np.log(np.maximum(ns, 1)))
-            def coh(gval):
-                if gval == 0:
-                    col = np.zeros(dim, dtype=complex)
-                    col[0] = 1.0
-                    return col
-                amp = np.exp(-abs(gval) ** 2 / 2
-                             + ns * np.log(complex(gval)) - logfact / 2)
-                return amp
-            vec += coeff * np.kron(coh(k1), coh(k2))
-    return norm * vec
-
-
 def affinity(spec):
-    """Largest squared overlap with a two-mode squeezed vacuum,
-    sup over its squeezing, in a truncated Fock basis."""
-    dim = AFFINITY_CUTOFF + 1
-    a = diags(np.sqrt(np.arange(1, dim)), 1, format="csc")
-    eye = identity(dim, format="csc")
-    a1 = kron(a, eye, format="csc")
-    a2 = kron(eye, a, format="csc")
-    zeta = spec.zeta
-    gen = (-zeta * (a1.conj().T @ a2.conj().T)
-           + np.conj(zeta) * (a1 @ a2))
-    psi = expm_multiply(gen, _fock_core_vector(spec, dim))
-    grid = np.abs(psi.reshape(dim, dim)) ** 2
-    tail = (abs(1.0 - grid.sum())
-            + grid[-1, :].sum() + grid[:, -1].sum())
-    if tail > TAIL_WEIGHT_WARN:
-        warnings.warn(
-            f"Fock cutoff {AFFINITY_CUTOFF} leaves tail weight "
-            f"{tail:.2e}; affinity may be inaccurate", stacklevel=2)
-    diag = psi.reshape(dim, dim).diagonal()
-    ns = np.arange(dim)
+    """Largest squared overlap with a two-mode squeezed vacuum, sup over
+    its squeezing: max over r' in [0, AFFINITY_RMAX] of
+    |<00| S(r') S(zeta) |core>|^2, on a grid of AFFINITY_POINTS refined
+    by golden section around the best point.
+
+    By the SU(1,1) disentangling identity, with t = tanh r, t' = tanh r'
+    and K- = a1 a2, the overlap is N <00| e^{kappa K-} |core> / (cosh r
+    cosh r' (1 + e^{i phi} t t')), kappa = t' / (cosh^2 r (1 + e^{i phi}
+    t t')) + e^{-i phi} t. <00| e^{kappa K-} takes |n, n> to kappa^n,
+    |n, m != n> to 0 and |g1, g2> to e^{kappa g1 g2 - (|g1|^2+|g2|^2)/2}.
+    """
+    t, e = math.tanh(spec.r), math.exp(-spec.r)
+    sech = 2 * e / (1 + e * e)  # 1/cosh r, finite at any r
+    rot = cmath.exp(1j * spec.phi)
+    norm, terms = _core_terms(spec)
 
     def overlap_sq(rp):
-        amps = np.tanh(rp) ** ns / np.cosh(rp)
-        return abs(np.sum(amps * diag)) ** 2
+        tp = np.tanh(rp)
+        den = 1 + rot * t * tp
+        kappa = tp * sech * sech / den + t / rot
+        total = 0.0
+        for coeff, kind, k1, k2 in terms:
+            if kind == "coh":
+                total = total + coeff * np.exp(
+                    kappa * k1 * k2 - (abs(k1) ** 2 + abs(k2) ** 2) / 2)
+            elif k1 == k2:
+                total = total + coeff * kappa ** k1
+        return np.abs(norm * sech / np.cosh(rp) / den * total) ** 2
 
-    _, best, _ = golden_section_max(overlap_sq, 0.0, AFFINITY_RMAX)
-    # golden section never lands exactly on the edge; r' = 0 matters
-    # for separable cores
-    return float(max(best, overlap_sq(0.0)))
+    grid = np.linspace(0.0, AFFINITY_RMAX, AFFINITY_POINTS)
+    vals = overlap_sq(grid)
+    i = int(np.argmax(vals))
+    _, best, _ = golden_section_max(lambda x: float(overlap_sq(x)),
+                                    *_bracket(grid, i))
+    # rounding can lift an overlap of exactly 1 just past it
+    return min(max(best, float(vals[i])), 1.0)

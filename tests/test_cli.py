@@ -3,9 +3,13 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import telefid
 import telefid.cli_sweep as cli
 from telefid import NumericalError, ParameterError, QuadratureError
 from telefid.cli_sweep import (CSV_HEADER, ResultRow, SweepSpec, emit_csv,
@@ -132,11 +136,13 @@ class TestMainExitCodes:
         assert code == 0
         assert capsys.readouterr().out == "0\n"
 
-    def test_overflowing_closed_form_exits_4(self, capsys):
+    def test_large_squeezing_closed_form_exits_0(self, capsys):
+        """e^{4r} and Delta^4 would overflow here; the fidelity, about
+        4/Delta, does not."""
         code = main(["fidelity", "--resource", "squeezed-bell", "--r", "300",
                      "--gain", "1.3"])
-        assert code == 4
-        assert "telefid:" in capsys.readouterr().err
+        assert code == 0
+        assert 0 < float(capsys.readouterr().out) < 1e-250
 
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["fidelity", "--resource", "twin-beam", "--r", "1",
@@ -234,3 +240,16 @@ class TestDeterminism:
         values = [row["r"] for row in
                   csv.DictReader(io.StringIO(first.decode()))]
         assert values == sorted(values, key=float)
+
+
+def test_package_does_not_import_scipy():
+    """numpy is the only runtime dependency: importing the package and
+    its command line loads no scipy module."""
+    code = ("import sys, telefid, telefid.cli_sweep\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    src = os.path.dirname(os.path.dirname(telefid.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out == "[]\n"

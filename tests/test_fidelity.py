@@ -2,16 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import telefid.fidelity as fidelity_mod
 from telefid import (AlphabetPrior, CoherentInput, GainSetting, NoiseParams,
                      ParameterError, PhaseSpecializationError, ResourceSpec,
                      average_fidelity, classical_benchmark, fidelity_closed,
-                     fidelity_gaussian_oracle, fidelity_quadrature)
+                     fidelity_gaussian_oracle, fidelity_quadrature, gamma_cov)
 
 IDEAL = NoiseParams()
 UNITY = GainSetting.fixed(1.0)
@@ -143,16 +143,16 @@ class TestAveraged:
         at_origin = fidelity_closed(spec, noise, gain).value
         assert avg.value == pytest.approx(at_origin, abs=1e-9)
 
-    def test_quadrature_fallback_wiring(self, monkeypatch):
+    def test_quadrature_fallback_wiring(self):
         """With the closed forms ruled out by the resource phases, the
-        average is the same weighted sum over quadrature fidelities."""
-        t, w = np.polynomial.hermite.hermgauss(3)
+        average is one quadrature with the prior folded in; it equals an
+        8 x 8 Gauss-Hermite rule in beta over quadrature fidelities."""
+        t, w = np.polynomial.hermite.hermgauss(8)
         w = w / w.sum()
-        monkeypatch.setattr(fidelity_mod, "_gh_nodes", lambda: (t, w))
         spec = ResourceSpec.squeezed_bell(0.7, delta=0.4, theta=0.2)
         noise = NoiseParams(tau=0.1, r2=0.05)
-        gain = GainSetting.fixed(1.05)
-        prior = AlphabetPrior(2.0)
+        gain = GainSetting.fixed(0.8)
+        prior = AlphabetPrior(0.5)
         rep = average_fidelity(spec, noise, gain, prior)
         assert rep.method == "quadrature"
         scale = math.sqrt(prior.sigma)
@@ -160,8 +160,83 @@ class TestAveraged:
             w[i] * w[j] * fidelity_quadrature(
                 CoherentInput(scale * complex(t[i], t[j])),
                 spec, noise, gain).value
-            for i in range(3) for j in range(3))
-        assert rep.value == pytest.approx(manual, abs=1e-14)
+            for i in range(8) for j in range(8))
+        assert rep.value == pytest.approx(manual, abs=1e-12)
+
+    def test_off_phase_average_at_wide_prior(self):
+        """phi -> 2 pi - phi conjugates the resource, so the twin-beam
+        average is stationary at phi = pi: 1e-7 off it, the quadrature
+        average must equal the exact (4/D) / (1 + 4 q/D), q = (g~-1)^2
+        sigma, at a prior where 4 q/D is about 80."""
+        r, sigma = 0.8, 1e4
+        noise = NoiseParams(tau=0.3, r2=0.05)
+        gain = GainSetting.fixed(0.9 / noise.transmissivity)
+        gt = gain.effective(noise)
+        gam = (1 - math.exp(-noise.tau)) / 2 + gain.gain(noise) ** 2 * 0.05
+        D = delta_scale_ref(r, gt, noise.tau, gam)
+        expect = 4 / (D + 4 * (gt - 1) ** 2 * sigma)
+        rep = average_fidelity(ResourceSpec.twin_beam(r, phi=math.pi + 1e-7),
+                               noise, gain, AlphabetPrior(sigma))
+        assert rep.method == "quadrature"
+        assert rep.value == pytest.approx(expect, abs=1e-13)
+        assert rep.value == pytest.approx(0.00987794723, abs=1e-11)
+
+
+class TestLargeSqueezing:
+    """The squeezed-Bell and Buridan forms at r = 300, where e^{4r} and
+    Delta^4 overflow a double, against the published form written out
+    in 50-digit arithmetic."""
+
+    @staticmethod
+    def reference(family, r, delta, gt, tau, gam, beta):
+        mp = mpmath.mp
+        with mpmath.workdps(50):
+            r, delta, gt, tau, gam = map(mp.mpf, (r, delta, gt, tau, gam))
+            beta = mp.mpc(beta)
+            ep = mp.exp(tau / 2)
+            D = (mp.exp(-2 * r - tau) * (1 + ep * gt) ** 2
+                 + mp.exp(2 * r - tau) * (1 - ep * gt) ** 2
+                 + 2 * (1 + gt ** 2 + 2 * gam))
+            lo = (1 + ep * gt) ** 2
+            hi = mp.exp(4 * r) * (1 - ep * gt) ** 2
+            ap, am = lo + hi, lo - hi
+            u = (gt - 1) ** 2 * abs(beta) ** 2
+            e0 = mp.exp(-4 * u / D)
+            e1, e2, eb = u * e0, u * u * e0, 2 * mp.re(beta ** 2) * e0
+            k, kb = 4 / D, mp.exp(-2 * r - tau) / D ** 2
+            if family == "buridan":
+                c2 = (2 * kb * mp.exp(2 * r) * (mp.exp(tau) * gt ** 2 - 1)
+                      * (D * e0 - 4 * e1))
+                a = k * (e0 + kb * ap * (4 * e1 - D * e0) + c2)
+                b = -2 * k * kb * (gt - 1) ** 2 * eb * am
+                e = -2 * k * c2
+            else:
+                cross = 2 * kb * (4 * e1 - D * e0)
+                pair = (2 * mp.exp(-4 * r - 2 * tau) / D ** 4 * am ** 2
+                        * (D ** 2 * e0 - 8 * D * e1 + 8 * e2))
+                a, b, e = k * e0, -k * cross * am / 2, k * (pair + cross * ap)
+            c, s = mp.cos(delta), mp.sin(delta)
+            return a + 2 * b * s * c + e * s * s
+
+    @pytest.mark.parametrize("family,tau,r2,g,beta", [
+        ("squeezed-bell", 0.3, 0.05, 1.3, 0.5 + 0.2j),
+        ("squeezed-bell", 0.0, 0.0, 1.0, 0j),
+        ("buridan", 0.0, 0.05, None, 2.0 - 1.0j),
+        ("buridan", 0.0, 0.0, 1.0, 0j),
+    ])
+    def test_matches_50_digit_reference(self, family, tau, r2, g, beta):
+        r, delta = 300.0, 0.4
+        noise = NoiseParams(tau=tau, r2=r2)
+        gain = (GainSetting.unity_over_t() if g is None
+                else GainSetting.fixed(g))
+        spec = (ResourceSpec.squeezed_bell(r, delta=delta)
+                if family == "squeezed-bell"
+                else ResourceSpec.buridan_donkey(r, delta=delta))
+        got = fidelity_closed(spec, noise, gain, beta).value
+        want = self.reference(family, r, delta, gain.effective(noise), tau,
+                              gamma_cov(noise, gain), beta)
+        assert want > 0
+        assert got == pytest.approx(float(want), rel=1e-12)
 
 
 def test_gaussian_oracle_report():

@@ -1,15 +1,22 @@
 """Resource and gain optimization, squeezing sweet spot, affinity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+from scipy.optimize import minimize_scalar
 
+import oracles
 from telefid import (AlphabetPrior, GainSetting, NoiseParams, ParameterError,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed)
-from telefid.optimize import (_pss_delta, affinity, golden_section_max,
-                              one_shot_fidelity, optimize_beta_independent,
+from telefid.optimize import (AFFINITY_RMAX, _pss_delta, _stencil_max,
+                              affinity, golden_section_max, one_shot_fidelity,
+                              optimize_beta_independent,
                               optimize_gain_average, r_max)
 
 NONIDEAL = NoiseParams(tau=0.3, r2=0.05)
@@ -27,6 +34,33 @@ class TestGoldenSection:
     def test_edge_maximum(self):
         x, fx, _ = golden_section_max(lambda x: x, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-7)
+
+
+class TestStencil:
+
+    @staticmethod
+    def quadratic(x, ys):
+        return 1 - (x - 0.31) ** 2 - 2 * (ys + 0.17) ** 2 + 0.5 * x * ys
+
+    def test_interior_maximum(self):
+        # grad = 0 at x = 0.31 + y / 4, y = x / 8 - 0.17
+        x_opt = (0.31 - 0.17 / 4) / (1 - 1 / 32)
+        y_opt = x_opt / 8 - 0.17
+        (x, y), fx, nfev = _stencil_max(
+            self.quadratic, (0.0, 0.0), float(self.quadratic(0.0, 0.0)),
+            (0.05, 0.1), ((-1.0, 1.0), (-1.0, 1.0)))
+        assert x == pytest.approx(x_opt, abs=1e-7)
+        assert y == pytest.approx(y_opt, abs=1e-7)
+        assert fx == self.quadratic(x, np.array([y]))[0]
+        assert 0 < nfev < 500
+
+    def test_stays_in_the_box(self):
+        # the maximum on x <= 0.1, y >= 0 is the corner (0.1, 0)
+        (x, y), fx, _ = _stencil_max(
+            self.quadratic, (0.0, 0.5), float(self.quadratic(0.0, 0.5)),
+            (0.05, 0.05), ((-1.0, 0.1), (0.0, 1.0)))
+        assert (x, y) == (0.1, 0.0)
+        assert fx == self.quadratic(0.1, np.array([0.0]))[0]
 
 
 class TestSqueezingSweetSpot:
@@ -277,6 +311,30 @@ class TestAveragedOptimization:
         opt = optimize_gain_average("squeezed-bell", r, NONIDEAL, prior)
         assert opt.best_value >= best - 1e-12
 
+    @pytest.mark.parametrize("sigma,r", [(100.0, 1.325), (10.0, 1.775)])
+    def test_averaged_cat_optimum_beats_dense_scan(self, sigma, r):
+        """The averaged cat's (g, gamma) stencil search and delta
+        eigenvalue must not be beaten by a (g, gamma, delta) scan of the
+        public average, refined twice."""
+        prior = AlphabetPrior(sigma)
+
+        def scan(gains, gammas, deltas):
+            return max((average_fidelity(
+                ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=c),
+                NONIDEAL, GainSetting.fixed(g), prior).value, g, c, d)
+                for g in gains for c in gammas for d in deltas)
+
+        best, g0, c0, d0 = scan(np.linspace(0.9, 1.1, 21),
+                                np.linspace(0.2, 1.6, 15),
+                                np.linspace(-0.2, 0.2, 21))
+        for dg, dc, dd in ((0.01, 0.1, 0.02), (0.002, 0.02, 0.004)):
+            best, g0, c0, d0 = scan(np.linspace(g0 - dg, g0 + dg, 11),
+                                    np.linspace(c0 - dc, c0 + dc, 11),
+                                    np.linspace(d0 - dd, d0 + dd, 11))
+        opt = optimize_gain_average("squeezed-cat", r, NONIDEAL, prior)
+        assert opt.method == "eigen+stencil"
+        assert opt.best_value >= best - 1e-12
+
     def test_beats_classical_benchmark(self):
         prior = AlphabetPrior(10.0)
         opt = optimize_gain_average("squeezed-bell", 1.0, NONIDEAL, prior)
@@ -329,6 +387,102 @@ class TestAffinity:
         spec = ResourceSpec.squeezed_cat(0.8, delta=0.3, gamma_mod=0.9)
         assert affinity(spec) == pytest.approx(0.953765, abs=1e-5)
 
-    def test_warns_when_cutoff_too_small(self):
-        with pytest.warns(UserWarning, match="tail weight"):
-            affinity(ResourceSpec.twin_beam(2.5))
+    @staticmethod
+    def bell_exact(delta):
+        """At phi = pi the overlap is that of S(r' - r) on the vacuum:
+        the max over u = tanh(r - r') of (cos d - u sin d)^2 (1 - u^2),
+        at a real root of its derivative."""
+        c, s = math.cos(delta), math.sin(delta)
+        quartic = Polynomial([c, -s]) ** 2 * Polynomial([1, 0, -1])
+        roots = quartic.deriv().roots()
+        return max(quartic(u.real) for u in roots
+                   if abs(u.imag) < 1e-12 and abs(u.real) < 1)
+
+    @pytest.mark.parametrize("r", [2.0, 3.0])
+    def test_exact_at_large_squeezing(self, r):
+        """A truncated Fock space gave 0.595 at r = 2 and 0.064 at r = 3."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            val = affinity(ResourceSpec.squeezed_bell(r, delta=0.5))
+        assert val == pytest.approx(self.bell_exact(0.5), abs=1e-9)
+        assert val == pytest.approx(0.9609615481, abs=1e-9)
+
+    def test_bimodal_overlap(self):
+        """At r = 1.5, delta = -1.1 the overlap has a second, lower
+        maximum in r'; the search must land on the higher one."""
+        val = affinity(ResourceSpec.squeezed_bell(1.5, delta=-1.1))
+        assert val == pytest.approx(self.bell_exact(-1.1), abs=1e-9)
+        assert val == pytest.approx(0.62533, abs=1e-5)
+
+    @staticmethod
+    def fock_affinity(spec, core):
+        """The squeezed core in the oracles' Fock space, overlapped with
+        S(r' e^{i pi})|00> on a dense r' scan refined around its best
+        point."""
+        dim = oracles.DIM
+        diag = oracles.squeeze_two_mode(spec.zeta, core).reshape(
+            dim, dim).diagonal()
+        ns = np.arange(dim)
+
+        def overlap_sq(rp):
+            return abs(np.sum(np.tanh(rp) ** ns / np.cosh(rp) * diag)) ** 2
+
+        grid = np.linspace(0.0, AFFINITY_RMAX, 5001)
+        vals = [overlap_sq(x) for x in grid]
+        i = int(np.argmax(vals))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        res = minimize_scalar(lambda x: -overlap_sq(x), bounds=(lo, hi),
+                              method="bounded", options={"xatol": 1e-10})
+        return max(vals[i], -res.fun)
+
+    @pytest.mark.parametrize("spec,core", [
+        (ResourceSpec.squeezed_bell(0.5, delta=0.4),
+         oracles.bell_core(0.4, 0.0)),
+        (ResourceSpec.squeezed_bell(0.4, phi=2.0, delta=0.7, theta=1.1),
+         oracles.bell_core(0.7, 1.1)),
+        (ResourceSpec.twin_beam(0.5, phi=2.5), oracles.bell_core(0.0, 0.0)),
+        (ResourceSpec.photon_subtracted(0.3, phi=2.2),
+         oracles.bell_core(math.atan(math.tanh(0.3)), 2.2 + math.pi)),
+        (ResourceSpec.buridan_donkey(0.5, phi=1.0, delta=0.4, theta=0.6),
+         oracles.donkey_core(0.4, 0.6)),
+        (ResourceSpec.squeezed_cat(0.5, delta=0.3, gamma_mod=0.9),
+         oracles.cat_core(0.3, 0.0, 0.9)),
+        (ResourceSpec.squeezed_cat(0.4, phi=1.0, delta=0.5, theta=0.3,
+                                   gamma_mod=1.2, gamma_phase=0.7),
+         oracles.cat_core(0.5, 0.3, 1.2 * np.exp(0.7j))),
+    ], ids=["bell", "bell-phases", "twin-off-phase", "subtracted-off-phase",
+            "buridan", "cat", "cat-complex"])
+    def test_matches_fock_oracle(self, spec, core):
+        assert affinity(spec) == pytest.approx(self.fock_affinity(spec, core),
+                                               abs=1e-10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(["twin-beam", "squeezed-bell", "squeezed-cat",
+                            "buridan", "photon-subtracted"]),
+    r=st.floats(0.0, 1000.0),
+    phi=st.floats(-math.pi, 3 * math.pi),
+    delta=st.floats(-math.pi, math.pi),
+    theta=st.floats(-math.pi, math.pi),
+    gamma_mod=st.floats(0.0, 1e150),
+    gamma_phase=st.floats(-math.pi, math.pi),
+)
+def test_affinity_in_range(family, r, phi, delta, theta, gamma_mod,
+                           gamma_phase):
+    """Over the constructors' domain the affinity is a squared overlap in
+    [0, 1]: no overflow, even where cosh r or |gamma|^2 leave the double
+    range."""
+    try:
+        spec = {"twin-beam": lambda: ResourceSpec.twin_beam(r, phi),
+                "squeezed-bell": lambda: ResourceSpec.squeezed_bell(
+                    r, phi, delta, theta),
+                "squeezed-cat": lambda: ResourceSpec.squeezed_cat(
+                    r, phi, delta, theta, gamma_mod, gamma_phase),
+                "buridan": lambda: ResourceSpec.buridan_donkey(
+                    r, phi, delta, theta),
+                "photon-subtracted": lambda: ResourceSpec.photon_subtracted(
+                    r, phi)}[family]()
+    except ParameterError:
+        return  # a degenerate cat core
+    assert 0.0 <= affinity(spec) <= 1.0
