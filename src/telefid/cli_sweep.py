@@ -8,7 +8,6 @@ in input order, so identical invocations produce identical bytes.
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass
 
@@ -57,10 +56,9 @@ class ResultRow:
     fidelity: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.fidelity):
-            raise NumericalError(f"fidelity {self.fidelity} is not finite")
+        # a computed value, so out of range (or NaN) is a numerical fault
         if not 0.0 <= self.fidelity <= 1.0 + FIDELITY_SLACK:
-            raise ParameterError(
+            raise NumericalError(
                 f"fidelity {self.fidelity} outside [0, 1]")
 
 
@@ -162,49 +160,6 @@ def parse_cli(argv):
     return ns
 
 
-def _make_spec(ns, r, delta=None, gamma=None):
-    """ResourceSpec from flags, rejecting flags foreign to the family."""
-    family = ns.resource
-    delta = ns.delta if delta is None else delta
-    gamma = ns.gamma_mod if gamma is None else gamma
-    theta, phi = ns.theta, ns.phi
-
-    def reject(**named):
-        for flag, val in named.items():
-            if val is not None:
-                raise ParameterError(
-                    f"--{flag} does not apply to resource {family!r}")
-
-    kw = {} if phi is None else {"phi": phi}
-    if family == "twin-beam":
-        reject(delta=delta, theta=theta, gamma_mod=gamma)
-        return ResourceSpec.twin_beam(r, **kw)
-    if family == "photon-subtracted":
-        reject(delta=delta, theta=theta, gamma_mod=gamma)
-        return ResourceSpec.photon_subtracted(r, **kw)
-    if delta is not None:
-        kw["delta"] = delta
-    if theta is not None:
-        kw["theta"] = theta
-    if family == "squeezed-bell":
-        reject(gamma_mod=gamma)
-        return ResourceSpec.squeezed_bell(r, **kw)
-    if family == "buridan":
-        reject(gamma_mod=gamma)
-        return ResourceSpec.buridan_donkey(r, **kw)
-    if gamma is not None:
-        kw["gamma_mod"] = gamma
-    return ResourceSpec.squeezed_cat(r, **kw)
-
-
-def _gain_setting(ns, override=None):
-    if override is not None:
-        return GainSetting.fixed(override)
-    if ns.gain is not None:
-        return GainSetting.fixed(ns.gain)
-    return GainSetting.unity_over_t()
-
-
 def _point_row(ns, axis=None, value=None):
     """One fidelity evaluation with an optional axis override."""
     over = {} if axis is None else {axis: value}
@@ -218,8 +173,12 @@ def _point_row(ns, axis=None, value=None):
     r = pick("r", None)
     tau, nth, r2 = pick("tau", 0.0), pick("nth", 0.0), pick("r2", 0.0)
     noise = NoiseParams(tau=tau, n_th=nth, r2=r2)
-    gain = _gain_setting(ns, over.get("gain"))
-    spec = _make_spec(ns, r, over.get("delta"), over.get("gamma"))
+    gain = GainSetting(pick("gain", None))
+    # the flags that were given; ResourceSpec.of rejects a foreign one
+    core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta", None),
+            "gamma_mod": over.get("gamma", ns.gamma_mod)}
+    spec = ResourceSpec.of(ns.resource, r, **{
+        k: v for k, v in core.items() if v is not None})
     sigma = pick("sigma", None)
     if sigma is not None:
         rep = average_fidelity(spec, noise, gain, AlphabetPrior(sigma))

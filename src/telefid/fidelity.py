@@ -12,6 +12,7 @@ delta is a 2x2 eigenvalue.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -28,6 +29,9 @@ from .quadrature import box_halfwidth, integrate_adaptive
 GH_ORDER = 60
 # |angle mod 2pi| below this counts as the specialized phase
 PHASE_TOL = 1e-12
+LOG_DBL_MAX = math.log(sys.float_info.max)
+# relative rounding bound of a closed form's cancelling terms
+CANCEL_EPS = 16 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,15 @@ class FidelityForm(NamedTuple):
 
     def value(self, delta):
         c, s = math.cos(delta), math.sin(delta)
-        return self.a + ((2 * self.b * s * c + self.e * s * s)
-                         / (self.h + self.n * (c + s) ** 2))
+        den = self.h + self.n * (c + s) ** 2
+        val = self.a + (2 * self.b * s * c + self.e * s * s) / den
+        # a value below 0 by less than the rounding of terms that cancel
+        # (a ~ -2bsc at large r) is a fidelity that rounds to 0
+        if val < 0 and -val <= CANCEL_EPS * (
+                abs(self.a) + (abs(2 * self.b * s * c)
+                               + abs(self.e * s * s)) / den):
+            return 0.0
+        return val
 
     def top(self):
         """(max over delta of F, its argmax in [-pi/2, pi/2]): a plus the
@@ -106,12 +117,25 @@ class FidelityForm(NamedTuple):
 
 
 def _delta_terms(r, gt, tau, gam):
-    """The three terms of Delta, the scale of all closed forms (see
-    fidelity_closed)."""
+    """Delta, the scale of all closed forms (see fidelity_closed), and
+    its three terms over Delta, which sum to 1. Past r ~ 354 Delta
+    overflows; the terms over Delta then come from their logarithms and
+    Delta is inf, so 4/Delta underflows to 0 as the fidelity does."""
     ep = math.exp(tau / 2)
-    return (math.exp(-2 * r - tau) * (1 + ep * gt) ** 2,
-            math.exp(2 * r - tau) * (1 - ep * gt) ** 2,
-            2 * (1 + gt * gt + 2 * gam))
+    lo, hi = (1 + ep * gt) ** 2, (1 - ep * gt) ** 2
+    z = 2 * (1 + gt * gt + 2 * gam)
+    if 2 * r - tau < LOG_DBL_MAX:
+        d0, d1 = math.exp(-2 * r - tau) * lo, math.exp(2 * r - tau) * hi
+        D = d0 + d1 + z
+        if D < math.inf:
+            return D, (d0 / D, d1 / D, z / D)
+    logs = (-2 * r - tau + math.log(lo),
+            2 * r - tau + math.log(hi) if hi else -math.inf, math.log(z))
+    top = max(logs)
+    scaled = [math.exp(x - top) for x in logs]
+    log_d = top + math.log(sum(scaled))
+    D = math.exp(log_d) if log_d < LOG_DBL_MAX else math.inf
+    return D, [x / sum(scaled) for x in scaled]
 
 
 def _bell_factors(gt, D, at):
@@ -137,7 +161,7 @@ def _bell_form(family, gt, tau, D, terms, factors):
     in the Delta terms over Delta (pm + mm + z = 1), e1/D and e2/D^2: all
     O(1) times 4/Delta, so large r neither overflows nor cancels."""
     e0, e1, e2, eb = factors
-    pm, mm, z = terms[0] / D, terms[1] / D, terms[2] / D
+    pm, mm, z = terms
     k = 4 / D
     if family == "buridan":
         c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1 / D) / D
@@ -215,8 +239,7 @@ def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
     one amplitude beta or averaged over an AlphabetPrior."""
     try:
-        terms = _delta_terms(r, gt, tau, gam)
-        D = sum(terms)
+        D, terms = _delta_terms(r, gt, tau, gam)
         if family == "squeezed-cat":
             return _cat_form(r, gamma, gt, tau, D, at)
         return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
@@ -231,23 +254,22 @@ def _is_multiple(angle, period):
 
 def _specialized_params(spec):
     """Validate the phase specialization and return (family, r, delta,
-    signed real gamma) of the resolved spec."""
-    base = spec.resolve()
-    if not _is_multiple(base.phi - math.pi, 2 * math.pi):
+    signed real gamma) of the spec."""
+    if not _is_multiple(spec.phi - math.pi, 2 * math.pi):
         raise PhaseSpecializationError(
-            f"closed forms need phi = pi, got {base.phi}; use quadrature")
-    if base.family != "twin-beam" and not _is_multiple(base.theta,
+            f"closed forms need phi = pi, got {spec.phi}; use quadrature")
+    if spec.family != "twin-beam" and not _is_multiple(spec.theta,
                                                        2 * math.pi):
         raise PhaseSpecializationError(
-            f"closed forms need theta = 0, got {base.theta}; use quadrature")
+            f"closed forms need theta = 0, got {spec.theta}; use quadrature")
     gamma = 0.0
-    if base.family == "squeezed-cat" and base.gamma_mod > 0:
-        if not _is_multiple(base.gamma_phase, math.pi):
+    if spec.family == "squeezed-cat" and spec.gamma_mod > 0:
+        if not _is_multiple(spec.gamma_phase, math.pi):
             raise PhaseSpecializationError(
                 f"closed forms need real gamma, got phase "
-                f"{base.gamma_phase}; use quadrature")
-        gamma = math.copysign(base.gamma_mod, math.cos(base.gamma_phase))
-    return base.family, base.r, base.delta, gamma
+                f"{spec.gamma_phase}; use quadrature")
+        gamma = math.copysign(spec.gamma_mod, math.cos(spec.gamma_phase))
+    return spec.family, spec.r, spec.delta, gamma
 
 
 def _closed_value(spec, noise, gain, at):
@@ -256,7 +278,10 @@ def _closed_value(spec, noise, gain, at):
     family, r, delta, gamma = _specialized_params(spec)
     form = _fidelity_form(family, r, gamma, gain.effective(noise),
                           gamma_cov(noise, gain), noise.tau, at)
-    return float(form.value(delta))
+    val = float(form.value(delta))
+    if not math.isfinite(val):
+        raise NumericalError(f"{family} closed form is {val} at r = {r}")
+    return val
 
 
 def fidelity_closed(spec, noise, gain, beta=0j):

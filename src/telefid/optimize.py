@@ -11,6 +11,9 @@ cat's (gain, gamma) on a grid refined by a 3 x 3 stencil search. The
 subcase points (delta = 0, the photon-subtraction angle, gamma = 0 and
 the unity-gain rule g = 1/T) stay in as a floor, so the
 subcase-domination inequalities hold exactly rather than to rounding.
+Each optimum's spec comes from ResourceSpec.of, so a photon-subtracted
+one is stored as its squeezed-Bell state. The affinity searches the
+squeezed vacua within AFFINITY_RMAX of the resource's own squeezing.
 """
 
 import cmath
@@ -22,8 +25,9 @@ import numpy as np
 from .errors import ParameterError
 from .fidelity import (FidelityReport, _fidelity_form, average_fidelity,
                        fidelity_closed)
-from .phase_space import FAMILIES, ResourceSpec, _core_terms
-from .protocol import GainSetting, gamma_cov
+from .phase_space import (CORE_PARAMS, FAMILIES, ResourceSpec, _core_terms,
+                          photon_subtraction_angle)
+from .protocol import GainSetting, NoiseParams, gamma_cov
 
 GAMMA_POINTS = 201
 AVG_GAIN_POINTS = 101
@@ -107,20 +111,10 @@ def _stencil_max(row, start, value, steps, box):
     return point, value, len(seen) - 1
 
 
-def _pss_delta(r):
-    return math.atan(math.tanh(r))
-
-
 def _spec(family, r, delta, gamma):
-    if family == "twin-beam":
-        return ResourceSpec.twin_beam(r)
-    if family == "photon-subtracted":
-        return ResourceSpec.photon_subtracted(r)
-    if family == "squeezed-bell":
-        return ResourceSpec.squeezed_bell(r, delta=delta)
-    if family == "buridan":
-        return ResourceSpec.buridan_donkey(r, delta=delta)
-    return ResourceSpec.squeezed_cat(r, delta=delta, gamma_mod=gamma)
+    core = {"delta": delta, "gamma_mod": gamma}
+    return ResourceSpec.of(family, r, **{
+        k: v for k, v in core.items() if k in CORE_PARAMS.get(family, ())})
 
 
 def _bracket(grid, i):
@@ -133,9 +127,10 @@ def _best_delta(family, r, form):
     the photon-subtraction angle)."""
     if family == "twin-beam":
         return None, float(form.a)
+    pss = photon_subtraction_angle(r)
     if family == "photon-subtracted":
-        return _pss_delta(r), float(form.value(_pss_delta(r)))
-    floor = (0.0, _pss_delta(r)) if family == "squeezed-bell" else (0.0,)
+        return pss, float(form.value(pss))
+    floor = (0.0, pss) if family == "squeezed-bell" else (0.0,)
     best = (None, -math.inf)
     for d in floor + (float(form.top()[1]),):
         v = float(form.value(d))
@@ -190,9 +185,8 @@ def optimize_gain_average(family, r, noise, prior):
     g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top, AVG_GAIN_POINTS)
 
     def gain_at(g):
-        # the unity rule keeps g~ = 1 exactly
-        return (GainSetting.unity_over_t() if g == g_unity
-                else GainSetting.fixed(g))
+        # the unity rule (None) keeps g~ = 1 exactly
+        return GainSetting(None if g == g_unity else float(g))
 
     def form(g, gamma=0.0):
         gain = gain_at(g)
@@ -261,8 +255,7 @@ def one_shot_fidelity(family, r, noise, prior, beta):
 def r_max(tau):
     """Squeezing that maximizes the twin-beam fidelity at g~ = 1 for a
     given channel time; None when tau = 0 (no finite maximum)."""
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
+    NoiseParams(tau=tau)  # tau must be finite and >= 0
     if tau == 0:
         return None
     # (1/4) log((cosh(tau/2) + 1)/(cosh(tau/2) - 1)), without the
@@ -272,38 +265,60 @@ def r_max(tau):
 
 def affinity(spec):
     """Largest squared overlap with a two-mode squeezed vacuum, sup over
-    its squeezing: max over r' in [0, AFFINITY_RMAX] of
-    |<00| S(r') S(zeta) |core>|^2, on a grid of AFFINITY_POINTS refined
-    by golden section around the best point.
+    its squeezing: max over r' within AFFINITY_RMAX of r (and >= 0) of
+    |<00| S(r' e^{i pi})+ S(zeta) |core>|^2, on a grid of AFFINITY_POINTS
+    refined by golden section around the best point.
 
-    By the SU(1,1) disentangling identity, with t = tanh r, t' = tanh r'
-    and K- = a1 a2, the overlap is N <00| e^{kappa K-} |core> / (cosh r
-    cosh r' (1 + e^{i phi} t t')), kappa = t' / (cosh^2 r (1 + e^{i phi}
-    t t')) + e^{-i phi} t. <00| e^{kappa K-} takes |n, n> to kappa^n,
-    |n, m != n> to 0 and |g1, g2> to e^{kappa g1 g2 - (|g1|^2+|g2|^2)/2}.
+    By the SU(1,1) disentangling identity the overlap is N <00|
+    e^{kappa a1 a2} |core> / A, A = cosh r cosh r' + e^{i phi} sinh r
+    sinh r', kappa A = sinh r' cosh r + e^{-i phi} sinh r cosh r'. With
+    e^{i phi} = -e^{i eps}, A = cosh(r - r') - (e^{i eps} - 1) sinh r
+    sinh r': at eps = 0 this is S(r - r') on the core, and otherwise A
+    and kappa A are taken times e^{-r-r'}, so no r overflows. The bra
+    takes |n, n> to kappa^n and |n, m != n> to 0.
     """
-    t, e = math.tanh(spec.r), math.exp(-spec.r)
-    sech = 2 * e / (1 + e * e)  # 1/cosh r, finite at any r
-    rot = cmath.exp(1j * spec.phi)
+    r = spec.r
+    eps = math.remainder(spec.phi - math.pi, 2 * math.pi)
+    c1 = complex(-2 * math.sin(eps / 2) ** 2, math.sin(eps))  # e^{i eps} - 1
+    q = math.exp(-2 * r)
     norm, terms = _core_terms(spec)
 
     def overlap_sq(rp):
-        tp = np.tanh(rp)
-        den = 1 + rot * t * tp
-        kappa = tp * sech * sech / den + t / rot
+        if eps == 0:
+            scale, A, B = 1.0, np.cosh(r - rp), np.sinh(rp - r)
+        else:
+            qp = np.exp(-2 * rp)
+            scale = np.exp(-r - rp)
+            A = (q + qp) / 2 - c1 * (1 - q) * (1 - qp) / 4
+            B = (q - qp) / 2 - c1.conjugate() * (1 - q) * (1 + qp) / 4
+        kappa = B / A
         total = 0.0
         for coeff, kind, k1, k2 in terms:
             if kind == "coh":
-                total = total + coeff * np.exp(
-                    kappa * k1 * k2 - (abs(k1) ** 2 + abs(k2) ** 2) / 2)
+                total = total + coeff * _coherent_overlap(kappa, k1, k2)
             elif k1 == k2:
                 total = total + coeff * kappa ** k1
-        return np.abs(norm * sech / np.cosh(rp) / den * total) ** 2
+        return np.abs(norm * scale * total / A) ** 2
 
-    grid = np.linspace(0.0, AFFINITY_RMAX, AFFINITY_POINTS)
+    grid = np.linspace(max(0.0, r - AFFINITY_RMAX), r + AFFINITY_RMAX,
+                       AFFINITY_POINTS)
     vals = overlap_sq(grid)
     i = int(np.argmax(vals))
     _, best, _ = golden_section_max(lambda x: float(overlap_sq(x)),
                                     *_bracket(grid, i))
     # rounding can lift an overlap of exactly 1 just past it
     return min(max(best, float(vals[i])), 1.0)
+
+
+def _coherent_overlap(kappa, k1, k2):
+    """<00| e^{kappa a1 a2} |k1, k2> as e^{-m w - (|k1| - |k2|)^2/2},
+    m = |k1||k2|, w = 1 - kappa e^{i(arg k1 + arg k2)}. As |A|^2 - |kappa
+    A|^2 = 1 (see affinity), Re w >= 1/(2|A|^2) > 0, clipped there
+    against rounding; where m overflows, the term's share of the overlap,
+    at most e^{-m/(2|A|^2)}/|A|, is below 1e-150 and is taken as 0."""
+    m = abs(k1) * abs(k2)
+    if m == math.inf:
+        return 0.0
+    w = 1 - kappa * cmath.exp(1j * (cmath.phase(k1) + cmath.phase(k2)))
+    return np.exp(-m * (np.maximum(w.real, 0.0) + 1j * w.imag)
+                  - (abs(k1) - abs(k2)) ** 2 / 2)

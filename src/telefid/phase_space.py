@@ -8,7 +8,9 @@ S12(zeta) = exp(-zeta a1+ a2+ + conj(zeta) a1 a2), zeta = r e^{i phi}.
 
 Every resource family is a squeezer applied to a two-term core
 superposition, so its chi is a sum of at most four displacement matrix
-elements evaluated at Bogoliubov-transformed arguments.
+elements evaluated at Bogoliubov-transformed arguments. CORE_PARAMS
+names the core parameters of each stored family; a photon-subtracted
+resource is stored as the squeezed-Bell state it equals.
 """
 
 import cmath
@@ -24,21 +26,28 @@ MAX_FOCK_ORDER = 64
 # treated as degenerate (cos d |00> + sin d |gg> with nearly zero norm)
 NORM_SQ_FLOOR = 1e-12
 
-FAMILIES = (
-    "twin-beam",
-    "squeezed-bell",
-    "squeezed-cat",
-    "buridan",
-    "photon-subtracted",
-)
+# the core parameters each stored family takes
+CORE_PARAMS = {
+    "twin-beam": (),
+    "squeezed-bell": ("delta", "theta"),
+    "squeezed-cat": ("delta", "theta", "gamma_mod", "gamma_phase"),
+    "buridan": ("delta", "theta"),
+}
+# the names ResourceSpec.of, the CLI and the optimizers accept
+FAMILIES = (*CORE_PARAMS, "photon-subtracted")
 
 SQRT2 = math.sqrt(2.0)
 
 
 def _require_finite(name, *values):
     for v in values:
-        if not np.all(np.isfinite(v)):
+        if not cmath.isfinite(v):
             raise ParameterError(f"{name} must be finite, got {v!r}")
+
+
+def photon_subtraction_angle(r):
+    """Bell angle delta = arctan(tanh r) of a1 a2 S(zeta)|00>."""
+    return math.atan(math.tanh(r))
 
 
 @dataclass(frozen=True)
@@ -76,9 +85,10 @@ class CoherentInput:
 class ResourceSpec:
     """Tagged choice of entangled-resource family.
 
-    Use the classmethod constructors; `family` selects the core
-    superposition and which of the remaining fields are meaningful.
-    gamma = gamma_mod * exp(i gamma_phase) is the cat amplitude.
+    Build it with `of` or the named classmethods; `family` is one of
+    CORE_PARAMS and selects the core superposition, whose parameters
+    are the fields it names. gamma = gamma_mod * exp(i gamma_phase) is
+    the cat amplitude.
     """
 
     family: str
@@ -90,8 +100,8 @@ class ResourceSpec:
     gamma_phase: float = 0.0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ParameterError(f"unknown resource family {self.family!r}")
+        if self.family not in CORE_PARAMS:
+            raise ParameterError(f"not a stored family: {self.family!r}")
         _require_finite("resource parameters", self.r, self.phi, self.delta,
                         self.theta, self.gamma_mod, self.gamma_phase)
         if self.r < 0:
@@ -103,6 +113,21 @@ class ResourceSpec:
             raise ParameterError(
                 "squeezed-cat core superposition is degenerate "
                 f"(squared norm {self.norm_sq:.3e})")
+
+    @classmethod
+    def of(cls, family, r, phi=math.pi, **core):
+        """The spec of any name in FAMILIES from the core parameters its
+        family takes; photon-subtracted becomes its squeezed-Bell state,
+        delta = arctan(tanh r) and theta = phi + pi."""
+        for name in core:
+            if name not in CORE_PARAMS.get(family, ()):
+                raise ParameterError(
+                    f"{name} does not apply to resource {family!r}")
+        if family != "photon-subtracted":
+            return cls(family, r, phi, **core)
+        _require_finite("resource parameters", phi)
+        return cls("squeezed-bell", r, phi, photon_subtraction_angle(r),
+                   math.remainder(phi + math.pi, 2 * math.pi))
 
     @classmethod
     def twin_beam(cls, r, phi=math.pi):
@@ -124,7 +149,7 @@ class ResourceSpec:
 
     @classmethod
     def photon_subtracted(cls, r, phi=math.pi):
-        return cls("photon-subtracted", r, phi)
+        return cls.of("photon-subtracted", r, phi)
 
     @property
     def zeta(self):
@@ -138,21 +163,9 @@ class ResourceSpec:
     def norm_sq(self):
         """Squared norm of the un-normalized core superposition."""
         if self.family == "squeezed-cat":
-            return 1.0 + (math.exp(-self.gamma_mod ** 2)
+            return 1.0 + (math.exp(-self.gamma_mod * self.gamma_mod)
                           * math.sin(2 * self.delta) * math.cos(self.theta))
         return 1.0
-
-    def resolve(self):
-        """Map derived families onto their base representation.
-
-        A photon-subtracted squeezed state is the squeezed Bell state
-        with delta = arctan(tanh r) and theta = phi + pi.
-        """
-        if self.family == "photon-subtracted":
-            theta = math.remainder(self.phi + math.pi, 2 * math.pi)
-            return ResourceSpec("squeezed-bell", self.r, self.phi,
-                                math.atan(math.tanh(self.r)), theta)
-        return self
 
 
 def laguerre(n, k, x):
@@ -237,7 +250,6 @@ def _core_terms(spec):
     Returns (normalization, [(coeff, kind, k1, k2), ...]) with kind
     "fock" (k = photon number) or "coh" (k = coherent amplitude).
     """
-    spec = spec.resolve()
     c, s = math.cos(spec.delta), math.sin(spec.delta)
     e_th = cmath.exp(1j * spec.theta)
     if spec.family == "twin-beam":
@@ -246,11 +258,9 @@ def _core_terms(spec):
         return 1.0, [(c, "fock", 0, 0), (e_th * s, "fock", 1, 1)]
     if spec.family == "buridan":
         return 1.0, [(c, "fock", 0, 1), (e_th * s, "fock", 1, 0)]
-    if spec.family == "squeezed-cat":
-        g = spec.gamma
-        return spec.norm_sq ** -0.5, [(c, "coh", 0.0, 0.0),
-                                      (e_th * s, "coh", g, g)]
-    raise ParameterError(f"unknown resource family {spec.family!r}")
+    g = spec.gamma
+    return spec.norm_sq ** -0.5, [(c, "coh", 0.0, 0.0),
+                                  (e_th * s, "coh", g, g)]
 
 
 def _mode_element(kind, bra, ket, xi):

@@ -65,39 +65,30 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class GainSetting:
-    """Gain rule: a fixed number g, or g = 1/T (unity effective gain)."""
+    """Gain rule: a fixed number g > 0, or None for g = 1/T (unity
+    effective gain)."""
 
-    mode: str
     g: float | None = None
 
     def __post_init__(self):
-        if self.mode not in ("fixed", "unity-over-t"):
-            raise ParameterError(f"unknown gain mode {self.mode!r}")
-        if self.mode == "fixed":
-            if self.g is None or not np.isfinite(self.g) or self.g <= 0:
-                raise ParameterError(f"fixed gain must be > 0, got {self.g}")
-        elif self.g is not None:
-            raise ParameterError("unity-over-t takes no numeric gain")
+        if self.g is not None and not (math.isfinite(self.g) and self.g > 0):
+            raise ParameterError(f"fixed gain must be > 0, got {self.g}")
 
     @classmethod
     def fixed(cls, g):
-        return cls("fixed", float(g))
+        return cls(float(g))
 
     @classmethod
     def unity_over_t(cls):
-        return cls("unity-over-t")
+        return cls()
 
     def gain(self, noise):
         """The bare gain g applied to the communicated outcome."""
-        if self.mode == "unity-over-t":
-            return 1.0 / noise.transmissivity
-        return self.g
+        return 1.0 / noise.transmissivity if self.g is None else self.g
 
     def effective(self, noise):
-        """g~ = g T; exactly 1 under the unity-over-t rule."""
-        if self.mode == "unity-over-t":
-            return 1.0
-        return self.g * noise.transmissivity
+        """g~ = g T; exactly 1 under the unity rule."""
+        return 1.0 if self.g is None else self.g * noise.transmissivity
 
 
 @dataclass(frozen=True)
@@ -190,10 +181,7 @@ def propagate_lossy(chi_initial, tau, n_th, pt):
     channel's diffusion equation:
     chi(e^{-tau/2}x, e^{-tau/2}p) exp{-(1-e^-tau)(1/2+n_th)(x^2+p^2)/2}.
     """
-    if tau < 0:
-        raise ParameterError(f"tau must be >= 0, got {tau}")
-    if n_th < 0:
-        raise ParameterError(f"n_th must be >= 0, got {n_th}")
+    NoiseParams(tau=tau, n_th=n_th)  # the channel's rules
     x, p = float(pt.x), float(pt.p)
     et = math.exp(-tau / 2)
     damp = math.exp(-(1 - math.exp(-tau)) * (0.5 + n_th) * (x * x + p * p) / 2)
@@ -215,8 +203,7 @@ def chi_out_via_measurement_average(inp, spec, noise, gain, pt):
     the Gaussian outcome distribution. Supports the families whose
     outcome tails are controlled by the twin-beam variance bound.
     """
-    base = spec.resolve()
-    if base.family not in ("twin-beam", "squeezed-bell"):
+    if spec.family not in ("twin-beam", "squeezed-bell"):
         raise ParameterError(
             "measurement-average oracle supports twin-beam and "
             f"squeezed-bell resources, not {spec.family!r}")

@@ -1,5 +1,6 @@
 """Argument parsing, exit codes, CSV schema and byte determinism."""
 
+import contextlib
 import csv
 import io
 import math
@@ -8,10 +9,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telefid
 import telefid.cli_sweep as cli
-from telefid import NumericalError, ParameterError, QuadratureError
+from telefid import FAMILIES, NumericalError, ParameterError, QuadratureError
 from telefid.cli_sweep import (CSV_HEADER, ResultRow, SweepSpec, emit_csv,
                                main, parse_cli)
 
@@ -68,8 +71,9 @@ class TestParseCli:
 class TestResultRow:
 
     def test_rejects_out_of_range_fidelity(self):
+        # a computed value out of range is a numerical fault, not bad input
         for bad in (-0.5, 1.5):
-            with pytest.raises(ParameterError):
+            with pytest.raises(NumericalError):
                 ResultRow(resource="twin-beam", fidelity=bad)
 
     def test_accepts_underflow_to_zero(self):
@@ -143,6 +147,32 @@ class TestMainExitCodes:
                      "--gain", "1.3"])
         assert code == 0
         assert 0 < float(capsys.readouterr().out) < 1e-250
+
+    def test_huge_cat_amplitude_exits_4(self, capsys):
+        """|gamma|^2 overflows a double; this used to be a traceback."""
+        code = main(["fidelity", "--resource", "squeezed-cat", "--r", "0.5",
+                     "--delta", "0.3", "--gamma-mod", "1e155", "--gain", "1"])
+        assert code == 4
+        assert "telefid:" in capsys.readouterr().err
+
+    def test_squeezing_past_delta_overflow_exits_0(self, capsys):
+        """Delta overflows a double past r ~ 354; the fidelity, about
+        4/Delta, is 0."""
+        code = main(["fidelity", "--resource", "twin-beam", "--r", "400",
+                     "--gain", "1.3"])
+        assert code == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_cancelling_closed_form_exits_0(self, capsys):
+        """Terms of 3.3e-12 cancel to 6e-33; the rounding once left
+        -8.08e-28, reported as a parameter error."""
+        code = main(["fidelity", "--resource=photon-subtracted",
+                     "--r=14.691094222497222", "--tau=1.4037846139907855",
+                     "--r2=0.5313155841032986", "--gain=0.0575320288032457",
+                     "--beta-re=-4.144360080992896",
+                     "--beta-im=-0.7018987842160088"])
+        assert code == 0
+        assert capsys.readouterr().out == "0\n"
 
     def test_unwritable_output_exits_3(self, capsys):
         code = main(["fidelity", "--resource", "twin-beam", "--r", "1",
@@ -242,14 +272,58 @@ class TestDeterminism:
         assert values == sorted(values, key=float)
 
 
-def test_package_does_not_import_scipy():
+def test_package_imports_only_stdlib_and_numpy():
     """numpy is the only runtime dependency: importing the package and
-    its command line loads no scipy module."""
-    code = ("import sys, telefid, telefid.cli_sweep\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m == 'scipy' or m.startswith('scipy.')))")
+    its command line adds no module outside the standard library, numpy
+    and telefid to those the interpreter starts with."""
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import telefid, telefid.cli_sweep\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))")
     src = os.path.dirname(os.path.dirname(telefid.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out == "[]\n"
+    roots = {name.split(".")[0] for name in out.split()}
+    assert "telefid" in roots
+    assert roots - set(sys.stdlib_module_names) <= {"numpy", "telefid"}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 1000.0),
+    delta=st.floats(-math.pi, math.pi),
+    gamma=st.floats(0.0, 1e300),
+    g=st.floats(1e-3, 1e3),
+    beta_re=st.floats(-1e3, 1e3),
+    beta_im=st.floats(-1e3, 1e3),
+    tau=st.floats(0.0, 50.0),
+    nth=st.floats(0.0, 10.0),
+    r2=st.floats(0.0, 0.99),
+    sigma=st.none() | st.floats(1e-3, 1e6),
+)
+def test_fidelity_command_over_the_domain(family, r, delta, gamma, g,
+                                          beta_re, beta_im, tau, nth, r2,
+                                          sigma):
+    """At phi = pi, every input the constructors accept gives exit 0 and
+    a fidelity in [0, 1], or exit 4: no traceback and no parameter error.
+    Flags are passed as --flag=value, since argparse reads "-1e-05" as
+    an option."""
+    argv = ["fidelity", f"--resource={family}", f"--r={r!r}",
+            f"--tau={tau!r}", f"--nth={nth!r}", f"--r2={r2!r}",
+            f"--gain={g!r}"]
+    if family in ("squeezed-bell", "buridan", "squeezed-cat"):
+        argv.append(f"--delta={delta!r}")
+    if family == "squeezed-cat":
+        argv.append(f"--gamma-mod={gamma!r}")
+    if sigma is None:
+        argv += [f"--beta-re={beta_re!r}", f"--beta-im={beta_im!r}"]
+    else:
+        argv.append(f"--sigma={sigma!r}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 4), err.getvalue()
+    if code == 0:
+        assert 0.0 <= float(out.getvalue()) <= 1.0 + 1e-9

@@ -1,6 +1,7 @@
 """Closed-form, quadrature and averaged teleportation fidelities."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -62,7 +63,8 @@ class TestClosedVersusQuadrature:
                                   gamma_phase=math.pi),
         ResourceSpec.buridan_donkey(0.9, delta=0.5),
         ResourceSpec.photon_subtracted(0.9),
-    ], ids=lambda s: s.family + ("-neg" if s.gamma_phase else ""))
+    ], ids=["twin-beam", "squeezed-bell", "squeezed-cat", "squeezed-cat-neg",
+            "buridan", "photon-subtracted"])
     def test_agree_nonideal(self, spec):
         noise = NoiseParams(tau=0.25, n_th=0.15, r2=0.07)
         gain = GainSetting.fixed(1.05)
@@ -237,6 +239,54 @@ class TestLargeSqueezing:
                               gamma_cov(noise, gain), beta)
         assert want > 0
         assert got == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
+                                        "buridan", "photon-subtracted"])
+    @pytest.mark.parametrize("r", [352.7, 400.0, 1000.0])
+    @pytest.mark.parametrize("tau,r2,g,beta", [
+        (0.0, 0.0, 1.3, 0j),
+        (0.0, 0.0, 107.0, 0j),
+        (0.3, 0.05, 1.3, 0.5 + 0.2j),
+        (0.0, 0.05, None, 2.0 - 1.0j),
+    ])
+    def test_past_delta_overflow(self, family, r, tau, r2, g, beta):
+        """Delta overflows a double past r ~ 354 (and at r = 352.7 once
+        g = 107); the fidelity is then a value that underflows to 0, or
+        0.95 under the unity rule, where Delta stays O(1)."""
+        noise = NoiseParams(tau=tau, r2=r2)
+        gain = GainSetting(g)
+        core = {"delta": 0.4} if family in ("squeezed-bell", "buridan") \
+            else {}
+        got = fidelity_closed(ResourceSpec.of(family, r, **core), noise,
+                              gain, beta).value
+        with mpmath.workdps(50):
+            delta = {"twin-beam": 0, "photon-subtracted":
+                     mpmath.atan(mpmath.tanh(r))}.get(family, 0.4)
+        want = float(self.reference(
+            "buridan" if family == "buridan" else "squeezed-bell", r,
+            delta, gain.effective(noise), tau, gamma_cov(noise, gain),
+            beta))
+        assert got >= 0
+        # below the smallest normal double the expected value is 0
+        assert abs(got - want) <= 1e-12 * abs(want) + sys.float_info.min
+
+    def test_cancelling_terms_round_to_zero(self):
+        """Terms of 3.3e-12 cancel to 6.09e-33 here; the closed form used
+        to return -8.08e-28, which the command line reported as bad
+        input."""
+        r, tau, r2, g = (14.691094222497222, 1.4037846139907855,
+                         0.5313155841032986, 0.0575320288032457)
+        beta = complex(-4.144360080992896, -0.7018987842160088)
+        noise, gain = NoiseParams(tau=tau, r2=r2), GainSetting.fixed(g)
+        got = fidelity_closed(ResourceSpec.photon_subtracted(r), noise,
+                              gain, beta).value
+        with mpmath.workdps(50):
+            delta = mpmath.atan(mpmath.tanh(r))
+        want = self.reference("squeezed-bell", r, delta,
+                              gain.effective(noise), tau,
+                              gamma_cov(noise, gain), beta)
+        assert float(want) == pytest.approx(6.09e-33, rel=1e-3)
+        assert 0 <= got and abs(got - float(want)) <= 1e-26
 
 
 def test_gaussian_oracle_report():

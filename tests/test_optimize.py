@@ -14,10 +14,11 @@ import oracles
 from telefid import (AlphabetPrior, GainSetting, NoiseParams, ParameterError,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed)
-from telefid.optimize import (AFFINITY_RMAX, _pss_delta, _stencil_max,
-                              affinity, golden_section_max, one_shot_fidelity,
+from telefid.optimize import (AFFINITY_RMAX, _stencil_max, affinity,
+                              golden_section_max, one_shot_fidelity,
                               optimize_beta_independent,
                               optimize_gain_average, r_max)
+from telefid.phase_space import photon_subtraction_angle
 
 NONIDEAL = NoiseParams(tau=0.3, r2=0.05)
 
@@ -208,7 +209,7 @@ class TestPhotonSubtractionCrossover:
     def _crossing(self, noise):
         def h(r):
             opt = optimize_beta_independent("squeezed-bell", r, noise)
-            return opt.delta_opt - _pss_delta(r)
+            return opt.delta_opt - photon_subtraction_angle(r)
 
         a, b = 0.3, 0.8
         ha = h(a)
@@ -414,6 +415,20 @@ class TestAffinity:
         assert val == pytest.approx(self.bell_exact(-1.1), abs=1e-9)
         assert val == pytest.approx(0.62533, abs=1e-5)
 
+    @pytest.mark.parametrize("r", [8.0, 50.0])
+    def test_twin_beam_at_any_squeezing(self, r):
+        """r' used to stop at 5, which gave 0.0099 at r = 8."""
+        assert affinity(ResourceSpec.twin_beam(r)) >= 1 - 1e-12
+
+    def test_huge_cat_amplitude(self):
+        """|gamma|^2 overflows a double: the cat term leaves the overlap,
+        which is that of cos(d) |00>."""
+        for gamma_mod in (1e155, 1e300):
+            spec = ResourceSpec.squeezed_cat(0.5, delta=0.3,
+                                             gamma_mod=gamma_mod)
+            assert affinity(spec) == pytest.approx(math.cos(0.3) ** 2,
+                                                   abs=1e-12)
+
     @staticmethod
     def fock_affinity(spec, core):
         """The squeezed core in the oracles' Fock space, overlapped with
@@ -427,7 +442,8 @@ class TestAffinity:
         def overlap_sq(rp):
             return abs(np.sum(np.tanh(rp) ** ns / np.cosh(rp) * diag)) ** 2
 
-        grid = np.linspace(0.0, AFFINITY_RMAX, 5001)
+        grid = np.linspace(max(0.0, spec.r - AFFINITY_RMAX),
+                           spec.r + AFFINITY_RMAX, 5001)
         vals = [overlap_sq(x) for x in grid]
         i = int(np.argmax(vals))
         lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
@@ -465,7 +481,7 @@ class TestAffinity:
     phi=st.floats(-math.pi, 3 * math.pi),
     delta=st.floats(-math.pi, math.pi),
     theta=st.floats(-math.pi, math.pi),
-    gamma_mod=st.floats(0.0, 1e150),
+    gamma_mod=st.floats(0.0, 1e300),
     gamma_phase=st.floats(-math.pi, math.pi),
 )
 def test_affinity_in_range(family, r, phi, delta, theta, gamma_mod,

@@ -168,16 +168,15 @@ class TestChiInput:
 
 def oracle_state(spec):
     """Resource state vector via the independent Fock machinery."""
-    fam = spec.resolve()
-    if fam.family == "squeezed-bell":
-        core = oracles.bell_core(fam.delta, fam.theta)
-    elif fam.family == "squeezed-cat":
-        core = oracles.cat_core(fam.delta, fam.theta, fam.gamma)
-    elif fam.family == "buridan":
-        core = oracles.donkey_core(fam.delta, fam.theta)
+    if spec.family == "squeezed-bell":
+        core = oracles.bell_core(spec.delta, spec.theta)
+    elif spec.family == "squeezed-cat":
+        core = oracles.cat_core(spec.delta, spec.theta, spec.gamma)
+    elif spec.family == "buridan":
+        core = oracles.donkey_core(spec.delta, spec.theta)
     else:
         core = oracles.bell_core(0.0, 0.0)
-    return oracles.squeeze_two_mode(fam.zeta, core)
+    return oracles.squeeze_two_mode(spec.zeta, core)
 
 
 # truncation at the 40-photon cutoff stays below 2e-15 on these ranges
@@ -299,16 +298,46 @@ class TestResourceSpec:
                                       gamma_mod=1e-9)
 
     def test_photon_subtracted_resolution(self):
+        """Photon subtraction is stored as its squeezed-Bell state."""
         spec = ResourceSpec.photon_subtracted(0.8)
-        res = spec.resolve()
-        assert res.family == "squeezed-bell"
-        assert res.delta == pytest.approx(math.atan(math.tanh(0.8)))
-        assert res.theta == pytest.approx(0.0)
-        assert res.r == 0.8
+        assert spec.family == "squeezed-bell"
+        assert spec.delta == pytest.approx(math.atan(math.tanh(0.8)))
+        assert spec.theta == pytest.approx(0.0)
+        assert spec.r == 0.8
+        assert spec == ResourceSpec.of("photon-subtracted", 0.8)
+        off = ResourceSpec.photon_subtracted(0.8, phi=2.2)
+        assert off.theta == pytest.approx(2.2 - math.pi)
+        with pytest.raises(ParameterError):
+            ResourceSpec("photon-subtracted", 0.8, math.pi)
+        with pytest.raises(ParameterError):
+            ResourceSpec.photon_subtracted(0.8, phi=math.inf)
 
-    def test_resolve_is_identity_elsewhere(self):
-        spec = ResourceSpec.squeezed_bell(0.5, delta=0.3)
-        assert spec.resolve() is spec
+    def test_of_matches_the_named_constructors(self):
+        assert ResourceSpec.of("twin-beam", 0.5) == ResourceSpec.twin_beam(0.5)
+        assert (ResourceSpec.of("squeezed-bell", 0.5, phi=2.0, delta=0.3,
+                                theta=0.1)
+                == ResourceSpec.squeezed_bell(0.5, 2.0, 0.3, 0.1))
+        assert (ResourceSpec.of("buridan", 0.5, delta=0.3)
+                == ResourceSpec.buridan_donkey(0.5, delta=0.3))
+        assert (ResourceSpec.of("squeezed-cat", 0.5, delta=0.3,
+                                gamma_mod=0.7, gamma_phase=0.2)
+                == ResourceSpec.squeezed_cat(0.5, delta=0.3, gamma_mod=0.7,
+                                             gamma_phase=0.2))
+
+    @pytest.mark.parametrize("family,core", [
+        ("twin-beam", {"delta": 0.3}),
+        ("photon-subtracted", {"theta": 0.1}),
+        ("squeezed-bell", {"gamma_mod": 0.5}),
+        ("buridan", {"gamma_phase": 0.5}),
+        ("squeezed-cat", {"r2": 0.1}),
+    ])
+    def test_of_rejects_foreign_parameters(self, family, core):
+        with pytest.raises(ParameterError, match="does not apply"):
+            ResourceSpec.of(family, 0.5, **core)
+
+    def test_of_rejects_unknown_family(self):
+        with pytest.raises(ParameterError):
+            ResourceSpec.of("laser", 0.5)
 
     def test_phase_point_alpha(self):
         pt = PhasePoint(1.0, -1.0)

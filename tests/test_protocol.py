@@ -56,10 +56,14 @@ class TestGainSetting:
             GainSetting.fixed(0.0)
         with pytest.raises(ParameterError):
             GainSetting.fixed(-1.0)
-        with pytest.raises(ParameterError):
-            GainSetting("unity-over-t", 1.0)
-        with pytest.raises(ParameterError):
-            GainSetting("best", 1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                GainSetting(bad)
+
+    def test_none_is_the_unity_rule(self):
+        assert GainSetting() == GainSetting.unity_over_t()
+        assert GainSetting(None).effective(NoiseParams(r2=0.3)) == 1.0
+        assert GainSetting(1.1) == GainSetting.fixed(1.1)
 
 
 def test_gamma_cov():
