@@ -16,7 +16,8 @@ import numpy as np
 from .errors import NumericalError, ParameterError
 from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
                        fidelity_quadrature)
-from .optimize import optimize_beta_independent, optimize_gain_average
+from .optimize import (fidelity_at_optimum, optimize_beta_independent,
+                       optimize_gain_average)
 from .phase_space import FAMILIES, CoherentInput, ResourceSpec
 from .protocol import GainSetting, NoiseParams
 
@@ -68,7 +69,6 @@ class SweepSpec:
     start: float
     stop: float
     steps: int
-    output: str | None = None
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -106,10 +106,7 @@ def parse_cli(argv):
         sp.add_argument("--tau", type=float, default=0.0)
         sp.add_argument("--nth", type=float, default=0.0)
         sp.add_argument("--r2", type=float, default=0.0)
-        grp = sp.add_mutually_exclusive_group()
-        grp.add_argument("--gain", type=float)
-        grp.add_argument("--gain-mode", choices=("unity-over-t",),
-                         dest="gain_mode")
+        sp.add_argument("--gain", type=float)
         sp.add_argument("--beta-re", type=float, dest="beta_re")
         sp.add_argument("--beta-im", type=float, dest="beta_im")
         sp.add_argument("--sigma", type=float)
@@ -197,17 +194,17 @@ def _point_row(ns, axis=None, value=None):
                      fidelity=rep.value)
 
 
-def _opt_row(family, r, noise, opt, sigma=None, beta=None):
+def _opt_row(family, r, noise, opt, prior=None, beta=None):
     """Row for an optimum, or for the fidelity at input amplitude beta
-    with the optimal parameters."""
+    with the optimal parameters of an averaged one."""
     fidelity, method = opt.best_value, opt.method
     if beta is not None:
-        rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
+        rep = fidelity_at_optimum(opt, noise, prior, beta)
         fidelity, method = rep.value, rep.method
     return ResultRow(resource=family, r=r, tau=noise.tau, nth=noise.n_th,
                      r2=noise.r2, gain=opt.gain.gain(noise),
                      delta_opt=opt.delta_opt, gamma_opt=opt.gamma_opt,
-                     sigma=sigma,
+                     sigma=None if prior is None else prior.sigma,
                      beta_re=None if beta is None else beta.real,
                      beta_im=None if beta is None else beta.imag,
                      method=method, fidelity=fidelity)
@@ -219,11 +216,12 @@ def _optimize_row(ns):
     if ns.sigma is None:
         opt = optimize_beta_independent(family, r, noise)
         return _opt_row(family, r, noise, opt)
-    opt = optimize_gain_average(family, r, noise, AlphabetPrior(ns.sigma))
+    prior = AlphabetPrior(ns.sigma)
+    opt = optimize_gain_average(family, r, noise, prior)
     beta = None
     if ns.beta_re is not None or ns.beta_im is not None:
         beta = complex(ns.beta_re or 0.0, ns.beta_im or 0.0)
-    return _opt_row(family, r, noise, opt, ns.sigma, beta)
+    return _opt_row(family, r, noise, opt, prior, beta)
 
 
 def run_figure_preset(tag):
@@ -266,7 +264,7 @@ def run_figure_preset(tag):
         opts = [optimize_gain_average(res, r, noise, prior)
                 for r, noise in points]
         # one optimization per axis point is reused for every beta
-        rows += [_opt_row(res, r, noise, opt, sigma, complex(beta, 0.0))
+        rows += [_opt_row(res, r, noise, opt, prior, complex(beta, 0.0))
                  for beta in betas for (r, noise), opt in zip(points, opts)]
     return rows
 
@@ -298,7 +296,7 @@ def emit_csv(rows, path=None):
 
 def _run_sweep(ns):
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
-                      steps=ns.steps, output=ns.output)
+                      steps=ns.steps)
     return [_point_row(ns, sweep.axis, float(v)) for v in sweep.values]
 
 

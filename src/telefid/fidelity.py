@@ -199,13 +199,23 @@ def _cat_form(r, gamma, gt, tau, D, at):
     n t1 Re e^{(4 x u - u^2 + v^2 + 4 i y v)/D} and the cat term
     t1 e^{-4 u (u - 2 x)/D}; the prior average takes x and y on the
     Gauss-Hermite nodes, where both factorize.
+
+    Where Delta overflows, the form is 0, as the fidelity underflows.
+    Where gamma^2 overflows, it is the limit: n = 0, h = 1, no cross term
+    and a cat term of -t1, or of 0 where u vanishes at g~ = e^{-tau/2}.
     """
+    if D == math.inf:
+        return FidelityForm(0.0, 0.0 * gamma, 0.0 * gamma)
+    eps = math.exp(-tau / 2)
+    if not isinstance(gamma, np.ndarray) and gamma * gamma == math.inf:
+        t1 = _cat_form(r, 0.0, gt, tau, D, at).a
+        return FidelityForm(t1, 0.0, -t1 if gt != eps else 0.0)
     prior = isinstance(at, AlphabetPrior)
     xp = np if prior or isinstance(gamma, np.ndarray) else math
     if xp is np:
         gamma = np.asarray(gamma, dtype=float)
-    eps = math.exp(-tau / 2)
-    u = math.exp(r) * (gt - eps) * gamma
+    # u = 0 at g~ = e^{-tau/2}, where Delta stays finite past e^r's range
+    u = (math.exp(r) * (gt - eps) if gt != eps else 0.0) * gamma
     v = math.exp(-r) * (gt + eps) * gamma
     n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
     if prior:
@@ -215,13 +225,17 @@ def _cat_form(r, gamma, gt, tau, D, at):
         # nodes along the first axis, gamma along the rest
         x = x.reshape((-1,) + (1,) * gamma.ndim)
         lo = -4 * x * x / D
-        xu = 4 * x * u / D
         t1 = s0 * s0
-        # the cross term's x and y sums are s0 + re / n and s0 - im
-        re = w @ _exp_expm1(lo - gamma * gamma, xu + (v * v - u * u) / D)
-        im = w @ (np.exp(lo) * 2 * np.sin(2 * x * v / D) ** 2)
-        cross = s0 * (re - n * im) - re * im
-        cat = s0 * (w @ _exp_expm1(lo, 2 * xu - 4 * u * u / D))
+        # u^2 or v^2 past the double range makes a term 0 or NaN, as
+        # Python floats do on the point path; a NaN exits as a fault
+        with np.errstate(over="ignore", invalid="ignore"):
+            xu = 4 * x * u / D
+            # the cross term's x and y sums are s0 + re / n and s0 - im
+            re = w @ _exp_expm1(lo - gamma * gamma,
+                                xu + (v * v - u * u) / D)
+            im = w @ (np.exp(lo) * 2 * np.sin(2 * x * v / D) ** 2)
+            cross = s0 * (re - n * im) - re * im
+            cat = s0 * (w @ _exp_expm1(lo, 2 * xu - 4 * u * u / D))
     else:
         x, y = (gt - 1) * at.real, (gt - 1) * at.imag
         lo = -4 * (x * x + y * y) / D

@@ -4,16 +4,16 @@ affinity of a resource to the two-mode squeezed vacuum.
 At fixed r, noise, gain and cat amplitude gamma, every family's fidelity
 is a ratio of quadratic forms in (cos delta, sin delta)
 (fidelity.FidelityForm), so the best Bell angle delta is the top
-eigenvalue of a 2x2 pair and takes no search. What is left is searched
-deterministically: the cat's gamma on a grid refined by golden section,
-the averaged gain on a grid refined by golden section, and the averaged
-cat's (gain, gamma) on a grid refined by a 3 x 3 stencil search. The
-subcase points (delta = 0, the photon-subtraction angle, gamma = 0 and
-the unity-gain rule g = 1/T) stay in as a floor, so the
-subcase-domination inequalities hold exactly rather than to rounding.
-Each optimum's spec comes from ResourceSpec.of, so a photon-subtracted
-one is stored as its squeezed-Bell state. The affinity searches the
-squeezed vacua within AFFINITY_RMAX of the resource's own squeezing.
+eigenvalue of a 2x2 pair and takes no search. Both optimizers are one
+core, _optimize, at beta = 0 on the unity gain or averaged over the prior
+with the gain free. Every 1-D search left is one grid refined by golden
+section (_grid_then_golden): the cat's gamma, the averaged gain and the
+affinity's r'. The averaged cat's (gain, gamma) grid is refined by a
+3 x 3 stencil search. The subcase points (delta = 0, the
+photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
+stay in as a floor, so the subcase-domination inequalities hold exactly
+rather than to rounding. Each optimum's spec comes from ResourceSpec.of,
+so a photon-subtracted one is stored as its squeezed-Bell state.
 """
 
 import cmath
@@ -78,9 +78,22 @@ def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
             d = a + gr * (b - a)
             fd = fun(d)
         nfev += 1
-    x = c if fc > fd else d
-    fx = max(fc, fd)
-    return x, fx, nfev
+    return (c, fc, nfev) if fc > fd else (d, fd, nfev)
+
+
+def _grid_then_golden(fun, grid, broadcast=False):
+    """Maximize fun over the span of a grid: the best grid point,
+    refined by golden section between its neighbours. fun takes the
+    whole grid in one call when broadcast. Returns (x, f(x), evaluations)
+    of the higher of the two points, the grid point on a tie."""
+    vals = fun(grid) if broadcast else [fun(x) for x in grid]
+    i = int(np.argmax(vals))
+    x, fx, n = golden_section_max(lambda x: float(fun(x)),
+                                  grid[max(i - 1, 0)],
+                                  grid[min(i + 1, len(grid) - 1)])
+    if fx > vals[i]:
+        return float(x), fx, len(grid) + n
+    return float(grid[i]), float(vals[i]), len(grid) + n
 
 
 def _stencil_max(row, start, value, steps, box):
@@ -111,16 +124,6 @@ def _stencil_max(row, start, value, steps, box):
     return point, value, len(seen) - 1
 
 
-def _spec(family, r, delta, gamma):
-    core = {"delta": delta, "gamma_mod": gamma}
-    return ResourceSpec.of(family, r, **{
-        k: v for k, v in core.items() if k in CORE_PARAMS.get(family, ())})
-
-
-def _bracket(grid, i):
-    return grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
-
-
 def _best_delta(family, r, form):
     """(delta, value) maximizing the form: the top eigenvector, unless a
     subcase point is at least as high (delta = 0 and, for squeezed-Bell,
@@ -139,117 +142,114 @@ def _best_delta(family, r, form):
     return best
 
 
+def _optimize(family, r, noise, prior=None):
+    """The optimum over the family's free parameters: at beta = 0 on the
+    unity gain, or averaged over the prior with g free on [2/(T N), 2/T],
+    N = AVG_GAIN_POINTS. The objective at each searched point takes the
+    best delta. The unity gain with the beta-independent optimum is an
+    averaged candidate, so the averaged optimum never falls below it. The
+    route names what was searched: eigen where delta is free, then
+    golden or stencil, or closed where nothing was."""
+    if family not in FAMILIES:
+        raise ParameterError(f"unknown resource family {family!r}")
+    cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
+    g_top = 2.0 / noise.transmissivity
+    g_unity = 1.0 / noise.transmissivity
+
+    def gain_at(g):
+        # the unity rule (None) keeps g~ = 1 exactly
+        return GainSetting(None if g == g_unity else float(g))
+
+    def form(g, gamma=None):
+        gain = gain_at(g)
+        return _fidelity_form(family, r, 0.0 if gamma is None else gamma,
+                              gain.effective(noise), gamma_cov(noise, gain),
+                              noise.tau, 0j if prior is None else prior)
+
+    def score(g, gamma=None):
+        # the cat's eigenvalue broadcasts over gamma
+        f = form(g, gamma)
+        return f.top()[0] if cat else _best_delta(family, r, f)[1]
+
+    point, searched, nfev = (g_unity, None), [], 1
+    if prior is None and cat:
+        gamma, _, n = _grid_then_golden(
+            lambda c: score(g_unity, c),
+            np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS), broadcast=True)
+        point, searched, nfev = (g_unity, gamma), ["golden"], nfev + n
+    elif prior is not None:
+        base = _optimize(family, r, noise)
+        g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top,
+                             AVG_GAIN_POINTS)
+        if cat:
+            gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
+            vals = np.array([score(g, gammas) for g in g_grid])
+            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            found, value, n = _stencil_max(
+                score, (float(g_grid[i]), float(gammas[j])),
+                float(vals[i, j]),
+                ((g_grid[1] - g_grid[0]) / 2, (gammas[1] - gammas[0]) / 2),
+                ((g_grid[0], g_top), (0.0, GAMMA_MAX)))
+            n += vals.size
+            searched = ["stencil"]
+        else:
+            g, value, n = _grid_then_golden(score, g_grid)
+            found, searched = (g, None), ["golden"]
+        unity = (g_unity, base.gamma_opt)
+        # first of the highest candidates
+        point = max([(value, found), (float(score(*unity)), unity)],
+                    key=lambda c: c[0])[1]
+        # the searches, the unity candidate and the public average
+        nfev += base.evaluations + n + 2
+    g_opt, gamma = point
+    delta, value = _best_delta(family, r, form(g_opt, gamma))
+    if gamma is not None:
+        # delta = 0 is the twin beam at every gamma
+        gamma = float(gamma) if delta else 0.0
+    spec = ResourceSpec.of(family, r, **{k: v for k, v in (
+        ("delta", delta), ("gamma_mod", gamma)) if k in free})
+    gain = gain_at(g_opt)
+    if prior is not None:
+        value = average_fidelity(spec, noise, gain, prior).value
+    route = (["eigen"] if "delta" in free else []) + searched
+    return OptimizationResult(
+        value, delta_opt=delta, gamma_opt=gamma,
+        g_opt=None if prior is None else g_opt, evaluations=nfev,
+        method="+".join(route) or "closed", spec=spec, gain=gain)
+
+
 def optimize_beta_independent(family, r, noise):
     """Maximize the beta-independent fidelity (gain rule g = 1/T) over
     the family's free resource parameters."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown resource family {family!r}")
-    gain = GainSetting.unity_over_t()
-    gam = gamma_cov(noise, gain)
-
-    def form(gamma=0.0):
-        return _fidelity_form(family, r, gamma, 1.0, gam, noise.tau, 0j)
-
-    if family != "squeezed-cat":
-        delta, value = _best_delta(family, r, form())
-        method = ("eigen" if family in ("squeezed-bell", "buridan")
-                  else "closed")
-        return OptimizationResult(value, delta_opt=delta, evaluations=1,
-                                  method=method,
-                                  spec=_spec(family, r, delta, None),
-                                  gain=gain)
-
-    # the best delta at each gamma is the eigenvalue
-    grid = np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS)
-    i = int(np.argmax(form(grid).top()[0]))
-    gamma, _, nfev = golden_section_max(
-        lambda g: float(form(g).top()[0]), *_bracket(grid, i))
-    delta, value = _best_delta(family, r, form(gamma))
-    # delta = 0 is the twin beam at every gamma
-    gamma = float(gamma) if delta else 0.0
-    return OptimizationResult(value, delta_opt=delta, gamma_opt=gamma,
-                              evaluations=GAMMA_POINTS + nfev + 1,
-                              method="eigen+golden",
-                              spec=_spec(family, r, delta, gamma), gain=gain)
+    return _optimize(family, r, noise)
 
 
 def optimize_gain_average(family, r, noise, prior):
     """Maximize the prior-averaged fidelity over gain and the family's
     free resource parameters; g runs over [2/(T N), 2/T] with N =
     AVG_GAIN_POINTS."""
-    if family not in FAMILIES:
-        raise ParameterError(f"unknown resource family {family!r}")
-    T = noise.transmissivity
-    g_top = 2.0 / T
-    g_unity = 1.0 / T
-    g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top, AVG_GAIN_POINTS)
-
-    def gain_at(g):
-        # the unity rule (None) keeps g~ = 1 exactly
-        return GainSetting(None if g == g_unity else float(g))
-
-    def form(g, gamma=0.0):
-        gain = gain_at(g)
-        return _fidelity_form(family, r, gamma, gain.effective(noise),
-                              gamma_cov(noise, gain), noise.tau, prior)
-
-    # the unity-gain rule is always a candidate: at g~ = 1 the average
-    # equals the beta-independent value, so the optimum never falls below
-    # the beta-independent one
-    if family == "squeezed-cat":
-        base = optimize_beta_independent(family, r, noise)
-        gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
-        vals = np.array([form(g, gammas).top()[0] for g in g_grid])
-        i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        start = (float(g_grid[i]), float(gammas[j]))
-        x, fx, n = _stencil_max(
-            lambda g, cs: form(g, cs).top()[0], start, float(vals[i, j]),
-            ((g_grid[1] - g_grid[0]) / 2, (gammas[1] - gammas[0]) / 2),
-            ((g_grid[0], g_top), (0.0, GAMMA_MAX)))
-        nfev = base.evaluations + vals.size + n + 1
-        cands = [(float(vals[i, j]), start),
-                 (float(form(g_unity, base.gamma_opt).top()[0]),
-                  (g_unity, base.gamma_opt)),
-                 (float(fx), x)]
-        method = "eigen+stencil"
-    else:
-        def objective(g):
-            return _best_delta(family, r, form(g))[1]
-
-        vals = [objective(g) for g in g_grid]
-        i = int(np.argmax(vals))
-        x, fx, n = golden_section_max(objective, *_bracket(g_grid, i))
-        nfev = len(vals) + n + 1
-        cands = [(vals[i], (float(g_grid[i]), None)),
-                 (objective(g_unity), (g_unity, None)),
-                 (fx, (float(x), None))]
-        method = ("golden" if family in ("twin-beam", "photon-subtracted")
-                  else "eigen+golden")
-    # first of the highest candidates
-    g_opt, gamma = max(cands, key=lambda c: c[0])[1]
-    delta = _best_delta(family, r, form(g_opt, gamma or 0.0))[0]
-    if gamma is not None and not delta:
-        gamma = 0.0
-    spec = _spec(family, r, delta, gamma)
-    gain = gain_at(g_opt)
-    return OptimizationResult(
-        average_fidelity(spec, noise, gain, prior).value, delta_opt=delta,
-        gamma_opt=gamma, g_opt=g_opt, evaluations=nfev, method=method,
-        spec=spec, gain=gain)
+    return _optimize(family, r, noise, prior)
 
 
-def one_shot_fidelity(family, r, noise, prior, beta):
-    """Fidelity at a specific beta using parameters that maximize the
-    prior-averaged fidelity."""
+def fidelity_at_optimum(opt, noise, prior, beta):
+    """Fidelity at input amplitude beta with the parameters of an
+    averaged optimum opt, taken at this noise and prior. beta must lie in
+    the prior's numerical support, |beta|^2 <= 700 sigma."""
     beta = complex(beta)
     if abs(beta) ** 2 > 700 * prior.sigma:
         raise ParameterError(
             f"|beta|^2 = {abs(beta) ** 2:.3g} lies outside the numerical "
             f"support of the sigma = {prior.sigma} prior")
-    opt = optimize_gain_average(family, r, noise, prior)
     rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
     return FidelityReport(rep.value, rep.method, opt.spec, noise, opt.gain,
                           beta=beta, sigma=prior.sigma)
+
+
+def one_shot_fidelity(family, r, noise, prior, beta):
+    """Fidelity at a specific beta using parameters that maximize the
+    prior-averaged fidelity."""
+    return fidelity_at_optimum(optimize_gain_average(family, r, noise, prior),
+                               noise, prior, beta)
 
 
 def r_max(tau):
@@ -302,12 +302,9 @@ def affinity(spec):
 
     grid = np.linspace(max(0.0, r - AFFINITY_RMAX), r + AFFINITY_RMAX,
                        AFFINITY_POINTS)
-    vals = overlap_sq(grid)
-    i = int(np.argmax(vals))
-    _, best, _ = golden_section_max(lambda x: float(overlap_sq(x)),
-                                    *_bracket(grid, i))
+    _, best, _ = _grid_then_golden(overlap_sq, grid, broadcast=True)
     # rounding can lift an overlap of exactly 1 just past it
-    return min(max(best, float(vals[i])), 1.0)
+    return min(best, 1.0)
 
 
 def _coherent_overlap(kappa, k1, k2):

@@ -49,8 +49,7 @@ class TestParseCli:
         ["sweep", "--resource", "twin-beam", "--vary", "beta_re",
          "--from", "0", "--to", "2", "--steps", "5",
          "--r", "1", "--sigma", "10"],                     # beta axis + prior
-        ["fidelity", "--resource", "twin-beam", "--r", "1",
-         "--gain", "1.0", "--gain-mode", "unity-over-t"],  # exclusive pair
+        ["fidelity", "--resource", "twin-beam", "--r", "one"],  # not a number
         ["figure", "--figure", "7"],                       # unknown preset
         ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "tau",
          "--from", "0", "--to", "0.3", "--steps", "2", "--sigma", "10",
@@ -148,12 +147,42 @@ class TestMainExitCodes:
         assert code == 0
         assert 0 < float(capsys.readouterr().out) < 1e-250
 
-    def test_huge_cat_amplitude_exits_4(self, capsys):
-        """|gamma|^2 overflows a double; this used to be a traceback."""
+    @pytest.mark.parametrize("gain,factor", [("1.3", math.cos(0.3) ** 2),
+                                             ("1", 1.0)],
+                             ids=["gain-1.3", "gain-1"])
+    def test_huge_cat_amplitude_exits_0(self, gain, factor, capsys):
+        """|gamma|^2 overflows a double; this used to be a traceback, then
+        exit 4 on a NaN. The fidelity is cos^2 delta times the twin
+        beam's, or the twin beam's at g~ = e^{-tau/2}, where the cat term
+        vanishes."""
+        code = main(["fidelity", "--resource", "twin-beam", "--r", "0.5",
+                     "--gain", gain])
+        assert code == 0
+        twin = float(capsys.readouterr().out)
         code = main(["fidelity", "--resource", "squeezed-cat", "--r", "0.5",
-                     "--delta", "0.3", "--gamma-mod", "1e155", "--gain", "1"])
-        assert code == 4
-        assert "telefid:" in capsys.readouterr().err
+                     "--delta", "0.3", "--gamma-mod", "1e155", "--gain",
+                     gain])
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert float(out.out) == pytest.approx(factor * twin, rel=1e-11)
+
+    @pytest.mark.parametrize("r", ["360", "500", "700", "710"])
+    def test_cat_past_delta_overflow_exits_0(self, r, capsys):
+        """The cat form used to print NaN (exit 4) from r ~ 354 and
+        overflow past r ~ 709; every family prints 0 there."""
+        code = main(["fidelity", "--resource", "squeezed-cat", "--r", r,
+                     "--delta", "0.4", "--gamma-mod", "1", "--gain", "1.3"])
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+    def test_one_shot_outside_the_prior_support_exits_2(self, capsys):
+        """|beta|^2 = 1e4 > 700 sigma; the command line used to print
+        1.01363374149e-121 here, while the library raised."""
+        code = main(["optimize", "--resource", "twin-beam", "--r", "1",
+                     "--sigma", "1", "--beta-re", "100"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "numerical support" in out.err
 
     def test_squeezing_past_delta_overflow_exits_0(self, capsys):
         """Delta overflows a double past r ~ 354; the fidelity, about

@@ -289,6 +289,54 @@ class TestLargeSqueezing:
         assert 0 <= got and abs(got - float(want)) <= 1e-26
 
 
+class TestCatLimits:
+    """The squeezed-cat form where Delta or |gamma|^2 leaves the double
+    range."""
+
+    @pytest.mark.parametrize("r", [360.0, 400.0, 710.0, 1000.0])
+    @pytest.mark.parametrize("sigma", [None, 10.0])
+    def test_past_delta_overflow(self, r, sigma):
+        """Delta overflows from r ~ 354 and e^r from r ~ 709; the
+        fidelity, O(4/Delta), is 0. This used to be NaN, then an
+        overflow."""
+        spec = ResourceSpec.squeezed_cat(r, delta=0.4, gamma_mod=1.0)
+        gain = GainSetting.fixed(1.3)
+        rep = (fidelity_closed(spec, IDEAL, gain) if sigma is None
+               else average_fidelity(spec, IDEAL, gain, AlphabetPrior(sigma)))
+        assert rep.value == 0.0
+
+    @pytest.mark.parametrize("gamma_mod", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("sigma", [None, 10.0])
+    def test_huge_amplitude(self, gamma_mod, sigma):
+        """|gamma gamma> leaves every overlap, so the fidelity is cos^2
+        delta times the twin beam's, which the ordinary arithmetic
+        already reaches at gamma = 50."""
+        noise, gain = NoiseParams(tau=0.3, r2=0.05), GainSetting.fixed(1.3)
+
+        def value(spec):
+            if sigma is None:
+                return fidelity_closed(spec, noise, gain, 0.5 - 0.3j).value
+            return average_fidelity(spec, noise, gain,
+                                    AlphabetPrior(sigma)).value
+
+        twin = value(ResourceSpec.twin_beam(0.5))
+        got = value(ResourceSpec.squeezed_cat(0.5, delta=0.4,
+                                              gamma_mod=gamma_mod))
+        assert got == pytest.approx(math.cos(0.4) ** 2 * twin, rel=1e-12)
+        assert got == pytest.approx(value(ResourceSpec.squeezed_cat(
+            0.5, delta=0.4, gamma_mod=50.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("gamma_mod", [50.0, 1e200])
+    def test_huge_amplitude_at_balanced_gain(self, gamma_mod):
+        """At g~ = e^{-tau/2} the cat term vanishes (u = 0) and the
+        fidelity is the twin beam's at any amplitude."""
+        gain = GainSetting.fixed(1.0)
+        twin = fidelity_closed(ResourceSpec.twin_beam(0.5), IDEAL, gain)
+        got = fidelity_closed(ResourceSpec.squeezed_cat(
+            0.5, delta=0.4, gamma_mod=gamma_mod), IDEAL, gain)
+        assert got.value == pytest.approx(twin.value, rel=1e-12)
+
+
 def test_gaussian_oracle_report():
     noise = NoiseParams(tau=0.15, n_th=0.05, r2=0.06)
     gain = GainSetting.fixed(0.95)

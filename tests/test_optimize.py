@@ -14,7 +14,8 @@ import oracles
 from telefid import (AlphabetPrior, GainSetting, NoiseParams, ParameterError,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed)
-from telefid.optimize import (AFFINITY_RMAX, _stencil_max, affinity,
+from telefid.optimize import (AFFINITY_RMAX, _grid_then_golden,
+                              _stencil_max, affinity, fidelity_at_optimum,
                               golden_section_max, one_shot_fidelity,
                               optimize_beta_independent,
                               optimize_gain_average, r_max)
@@ -35,6 +36,24 @@ class TestGoldenSection:
     def test_edge_maximum(self):
         x, fx, _ = golden_section_max(lambda x: x, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-7)
+
+    def test_grid_then_golden_refines(self):
+        grid = np.linspace(0.0, 2.0, 21)
+        x, fx, nfev = _grid_then_golden(lambda x: 2 - (x - 0.73) ** 2,
+                                        grid, broadcast=True)
+        assert x == pytest.approx(0.73, abs=1e-7)
+        assert fx == pytest.approx(2.0, abs=1e-15)
+        assert nfev > len(grid)
+
+    def test_grid_then_golden_keeps_a_higher_grid_point(self):
+        """A spike the golden section cannot see stays the answer."""
+        grid = np.linspace(0.0, 1.0, 11)
+
+        def spike(x):
+            return 1.0 if x == grid[4] else x / 2
+
+        x, fx, _ = _grid_then_golden(spike, grid)
+        assert (x, fx) == (grid[4], 1.0)
 
 
 class TestStencil:
@@ -263,15 +282,18 @@ class TestAveragedOptimization:
                           for i in range(60) for j in range(60))
                 assert ours == pytest.approx(ref, abs=1e-12)
 
-    def test_never_below_unity_gain_baseline(self):
+    @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
+                                        "squeezed-cat", "buridan",
+                                        "photon-subtracted"])
+    @pytest.mark.parametrize("sigma", [10.0, 100.0])
+    def test_never_below_unity_gain_baseline(self, family, sigma):
         """g = 1/T with the beta-independent optimum is in the candidate
         list, so the averaged optimum cannot fall below it (1e-12 covers
         the recompute through the public average)."""
-        prior = AlphabetPrior(10.0)
-        for family in ("twin-beam", "squeezed-bell"):
-            base = optimize_beta_independent(family, 0.8, NONIDEAL)
-            opt = optimize_gain_average(family, 0.8, NONIDEAL, prior)
-            assert opt.best_value >= base.best_value - 1e-12
+        base = optimize_beta_independent(family, 0.8, NONIDEAL)
+        opt = optimize_gain_average(family, 0.8, NONIDEAL,
+                                    AlphabetPrior(sigma))
+        assert opt.best_value >= base.best_value - 1e-12
 
     def test_gain_approaches_unity_for_wide_priors(self):
         noise = NONIDEAL
@@ -365,6 +387,17 @@ class TestOneShot:
         with pytest.raises(ParameterError):
             one_shot_fidelity("twin-beam", 0.8, NONIDEAL,
                               AlphabetPrior(0.1), 30.0)
+
+    def test_is_the_value_at_the_optimum(self):
+        prior = AlphabetPrior(10.0)
+        opt = optimize_gain_average("squeezed-cat", 0.8, NONIDEAL, prior)
+        rep = fidelity_at_optimum(opt, NONIDEAL, prior, 2 - 1j)
+        assert rep.value == fidelity_closed(opt.spec, NONIDEAL, opt.gain,
+                                            2 - 1j).value
+        assert rep.value == one_shot_fidelity("squeezed-cat", 0.8, NONIDEAL,
+                                              prior, 2 - 1j).value
+        with pytest.raises(ParameterError, match="numerical support"):
+            fidelity_at_optimum(opt, NONIDEAL, prior, 84)
 
 
 class TestAffinity:
