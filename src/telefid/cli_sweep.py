@@ -99,23 +99,28 @@ def parse_cli(argv):
     def add_common(sp):
         sp.add_argument("--resource", choices=FAMILIES, required=True)
         sp.add_argument("--r", type=float)
-        sp.add_argument("--delta", type=float)
-        sp.add_argument("--theta", type=float)
-        sp.add_argument("--phi", type=float)
-        sp.add_argument("--gamma-mod", type=float, dest="gamma_mod")
         sp.add_argument("--tau", type=float, default=0.0)
         sp.add_argument("--nth", type=float, default=0.0)
         sp.add_argument("--r2", type=float, default=0.0)
-        sp.add_argument("--gain", type=float)
         sp.add_argument("--beta-re", type=float, dest="beta_re")
         sp.add_argument("--beta-im", type=float, dest="beta_im")
         sp.add_argument("--sigma", type=float)
         sp.add_argument("--output")
 
+    def add_point(sp):
+        # the core parameters and gain, which optimize searches over,
+        # and the evaluation method
+        sp.add_argument("--delta", type=float)
+        sp.add_argument("--theta", type=float)
+        sp.add_argument("--phi", type=float)
+        sp.add_argument("--gamma-mod", type=float, dest="gamma_mod")
+        sp.add_argument("--gain", type=float)
+        sp.add_argument("--method", choices=("closed", "quadrature"),
+                        default="closed")
+
     sp = sub.add_parser("fidelity", help="evaluate one fidelity")
     add_common(sp)
-    sp.add_argument("--method", choices=("closed", "quadrature"),
-                    default="closed")
+    add_point(sp)
 
     sp = sub.add_parser("optimize",
                         help="maximize fidelity over free parameters; "
@@ -126,8 +131,7 @@ def parse_cli(argv):
 
     sp = sub.add_parser("sweep", help="vary one parameter, emit CSV")
     add_common(sp)
-    sp.add_argument("--method", choices=("closed", "quadrature"),
-                    default="closed")
+    add_point(sp)
     sp.add_argument("--vary", choices=SWEEP_AXES, required=True)
     sp.add_argument("--from", type=float, dest="start", required=True)
     sp.add_argument("--to", type=float, dest="stop", required=True)
@@ -140,6 +144,10 @@ def parse_cli(argv):
     ns = parser.parse_args(argv)
     if ns.command in ("fidelity", "optimize") and ns.r is None:
         parser.error("--r is required")
+    if (ns.command == "optimize" and ns.sigma is None
+            and (ns.beta_re is not None or ns.beta_im is not None)):
+        parser.error("--beta-re/--beta-im give the one-shot value at the "
+                     "prior-averaged optimum; add --sigma")
     if ns.command == "sweep":
         if ns.vary != "r" and ns.r is None:
             parser.error("--r is required unless --vary r")
@@ -184,7 +192,7 @@ def _point_row(ns, axis=None, value=None):
                          method=rep.method, fidelity=rep.value)
     beta_re, beta_im = pick("beta_re", 0.0), pick("beta_im", 0.0)
     beta = complex(beta_re, beta_im)
-    if getattr(ns, "method", "closed") == "quadrature":
+    if ns.method == "quadrature":
         rep = fidelity_quadrature(CoherentInput(beta), spec, noise, gain)
     else:
         rep = fidelity_closed(spec, noise, gain, beta)

@@ -139,9 +139,10 @@ def _delta_terms(r, gt, tau, gam):
 
 
 def _bell_factors(gt, D, at):
-    """e^{-4u/D} times 1, u, u^2 and 2 Re beta^2, u = (g~ - 1)^2 |beta|^2:
-    at one amplitude beta, or averaged over an AlphabetPrior as products
-    of 1-D Gauss-Hermite sums in Re beta and Im beta."""
+    """e^{-4u/D} times 1, u, u^2 and 2 (x^2 - y^2), x + i y = (g~ - 1) beta
+    and u = x^2 + y^2, all 0 where e^{-4u/D} is: at one beta, or averaged
+    over an AlphabetPrior as products of 1-D Gauss-Hermite sums in Re beta
+    and Im beta."""
     if isinstance(at, AlphabetPrior):
         t, w = _gh_nodes()
         q = (gt - 1) ** 2 * at.sigma
@@ -149,11 +150,14 @@ def _bell_factors(gt, D, at):
         s0 = float(np.sum(ew))
         s1 = q * float(np.sum(ew * t * t))
         s2 = q * q * float(np.sum(ew * t ** 4))
-        # Re beta^2 = x^2 - y^2 has zero mean under the isotropic prior
+        # x^2 - y^2 has zero mean under the isotropic prior
         return s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1), 0.0
-    u = (gt - 1) ** 2 * abs(at) ** 2
+    x, y = (gt - 1) * at.real, (gt - 1) * at.imag
+    u = x * x + y * y
     e0 = math.exp(-4 * u / D)
-    return e0, u * e0, u * u * e0, 2 * (at * at).real * e0
+    if not e0:
+        return 0.0, 0.0, 0.0, 0.0
+    return e0, u * e0, u * u * e0, 2 * (x * x - y * y) * e0
 
 
 def _bell_form(family, gt, tau, D, terms, factors):
@@ -166,7 +170,7 @@ def _bell_form(family, gt, tau, D, terms, factors):
     if family == "buridan":
         c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1 / D) / D
         return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 / D + c2),
-                            -2 * k * (gt - 1) ** 2 * eb * (pm - mm) / D,
+                            -2 * k * eb * (pm - mm) / D,
                             -2 * k * c2)
     pair = 16 * (pm - mm) ** 2 * (e2 / D - e1) / D
     twin = 8 * (pm + mm) * e1 / D - 2 * e0 * ((pm + mm) * z + 4 * pm * mm)
@@ -186,65 +190,60 @@ def _exp_expm1(lo, ex):
     return math.exp(lo) * math.expm1(ex)
 
 
-def _cat_form(r, gamma, gt, tau, D, at):
+def _cat_form(gamma, gt, tau, D, terms, at):
     """Squeezed-cat FidelityForm for real, signed gamma (scalar or
-    array).
-
-    The exponents carry u = e^{r}(g~ - e^{-tau/2}) gamma and
-    v = e^{-r}(g~ + e^{-tau/2}) gamma; they follow from the Gaussian
-    overlap integral with Bogoliubov coefficients
-    k1 = cosh(r) g~ - sinh(r) e^{-tau/2} and
-    k2 = cosh(r) e^{-tau/2} - sinh(r) g~. With x + i y = (g~ - 1) beta
-    and t1 = e^{-4 (x^2 + y^2)/D} the twin-beam term, the cross term is
-    n t1 Re e^{(4 x u - u^2 + v^2 + 4 i y v)/D} and the cat term
-    t1 e^{-4 u (u - 2 x)/D}; the prior average takes x and y on the
-    Gauss-Hermite nodes, where both factorize.
-
-    Where Delta overflows, the form is 0, as the fidelity underflows.
-    Where gamma^2 overflows, it is the limit: n = 0, h = 1, no cross term
-    and a cat term of -t1, or of 0 where u vanishes at g~ = e^{-tau/2}.
+    array), in Delta's terms over Delta, as _bell_form. The Gaussian
+    overlap with Bogoliubov coefficients k1 = cosh(r) g~ - sinh(r) eps,
+    k2 = cosh(r) eps - sinh(r) g~, eps = e^{-tau/2}, has the exponents
+    U = 2 e^{r}(g~ - eps) gamma/sqrt(Delta) = 2 gamma sgn(g~ - eps) sqrt(mm)
+    and V = 2 e^{-r}(g~ + eps) gamma/sqrt(Delta) = 2 gamma sqrt(pm). With
+    a + i b = 2 (g~ - 1) beta/sqrt(Delta) and t1 = e^{-a^2 - b^2} the
+    twin beam, the cross term is n t1 Re e^{a U + gamma^2 (pm - mm) + i b V}
+    and the cat term t1 e^{2 a U - U^2}; the prior average takes a and b
+    on the Gauss-Hermite nodes, where both factorize. No exponent grows
+    with r, and where Delta is inf, 4/Delta = 0 times bounded terms is 0.
+    Where gamma^2 overflows, the form is the limit: n = 0, h = 1, no
+    cross term and a cat term of -t1, or of 0 where mm = 0 (U = 0).
     """
-    if D == math.inf:
-        return FidelityForm(0.0, 0.0 * gamma, 0.0 * gamma)
-    eps = math.exp(-tau / 2)
+    pm, mm, _ = terms
     if not isinstance(gamma, np.ndarray) and gamma * gamma == math.inf:
-        t1 = _cat_form(r, 0.0, gt, tau, D, at).a
-        return FidelityForm(t1, 0.0, -t1 if gt != eps else 0.0)
+        t1 = _cat_form(0.0, gt, tau, D, terms, at).a
+        return FidelityForm(t1, 0.0, -t1 if mm else 0.0)
     prior = isinstance(at, AlphabetPrior)
     xp = np if prior or isinstance(gamma, np.ndarray) else math
-    if xp is np:
-        gamma = np.asarray(gamma, dtype=float)
-    # u = 0 at g~ = e^{-tau/2}, where Delta stays finite past e^r's range
-    u = (math.exp(r) * (gt - eps) if gt != eps else 0.0) * gamma
-    v = math.exp(-r) * (gt + eps) * gamma
+    U = 2 * math.copysign(math.sqrt(mm), gt - math.exp(-tau / 2)) * gamma
+    V = 2 * math.sqrt(pm) * gamma
+    ex = gamma * gamma * (pm - mm)
     n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
+    scale = 2 / math.sqrt(D) * (gt - 1)
     if prior:
         t, w = _gh_nodes()
-        x = math.sqrt(at.sigma) * (gt - 1) * t
-        s0 = float(w @ np.exp(-4 * x * x / D))
+        a = scale * math.sqrt(at.sigma) * t
+        s0 = float(w @ np.exp(-a * a))
         # nodes along the first axis, gamma along the rest
-        x = x.reshape((-1,) + (1,) * gamma.ndim)
-        lo = -4 * x * x / D
+        a = a.reshape((-1,) + (1,) * np.ndim(gamma))
+        lo = -a * a
         t1 = s0 * s0
-        # u^2 or v^2 past the double range makes a term 0 or NaN, as
-        # Python floats do on the point path; a NaN exits as a fault
-        with np.errstate(over="ignore", invalid="ignore"):
-            xu = 4 * x * u / D
-            # the cross term's x and y sums are s0 + re / n and s0 - im
-            re = w @ _exp_expm1(lo - gamma * gamma,
-                                xu + (v * v - u * u) / D)
-            im = w @ (np.exp(lo) * 2 * np.sin(2 * x * v / D) ** 2)
+        # U^2 may overflow, making the cat term -t1 as on the point path
+        with np.errstate(over="ignore"):
+            # the cross term's a and b sums are s0 + re / n and s0 - im
+            re = w @ _exp_expm1(lo - gamma * gamma, a * U + ex)
+            im = w @ (np.exp(lo) * 2 * np.sin(a * V / 2) ** 2)
             cross = s0 * (re - n * im) - re * im
-            cat = s0 * (w @ _exp_expm1(lo, 2 * xu - 4 * u * u / D))
+            cat = s0 * (w @ _exp_expm1(lo, 2 * a * U - U * U))
     else:
-        x, y = (gt - 1) * at.real, (gt - 1) * at.imag
-        lo = -4 * (x * x + y * y) / D
-        xu = 4 * x * u / D
+        a, b = scale * at.real, scale * at.imag
+        lo = -a * a - b * b
         t1 = math.exp(lo)
-        ph = 4 * y * v / D
-        cross = (_exp_expm1(lo - gamma * gamma, xu + (v * v - u * u) / D)
-                 * xp.cos(ph) - 2 * n * t1 * xp.sin(ph / 2) ** 2)
-        cat = _exp_expm1(lo, 2 * xu - 4 * u * u / D)
+        if t1:
+            ph = b * V
+            cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * xp.cos(ph)
+                     - 2 * n * t1 * xp.sin(ph / 2) ** 2)
+            cat = _exp_expm1(lo, 2 * a * U - U * U)
+        else:
+            # the cross term, at most sqrt(t1 (t1 + cat)), is lost beside
+            # cat s^2; the completed square overflows only to e^{-inf} = 0
+            cross, cat = 0.0, math.exp(-(a - U) * (a - U) - b * b)
     k = 4 / D
     return FidelityForm(k * t1, k * cross, k * cat, n, h)
 
@@ -255,7 +254,7 @@ def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     try:
         D, terms = _delta_terms(r, gt, tau, gam)
         if family == "squeezed-cat":
-            return _cat_form(r, gamma, gt, tau, D, at)
+            return _cat_form(gamma, gt, tau, D, terms, at)
         return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
     except OverflowError as exc:
         raise NumericalError(

@@ -99,12 +99,14 @@ def _grid_then_golden(fun, grid, broadcast=False):
 def _stencil_max(row, start, value, steps, box):
     """Maximize f(x, y) on a box from a start of known value: move to the
     best point of a 3 x 3 stencil of half-widths steps, halve them when
-    the centre wins, stop below PARAM_XTOL. row(x, ys) gives f along an
-    array of y. Points lie on the lattice start + (i hx, j hy), so one
-    met again is the same floats and is not recomputed. Returns (point,
+    the centre wins or after 64 moves in a row, stop below
+    PARAM_XTOL. The run limit bounds the crawl along a ridge that is
+    narrow across the lattice's axes. row(x, ys) gives f along an array
+    of y. Points lie on the lattice start + (i hx, j hy), so one met
+    again is the same floats and is not recomputed. Returns (point,
     value, evaluations)."""
     (x0, y0), (hx, hy), ((xlo, xhi), (ylo, yhi)) = start, steps, box
-    seen, point, i, j = {start: value}, start, 0, 0
+    seen, point, i, j, run = {start: value}, start, 0, 0, 0
     while max(hx, hy) >= PARAM_XTOL:
         ys = [min(max(y0 + (j + d) * hy, ylo), yhi) for d in (-1, 0, 1)]
         best = (value, i, j, point)
@@ -117,10 +119,11 @@ def _stencil_max(row, start, value, steps, box):
             for dj, y in zip((-1, 0, 1), ys):
                 if seen[x, y] > best[0]:
                     best = (seen[x, y], i + di, j + dj, (x, y))
-        if best[0] > value:
-            value, i, j, point = best
-        else:
-            i, j, hx, hy = 2 * i, 2 * j, hx / 2, hy / 2
+        # a centre that wins ends the run at once
+        run = run + 1 if best[0] > value else 64
+        value, i, j, point = best
+        if run == 64:
+            i, j, hx, hy, run = 2 * i, 2 * j, hx / 2, hy / 2, 0
     return point, value, len(seen) - 1
 
 

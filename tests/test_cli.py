@@ -59,6 +59,18 @@ class TestParseCli:
         ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "sigma",
          "--from", "1", "--to", "10", "--steps", "2",
          "--beta-im", "1"],                                # prior axis + beta
+        ["optimize", "--resource", "twin-beam", "--r", "1",
+         "--gain", "5"],                                   # optimize: gain
+        ["optimize", "--resource", "squeezed-bell", "--r", "1",
+         "--delta", "0.3"],                                # optimize: delta
+        ["optimize", "--resource", "squeezed-bell", "--r", "1",
+         "--theta", "0.3"],                                # optimize: theta
+        ["optimize", "--resource", "twin-beam", "--r", "1",
+         "--phi", "3"],                                    # optimize: phi
+        ["optimize", "--resource", "squeezed-cat", "--r", "1",
+         "--gamma-mod", "0.5"],                            # optimize: gamma
+        ["optimize", "--resource", "twin-beam", "--r", "1",
+         "--beta-re", "2"],                                # beta, no prior
     ])
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit):
@@ -165,6 +177,54 @@ class TestMainExitCodes:
         out = capsys.readouterr()
         assert code == 0 and out.err == ""
         assert float(out.out) == pytest.approx(factor * twin, rel=1e-11)
+
+    @pytest.mark.parametrize("extra,value", [
+        ([], "0.0912667807455"), (["--sigma", "10"], "0.0182533561474")],
+        ids=["point", "sigma-10"])
+    def test_cat_amplitude_past_delta_overflow_exits_0(self, extra, value,
+                                                       capsys):
+        """|gamma|^2 Delta overflows while |gamma|^2 does not; this used
+        to print NaN and exit 4. The value is cos^2 delta times the twin
+        beam's."""
+        code = main(["fidelity", "--resource", "squeezed-cat", "--r", "0",
+                     "--delta", "0.3", "--gamma-mod", "1e154", "--gain",
+                     "3"] + extra)
+        assert code == 0
+        assert capsys.readouterr() == (value + "\n", "")
+
+    @pytest.mark.parametrize("gamma,beta", [
+        ("1e100", ["--beta-im", "1e300"]), ("1e100", ["--beta-re", "1e300"]),
+        ("5", ["--beta-re", "1.7e308"])], ids=["phase", "aU", "a"])
+    def test_cat_at_huge_amplitude_exits_0(self, gamma, beta, capsys):
+        """The cross term's phase b V overflows, or a U, or a itself. The
+        first used to end in a traceback from math.cos(inf), the others in
+        a NaN (exit 4). The fidelity underflows to 0."""
+        code = main(["fidelity", "--resource", "squeezed-cat", "--r", "0.5",
+                     "--delta", "0.3", "--gamma-mod", gamma, "--gain", "2"]
+                    + beta)
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+    @pytest.mark.parametrize("argv,value", [
+        (["--resource", "twin-beam", "--gain", "2", "--beta-re", "1e300"],
+         "0"),
+        (["--resource", "squeezed-bell", "--delta", "0.3", "--gain", "2",
+          "--beta-im", "1e150"], "0"),
+        (["--resource", "twin-beam", "--gain", "1", "--beta-re", "1e300"],
+         "0.880797077978"),
+        (["--resource", "buridan", "--delta", "0.3", "--gain", "1",
+          "--beta-im", "1e300"], "0.775803492574"),
+        (["--resource", "photon-subtracted", "--r2", "0.05",
+          "--beta-re", "1e300"], "0.871835059865"),
+    ], ids=["twin-gain-2", "bell-gain-2", "twin-unity", "buridan-unity",
+            "subtracted-unity-rule"])
+    def test_bell_type_at_huge_amplitude_exits_0(self, argv, value, capsys):
+        """(g~ - 1)^2 |beta|^2 used to overflow a float power (exit 4), or
+        to give u^2 e^{-4u/Delta} = inf * 0 (NaN, exit 4). Away from unity
+        gain the fidelity is 0; at unity gain it is the beta = 0 value."""
+        code = main(["fidelity", "--r", "1"] + argv)
+        assert code == 0
+        assert capsys.readouterr() == (value + "\n", "")
 
     @pytest.mark.parametrize("r", ["360", "500", "700", "710"])
     def test_cat_past_delta_overflow_exits_0(self, r, capsys):
@@ -325,8 +385,8 @@ def test_package_imports_only_stdlib_and_numpy():
     delta=st.floats(-math.pi, math.pi),
     gamma=st.floats(0.0, 1e300),
     g=st.floats(1e-3, 1e3),
-    beta_re=st.floats(-1e3, 1e3),
-    beta_im=st.floats(-1e3, 1e3),
+    beta_re=st.floats(-1e300, 1e300),
+    beta_im=st.floats(-1e300, 1e300),
     tau=st.floats(0.0, 50.0),
     nth=st.floats(0.0, 10.0),
     r2=st.floats(0.0, 0.99),

@@ -305,13 +305,19 @@ class TestCatLimits:
                else average_fidelity(spec, IDEAL, gain, AlphabetPrior(sigma)))
         assert rep.value == 0.0
 
-    @pytest.mark.parametrize("gamma_mod", [1e155, 1e200, 1e300])
-    @pytest.mark.parametrize("sigma", [None, 10.0])
-    def test_huge_amplitude(self, gamma_mod, sigma):
+    HUGE = [(gamma_mod, sigma, g) for g in (1.3, 3.0)
+            for sigma in (None, 10.0)
+            for gamma_mod in (1e154, 1e155, 1e200, 1e300)]
+
+    @pytest.mark.parametrize("gamma_mod,sigma,g", HUGE, ids=[
+        f"{sigma}-{gamma_mod}" + ("" if g == 1.3 else f"-gain-{g}")
+        for gamma_mod, sigma, g in HUGE])
+    def test_huge_amplitude(self, gamma_mod, sigma, g):
         """|gamma gamma> leaves every overlap, so the fidelity is cos^2
         delta times the twin beam's, which the ordinary arithmetic
-        already reaches at gamma = 50."""
-        noise, gain = NoiseParams(tau=0.3, r2=0.05), GainSetting.fixed(1.3)
+        already reaches at gamma = 50. At gamma = 1e154 gamma^2 is finite
+        but gamma^2 Delta is not; at gain 3 that used to be NaN."""
+        noise, gain = NoiseParams(tau=0.3, r2=0.05), GainSetting.fixed(g)
 
         def value(spec):
             if sigma is None:
@@ -328,7 +334,7 @@ class TestCatLimits:
 
     @pytest.mark.parametrize("gamma_mod", [50.0, 1e200])
     def test_huge_amplitude_at_balanced_gain(self, gamma_mod):
-        """At g~ = e^{-tau/2} the cat term vanishes (u = 0) and the
+        """At g~ = e^{-tau/2} the cat term vanishes (U = 0) and the
         fidelity is the twin beam's at any amplitude."""
         gain = GainSetting.fixed(1.0)
         twin = fidelity_closed(ResourceSpec.twin_beam(0.5), IDEAL, gain)

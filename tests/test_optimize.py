@@ -11,9 +11,9 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import minimize_scalar
 
 import oracles
-from telefid import (AlphabetPrior, GainSetting, NoiseParams, ParameterError,
-                     ResourceSpec, average_fidelity, classical_benchmark,
-                     fidelity_closed)
+from telefid import (FAMILIES, AlphabetPrior, GainSetting, NoiseParams,
+                     NumericalError, ParameterError, ResourceSpec,
+                     average_fidelity, classical_benchmark, fidelity_closed)
 from telefid.optimize import (AFFINITY_RMAX, _grid_then_golden,
                               _stencil_max, affinity, fidelity_at_optimum,
                               golden_section_max, one_shot_fidelity,
@@ -81,6 +81,18 @@ class TestStencil:
             (0.05, 0.05), ((-1.0, 0.1), (0.0, 1.0)))
         assert (x, y) == (0.1, 0.0)
         assert fx == self.quadratic(0.1, np.array([0.0]))[0]
+
+    def test_narrow_ridge_costs_a_bounded_search(self):
+        """The lattice cannot follow the ridge x = 0.3 y, so each move
+        gains little; the search used to crawl along it for 1.2 million
+        evaluations (the averaged cat's g~ = e^{-tau/2} ridge at r = 6.5
+        took 356k, 48 s). 64 moves per step level bound it."""
+        def ridge(x, ys):
+            return ys - 1e6 * (x - 0.3 * ys) ** 2
+
+        _, fx, nfev = _stencil_max(ridge, (0.0, 0.0), 0.0, (0.05, 0.05),
+                                   ((-1.0, 1.0), (0.0, 1.0)))
+        assert fx > 0.0 and nfev < 5000
 
 
 class TestSqueezingSweetSpot:
@@ -535,3 +547,26 @@ def test_affinity_in_range(family, r, phi, delta, theta, gamma_mod,
     except ParameterError:
         return  # a degenerate cat core
     assert 0.0 <= affinity(spec) <= 1.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 1000.0),
+    tau=st.floats(0.0, 50.0),
+    n_th=st.floats(0.0, 10.0),
+    r2=st.floats(0.0, 0.99),
+    sigma=st.none() | st.floats(1e-3, 1e6),
+)
+def test_optimizers_over_the_domain(family, r, tau, n_th, r2, sigma):
+    """Over every input the constructors accept, both optimizers return a
+    best value in [0, 1], or raise NumericalError. Past r ~ 354, Delta
+    overflows under the cat's gamma grid, on the point and prior paths."""
+    noise = NoiseParams(tau=tau, n_th=n_th, r2=r2)
+    try:
+        opt = (optimize_beta_independent(family, r, noise) if sigma is None
+               else optimize_gain_average(family, r, noise,
+                                          AlphabetPrior(sigma)))
+    except NumericalError:
+        return
+    assert 0.0 <= opt.best_value <= 1.0 + 1e-9
