@@ -80,7 +80,7 @@ class FidelityForm(NamedTuple):
     families. For the cat, b, e and h vanish like gamma^2 and are formed
     without cancellation, so small gamma loses no digits.
 
-    Fields may be arrays over gamma; delta is a scalar.
+    Fields may be arrays over gamma or (gain, gamma); delta is a scalar.
     """
 
     a: object
@@ -120,7 +120,12 @@ def _delta_terms(r, gt, tau, gam):
     """Delta, the scale of all closed forms (see fidelity_closed), and
     its three terms over Delta, which sum to 1. Past r ~ 354 Delta
     overflows; the terms over Delta then come from their logarithms and
-    Delta is inf, so 4/Delta underflows to 0 as the fidelity does."""
+    Delta is inf, so 4/Delta underflows to 0 as the fidelity does.
+    Columns of g~ and Gamma give columns, stacked row by row."""
+    if isinstance(gt, np.ndarray):
+        D, terms = zip(*(_delta_terms(r, g, tau, c)
+                         for g, c in zip(gt[:, 0], gam[:, 0])))
+        return np.array(D)[:, None], np.array(terms).T[..., None]
     ep = math.exp(tau / 2)
     lo, hi = (1 + ep * gt) ** 2, (1 - ep * gt) ** 2
     z = 2 * (1 + gt * gt + 2 * gam)
@@ -139,42 +144,44 @@ def _delta_terms(r, gt, tau, gam):
 
 
 def _bell_factors(gt, D, at):
-    """e^{-4u/D} times 1, u, u^2 and 2 (x^2 - y^2), x + i y = (g~ - 1) beta
-    and u = x^2 + y^2, all 0 where e^{-4u/D} is: at one beta, or averaged
-    over an AlphabetPrior as products of 1-D Gauss-Hermite sums in Re beta
-    and Im beta."""
+    """e^{-4v} times 1, v, v^2 and 2 (x^2 - y^2), x + i y = (g~ - 1)
+    beta/sqrt(Delta) and v = x^2 + y^2 = u/Delta, all 0 where e^{-4v} is:
+    at one beta, or averaged over an AlphabetPrior as products of 1-D
+    Gauss-Hermite sums in Re beta and Im beta. Taken over Delta first, v
+    neither overflows where u^2 would nor is inf/inf."""
     if isinstance(at, AlphabetPrior):
         t, w = _gh_nodes()
-        q = (gt - 1) ** 2 * at.sigma
-        ew = w * np.exp(-4 * q / D * t * t)
+        q = (gt - 1) ** 2 * at.sigma / D
+        ew = w * np.exp(-4 * q * t * t)
         s0 = float(np.sum(ew))
         s1 = q * float(np.sum(ew * t * t))
         s2 = q * q * float(np.sum(ew * t ** 4))
         # x^2 - y^2 has zero mean under the isotropic prior
         return s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1), 0.0
-    x, y = (gt - 1) * at.real, (gt - 1) * at.imag
-    u = x * x + y * y
-    e0 = math.exp(-4 * u / D)
+    scale = (gt - 1) / math.sqrt(D)
+    x, y = scale * at.real, scale * at.imag
+    v = x * x + y * y
+    e0 = math.exp(-4 * v)
     if not e0:
         return 0.0, 0.0, 0.0, 0.0
-    return e0, u * e0, u * u * e0, 2 * (x * x - y * y) * e0
+    return e0, v * e0, v * v * e0, 2 * (x * x - y * y) * e0
 
 
 def _bell_form(family, gt, tau, D, terms, factors):
     """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm,
-    in the Delta terms over Delta (pm + mm + z = 1), e1/D and e2/D^2: all
-    O(1) times 4/Delta, so large r neither overflows nor cancels."""
+    in the Delta terms over Delta (pm + mm + z = 1) and _bell_factors:
+    all O(1) times 4/Delta, so large r neither overflows nor cancels."""
     e0, e1, e2, eb = factors
     pm, mm, z = terms
     k = 4 / D
     if family == "buridan":
-        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1 / D) / D
-        return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 / D + c2),
-                            -2 * k * eb * (pm - mm) / D,
+        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1) / D
+        return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 + c2),
+                            -2 * k * eb * (pm - mm),
                             -2 * k * c2)
-    pair = 16 * (pm - mm) ** 2 * (e2 / D - e1) / D
-    twin = 8 * (pm + mm) * e1 / D - 2 * e0 * ((pm + mm) * z + 4 * pm * mm)
-    return FidelityForm(k * e0, -k * (pm - mm) * (4 * e1 / D - e0),
+    pair = 16 * (pm - mm) ** 2 * (e2 - e1)
+    twin = 8 * (pm + mm) * e1 - 2 * e0 * ((pm + mm) * z + 4 * pm * mm)
+    return FidelityForm(k * e0, -k * (pm - mm) * (4 * e1 - e0),
                         k * (pair + twin))
 
 
@@ -192,7 +199,8 @@ def _exp_expm1(lo, ex):
 
 def _cat_form(gamma, gt, tau, D, terms, at):
     """Squeezed-cat FidelityForm for real, signed gamma (scalar or
-    array), in Delta's terms over Delta, as _bell_form. The Gaussian
+    array), in Delta's terms over Delta, as _bell_form; at one beta,
+    g~ and Delta's terms may be columns against a row of gamma. The Gaussian
     overlap with Bogoliubov coefficients k1 = cosh(r) g~ - sinh(r) eps,
     k2 = cosh(r) eps - sinh(r) g~, eps = e^{-tau/2}, has the exponents
     U = 2 e^{r}(g~ - eps) gamma/sqrt(Delta) = 2 gamma sgn(g~ - eps) sqrt(mm)
@@ -210,12 +218,12 @@ def _cat_form(gamma, gt, tau, D, terms, at):
         t1 = _cat_form(0.0, gt, tau, D, terms, at).a
         return FidelityForm(t1, 0.0, -t1 if mm else 0.0)
     prior = isinstance(at, AlphabetPrior)
-    xp = np if prior or isinstance(gamma, np.ndarray) else math
-    U = 2 * math.copysign(math.sqrt(mm), gt - math.exp(-tau / 2)) * gamma
-    V = 2 * math.sqrt(pm) * gamma
+    xp = np if prior or np.ndarray in (type(gamma), type(D)) else math
+    U = 2 * xp.copysign(xp.sqrt(mm), gt - math.exp(-tau / 2)) * gamma
+    V = 2 * xp.sqrt(pm) * gamma
     ex = gamma * gamma * (pm - mm)
     n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
-    scale = 2 / math.sqrt(D) * (gt - 1)
+    scale = 2 / xp.sqrt(D) * (gt - 1)
     if prior:
         t, w = _gh_nodes()
         a = scale * math.sqrt(at.sigma) * t
@@ -234,8 +242,9 @@ def _cat_form(gamma, gt, tau, D, terms, at):
     else:
         a, b = scale * at.real, scale * at.imag
         lo = -a * a - b * b
-        t1 = math.exp(lo)
-        if t1:
+        t1 = xp.exp(lo)
+        # a column of t1 comes from the beta = 0 search, where it is 1
+        if isinstance(t1, np.ndarray) or t1:
             ph = b * V
             cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * xp.cos(ph)
                      - 2 * n * t1 * xp.sin(ph / 2) ** 2)
@@ -250,7 +259,8 @@ def _cat_form(gamma, gt, tau, D, terms, at):
 
 def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
-    one amplitude beta or averaged over an AlphabetPrior."""
+    one amplitude beta or averaged over an AlphabetPrior. For the cat at
+    one beta, g~ and Gamma may be columns."""
     try:
         D, terms = _delta_terms(r, gt, tau, gam)
         if family == "squeezed-cat":

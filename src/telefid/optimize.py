@@ -6,10 +6,12 @@ is a ratio of quadratic forms in (cos delta, sin delta)
 (fidelity.FidelityForm), so the best Bell angle delta is the top
 eigenvalue of a 2x2 pair and takes no search. Both optimizers are one
 core, _optimize, at beta = 0 on the unity gain or averaged over the prior
-with the gain free. Every 1-D search left is one grid refined by golden
-section (_grid_then_golden): the cat's gamma, the averaged gain and the
-affinity's r'. The averaged cat's (gain, gamma) grid is refined by a
-3 x 3 stencil search. The subcase points (delta = 0, the
+with the gain free; the search reads the prior average exactly as the
+beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma. Every 1-D search
+left is one grid refined by golden section (_grid_then_golden): the
+cat's gamma, the averaged gain and the affinity's r'. The averaged cat's
+(gain, gamma) grid is one broadcast form call, refined by a 3 x 3
+stencil search of one call per step. The subcase points (delta = 0, the
 photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
 stay in as a floor, so the subcase-domination inequalities hold exactly
 rather than to rounding. Each optimum's spec comes from ResourceSpec.of,
@@ -101,21 +103,23 @@ def _stencil_max(row, start, value, steps, box):
     best point of a 3 x 3 stencil of half-widths steps, halve them when
     the centre wins or after 64 moves in a row, stop below
     PARAM_XTOL. The run limit bounds the crawl along a ridge that is
-    narrow across the lattice's axes. row(x, ys) gives f along an array
-    of y. Points lie on the lattice start + (i hx, j hy), so one met
-    again is the same floats and is not recomputed. Returns (point,
-    value, evaluations)."""
+    narrow across the lattice's axes. row(xs, ys) gives f on a column of
+    x against a row of y, one call per stencil. Points lie on the lattice
+    start + (i hx, j hy), so one met again is the same floats and keeps
+    its first value. Returns (point, value, evaluations), the number of
+    distinct points."""
     (x0, y0), (hx, hy), ((xlo, xhi), (ylo, yhi)) = start, steps, box
     seen, point, i, j, run = {start: value}, start, 0, 0, 0
     while max(hx, hy) >= PARAM_XTOL:
+        xs = [min(max(x0 + (i + d) * hx, xlo), xhi) for d in (-1, 0, 1)]
         ys = [min(max(y0 + (j + d) * hy, ylo), yhi) for d in (-1, 0, 1)]
+        if any((x, y) not in seen for x in xs for y in ys):
+            xu, yu = list(dict.fromkeys(xs)), list(dict.fromkeys(ys))
+            vals = row(np.array(xu)[:, None], np.array(yu)).ravel()
+            for xy, v in zip([(x, y) for x in xu for y in yu], vals.tolist()):
+                seen.setdefault(xy, v)
         best = (value, i, j, point)
-        for di in (-1, 0, 1):
-            x = min(max(x0 + (i + di) * hx, xlo), xhi)
-            new = [y for y in dict.fromkeys(ys) if (x, y) not in seen]
-            if new:
-                seen.update(zip([(x, y) for y in new],
-                                row(x, np.array(new)).tolist()))
+        for di, x in zip((-1, 0, 1), xs):
             for dj, y in zip((-1, 0, 1), ys):
                 if seen[x, y] > best[0]:
                     best = (seen[x, y], i + di, j + dj, (x, y))
@@ -158,19 +162,28 @@ def _optimize(family, r, noise, prior=None):
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
     g_top = 2.0 / noise.transmissivity
     g_unity = 1.0 / noise.transmissivity
+    sigma = 0.0 if prior is None else prior.sigma
 
     def gain_at(g):
         # the unity rule (None) keeps g~ = 1 exactly
         return GainSetting(None if g == g_unity else float(g))
 
-    def form(g, gamma=None):
+    def shifted(g):
+        # the prior average is, exactly, the beta = 0 value at the noise
+        # Gamma + (g~ - 1)^2 sigma
         gain = gain_at(g)
+        gt = gain.effective(noise)
+        return gt, gamma_cov(noise, gain) + (gt - 1) ** 2 * sigma
+
+    def form(g, gamma=None):
+        # g is one gain or a column of them
+        gt, gam = (np.array([shifted(x) for x in g[:, 0]]).T[..., None]
+                   if np.ndim(g) else shifted(g))
         return _fidelity_form(family, r, 0.0 if gamma is None else gamma,
-                              gain.effective(noise), gamma_cov(noise, gain),
-                              noise.tau, 0j if prior is None else prior)
+                              gt, gam, noise.tau, 0j)
 
     def score(g, gamma=None):
-        # the cat's eigenvalue broadcasts over gamma
+        # the cat's eigenvalue broadcasts over gains and gamma
         f = form(g, gamma)
         return f.top()[0] if cat else _best_delta(family, r, f)[1]
 
@@ -186,7 +199,7 @@ def _optimize(family, r, noise, prior=None):
                              AVG_GAIN_POINTS)
         if cat:
             gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
-            vals = np.array([score(g, gammas) for g in g_grid])
+            vals = score(g_grid[:, None], gammas)
             i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
             found, value, n = _stencil_max(
                 score, (float(g_grid[i]), float(gammas[j])),

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError
+from .errors import DegeneracyError, ParameterError, QuadratureError
 from .phase_space import (SQRT2, PhasePoint, _chi_input_arrays,
                           _chi_resource_arrays, _require_finite)
-from .quadrature import _leggauss, box_halfwidth, integrate_adaptive
+from .quadrature import (CONV_ABS_TOL, _leggauss, box_halfwidth,
+                         integrate_adaptive)
 
 # fixed rules for the measurement-average oracle; validated against
 # chi_out at ~1e-14, far inside its 1e-5 contract
@@ -159,9 +160,13 @@ def _bell_raw(inp, spec, noise, outcome, x2, p2):
 
 
 def outcome_distribution(inp, spec, noise, outcome):
-    """Probability density of the Bell outcome (p~, x~)."""
-    val = _bell_raw(inp, spec, noise, outcome, 0.0, 0.0)
-    return max(float(val.real), 0.0)
+    """Probability density of the Bell outcome (p~, x~). A negative
+    value within the quadrature's tolerance, CONV_ABS_TOL/(2pi)^2, is a
+    density that rounds to 0; below it, QuadratureError."""
+    val = float(_bell_raw(inp, spec, noise, outcome, 0.0, 0.0).real)
+    if val < -CONV_ABS_TOL / (2 * math.pi) ** 2:
+        raise QuadratureError(f"outcome density {val:.3g} < 0 at {outcome}")
+    return max(val, 0.0)
 
 
 def chi_bell_conditioned(inp, spec, noise, outcome, pt):

@@ -226,6 +226,22 @@ class TestMainExitCodes:
         assert code == 0
         assert capsys.readouterr() == (value + "\n", "")
 
+    @pytest.mark.parametrize("argv", [
+        ["--resource", "photon-subtracted", "--r", "250", "--tau", "10",
+         "--gain", "180", "--beta-im", "3e88"],
+        ["--resource", "twin-beam", "--r", "600", "--gain", "700",
+         "--beta-re", "2e171"],
+    ], ids=["subtracted", "twin"])
+    def test_bell_type_at_large_squeezing_and_huge_amplitude_exits_0(
+            self, argv, capsys):
+        """u^2 e^{-4u/Delta} overflowed (inf) where Delta ~ e^{2r} keeps
+        e^{-4u/Delta} near 1, and 4u/Delta was inf/inf (NaN) where u and
+        Delta both overflow: both exited 4. The fidelities are 0 to the
+        rounding of 4/Delta (see test_fidelity.TestLargeSqueezing)."""
+        code = main(["fidelity"] + argv)
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
+
     @pytest.mark.parametrize("r", ["360", "500", "700", "710"])
     def test_cat_past_delta_overflow_exits_0(self, r, capsys):
         """The cat form used to print NaN (exit 4) from r ~ 354 and

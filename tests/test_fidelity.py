@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from telefid import (AlphabetPrior, CoherentInput, GainSetting, NoiseParams,
-                     ParameterError, PhaseSpecializationError, ResourceSpec,
-                     average_fidelity, classical_benchmark, fidelity_closed,
-                     fidelity_gaussian_oracle, fidelity_quadrature, gamma_cov)
+from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
+                     NoiseParams, ParameterError, PhaseSpecializationError,
+                     ResourceSpec, average_fidelity, classical_benchmark,
+                     fidelity_closed, fidelity_gaussian_oracle,
+                     fidelity_quadrature, gamma_cov)
 
 IDEAL = NoiseParams()
 UNITY = GainSetting.fixed(1.0)
@@ -136,6 +137,36 @@ class TestAveraged:
         assert rep.value == pytest.approx(expect, abs=1e-10)
         assert rep.method == "closed"
         assert rep.sigma == sigma
+
+    def test_average_is_the_origin_value_at_shifted_noise(self):
+        """Under the prior, beta enters the overlap only as a plane wave,
+        which averages to the envelope of Gamma + (g~ - 1)^2 sigma. So the
+        average is the beta = 0 fidelity with n_th raised by
+        (g~ - 1)^2 sigma/(1 - e^{-tau}). At sigma <= 2 the 60-node rule is
+        exact, so the two routes agree to rounding."""
+        rng = np.random.default_rng(11)
+        for k in range(100):
+            family = FAMILIES[k % len(FAMILIES)]
+            r, tau = rng.uniform(0.0, 2.0), rng.uniform(0.01, 1.0)
+            noise = NoiseParams(tau=tau, n_th=rng.uniform(0.0, 1.0),
+                                r2=rng.uniform(0.0, 0.5))
+            core = {}
+            if family in ("squeezed-bell", "buridan", "squeezed-cat"):
+                core["delta"] = rng.uniform(-1.5, 1.5)
+            if family == "squeezed-cat":
+                core.update(gamma_mod=rng.uniform(0.0, 5.0),
+                            gamma_phase=math.pi * rng.integers(2))
+            spec = ResourceSpec.of(family, r, **core)
+            gain = GainSetting.fixed(rng.uniform(0.1, 2.0)
+                                     / noise.transmissivity)
+            prior = AlphabetPrior(rng.uniform(1e-3, 2.0))
+            shift = ((gain.effective(noise) - 1) ** 2 * prior.sigma
+                     / -math.expm1(-tau))
+            shifted = NoiseParams(tau=tau, n_th=noise.n_th + shift,
+                                  r2=noise.r2)
+            avg = average_fidelity(spec, noise, gain, prior).value
+            at_origin = fidelity_closed(spec, shifted, gain).value
+            assert avg == pytest.approx(at_origin, abs=1e-13)
 
     def test_narrow_prior_recovers_origin(self):
         spec = ResourceSpec.squeezed_bell(0.9, delta=0.5)
@@ -269,6 +300,28 @@ class TestLargeSqueezing:
         assert got >= 0
         # below the smallest normal double the expected value is 0
         assert abs(got - want) <= 1e-12 * abs(want) + sys.float_info.min
+
+    @pytest.mark.parametrize("family,r,tau,g,beta", [
+        ("photon-subtracted", 250.0, 10.0, 180.0, 3e88j),
+        ("twin-beam", 600.0, 0.0, 700.0, 2e171 + 0j),
+    ])
+    def test_huge_amplitude_at_large_squeezing(self, family, r, tau, g,
+                                               beta):
+        """With u = (g~ - 1)^2 |beta|^2 below Delta ~ e^{2r}, u^2 used to
+        overflow (inf, exit 4); with both past a double, 4u/Delta was
+        inf/inf (NaN, exit 4). The photon-subtracted terms cancel below
+        the rounding of the twin-beam value, about 4/Delta, which bounds
+        the error; the twin-beam value, 5.8e-527, is 0."""
+        noise, gain = NoiseParams(tau=tau), GainSetting.fixed(g)
+        gam = gamma_cov(noise, gain)
+        got = fidelity_closed(ResourceSpec.of(family, r), noise, gain,
+                              beta).value
+        with mpmath.workdps(50):
+            delta = (mpmath.atan(mpmath.tanh(r))
+                     if family == "photon-subtracted" else 0)
+        want = self.reference("squeezed-bell", r, delta, g, tau, gam, beta)
+        twin = self.reference("squeezed-bell", r, 0, g, tau, gam, beta)
+        assert abs(got - float(want)) <= 1e-14 * float(twin)
 
     def test_cancelling_terms_round_to_zero(self):
         """Terms of 3.3e-12 cancel to 6.09e-33 here; the closed form used

@@ -11,6 +11,7 @@ from numpy.polynomial import Polynomial
 from scipy.optimize import minimize_scalar
 
 import oracles
+import telefid.optimize as optimize
 from telefid import (FAMILIES, AlphabetPrior, GainSetting, NoiseParams,
                      NumericalError, ParameterError, ResourceSpec,
                      average_fidelity, classical_benchmark, fidelity_closed)
@@ -374,6 +375,26 @@ class TestAveragedOptimization:
         prior = AlphabetPrior(10.0)
         opt = optimize_gain_average("squeezed-bell", 1.0, NONIDEAL, prior)
         assert opt.best_value > classical_benchmark(prior)
+
+    def test_averaged_cat_search_cost(self, monkeypatch):
+        """The averaged cat's search reads the beta = 0 form at the
+        shifted noise: one form call covers the 101 x 51 (g, gamma) grid
+        and one each stencil step. With the prior's 60-node form, one
+        call per gain row and per stencil row, this point took 235."""
+        calls = []
+        real = optimize._fidelity_form
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "_fidelity_form", counted)
+        opt = optimize_gain_average(
+            "squeezed-cat", 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
+            AlphabetPrior(10.0))
+        assert len(calls) <= 100
+        # evaluations count distinct form points, the grid among them
+        assert opt.evaluations >= 101 * 51
 
 
 class TestOneShot:

@@ -7,7 +7,8 @@ import pytest
 
 import oracles
 from telefid import (CoherentInput, GainSetting, NoiseParams, ParameterError,
-                     PhasePoint, ResourceSpec, fidelity_closed)
+                     PhasePoint, QuadratureError, ResourceSpec,
+                     fidelity_closed, protocol)
 from telefid.phase_space import _chi_input_arrays
 from telefid.protocol import (BellOutcome, chi_bell_conditioned, chi_out,
                               chi_out_ideal, chi_out_via_measurement_average,
@@ -241,6 +242,21 @@ class TestBellConditioning:
         val = chi_bell_conditioned(inp, spec, noise, out,
                                    PhasePoint(0.0, 0.0))
         assert val == pytest.approx(1.0, abs=1e-10)
+
+    @staticmethod
+    def density_of_raw(monkeypatch, raw):
+        monkeypatch.setattr(protocol, "_bell_raw", lambda *args: raw + 0j)
+        return outcome_distribution(CoherentInput(0j),
+                                    ResourceSpec.twin_beam(0.5),
+                                    NoiseParams(), BellOutcome(0.0, 0.0))
+
+    def test_negative_density_past_tolerance_raises(self, monkeypatch):
+        """The quadrature's tolerance over (2pi)^2 is about 2.5e-12."""
+        with pytest.raises(QuadratureError):
+            self.density_of_raw(monkeypatch, -1e-6)
+
+    def test_negative_density_within_tolerance_is_zero(self, monkeypatch):
+        assert self.density_of_raw(monkeypatch, -1e-15) == 0.0
 
 
 class TestMeasurementAverage:
