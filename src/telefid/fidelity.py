@@ -80,7 +80,8 @@ class FidelityForm(NamedTuple):
     families. For the cat, b, e and h vanish like gamma^2 and are formed
     without cancellation, so small gamma loses no digits.
 
-    Fields may be arrays over gamma or (gain, gamma); delta is a scalar.
+    Fields may be arrays over gamma or (gain, gamma). delta is a scalar,
+    or a column against scalar or column fields.
     """
 
     a: object
@@ -90,16 +91,17 @@ class FidelityForm(NamedTuple):
     h: object = 1.0
 
     def value(self, delta):
-        c, s = math.cos(delta), math.sin(delta)
+        xp = np if isinstance(delta, np.ndarray) else math
+        c, s = xp.cos(delta), xp.sin(delta)
         den = self.h + self.n * (c + s) ** 2
         val = self.a + (2 * self.b * s * c + self.e * s * s) / den
         # a value below 0 by less than the rounding of terms that cancel
         # (a ~ -2bsc at large r) is a fidelity that rounds to 0
-        if val < 0 and -val <= CANCEL_EPS * (
-                abs(self.a) + (abs(2 * self.b * s * c)
-                               + abs(self.e * s * s)) / den):
-            return 0.0
-        return val
+        zero = (val < 0) & (-val <= CANCEL_EPS * (
+            abs(self.a) + (abs(2 * self.b * s * c) + abs(self.e * s * s))
+            / den))
+        return (np.where(zero, 0.0, val) if isinstance(val, np.ndarray)
+                else 0.0 if zero else val)
 
     def top(self):
         """(max over delta of F, its argmax in [-pi/2, pi/2]): a plus the
@@ -116,31 +118,49 @@ class FidelityForm(NamedTuple):
         return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
 
 
+def _log(x):
+    """log x, and -inf at x = 0."""
+    return math.log(x) if x else -math.inf
+
+
 def _delta_terms(r, gt, tau, gam):
     """Delta, the scale of all closed forms (see fidelity_closed), and
-    its three terms over Delta, which sum to 1. Past r ~ 354 Delta
-    overflows; the terms over Delta then come from their logarithms and
-    Delta is inf, so 4/Delta underflows to 0 as the fidelity does.
+    its three terms over Delta, which sum to 1. Where a term overflows
+    (past r ~ 354, tau ~ 710, g~ ~ 1e154 or Gamma ~ 1e308), the terms over
+    Delta come from their logarithms, and Delta is inf where it is past
+    a double, so 4/Delta underflows to 0 as the fidelity does.
     Columns of g~ and Gamma give columns, stacked row by row."""
     if isinstance(gt, np.ndarray):
+        # as floats, whose overflow raises rather than warns
         D, terms = zip(*(_delta_terms(r, g, tau, c)
-                         for g, c in zip(gt[:, 0], gam[:, 0])))
+                         for g, c in zip(gt[:, 0].tolist(),
+                                         gam[:, 0].tolist())))
         return np.array(D)[:, None], np.array(terms).T[..., None]
-    ep = math.exp(tau / 2)
-    lo, hi = (1 + ep * gt) ** 2, (1 - ep * gt) ** 2
-    z = 2 * (1 + gt * gt + 2 * gam)
-    if 2 * r - tau < LOG_DBL_MAX:
-        d0, d1 = math.exp(-2 * r - tau) * lo, math.exp(2 * r - tau) * hi
-        D = d0 + d1 + z
-        if D < math.inf:
-            return D, (d0 / D, d1 / D, z / D)
-    logs = (-2 * r - tau + math.log(lo),
-            2 * r - tau + math.log(hi) if hi else -math.inf, math.log(z))
+    try:
+        ep = math.exp(tau / 2)
+        lo, hi = (1 + ep * gt) ** 2, (1 - ep * gt) ** 2
+        z = 2 * (1 + gt * gt + 2 * gam)
+        if 2 * r - tau < LOG_DBL_MAX:
+            d0, d1 = math.exp(-2 * r - tau) * lo, math.exp(2 * r - tau) * hi
+            D = d0 + d1 + z
+            if D < math.inf:
+                return D, (d0 / D, d1 / D, z / D)
+    except OverflowError:
+        pass
+    if gam == math.inf:
+        # z is all of Delta
+        return math.inf, (0.0, 0.0, 1.0)
+    # in eps = e^{-tau/2}, d0 = e^{-2r} (g~ + eps)^2 and d1 = e^{2r}
+    # (g~ - eps)^2; z's parts 2, 2 g~^2 and 4 Gamma go in separately
+    eps = math.exp(-tau / 2)
+    logs = (-2 * r + 2 * _log(gt + eps), 2 * r + 2 * _log(abs(gt - eps)),
+            math.log(2), math.log(2) + 2 * _log(gt), math.log(4) + _log(gam))
     top = max(logs)
     scaled = [math.exp(x - top) for x in logs]
-    log_d = top + math.log(sum(scaled))
+    total = sum(scaled)
+    log_d = top + math.log(total)
     D = math.exp(log_d) if log_d < LOG_DBL_MAX else math.inf
-    return D, [x / sum(scaled) for x in scaled]
+    return D, (scaled[0] / total, scaled[1] / total, sum(scaled[2:]) / total)
 
 
 def _bell_factors(gt, D, at):
@@ -148,16 +168,27 @@ def _bell_factors(gt, D, at):
     beta/sqrt(Delta) and v = x^2 + y^2 = u/Delta, all 0 where e^{-4v} is:
     at one beta, or averaged over an AlphabetPrior as products of 1-D
     Gauss-Hermite sums in Re beta and Im beta. Taken over Delta first, v
-    neither overflows where u^2 would nor is inf/inf."""
+    neither overflows where u^2 would nor is inf/inf. At beta = 0 they
+    are 1, 0, 0 and 0, also for a column of Delta."""
     if isinstance(at, AlphabetPrior):
         t, w = _gh_nodes()
-        q = (gt - 1) ** 2 * at.sigma / D
+        try:
+            q = (gt - 1) ** 2 * at.sigma / D
+        except OverflowError:
+            q = math.inf
+        if not q < 1e150:
+            # every weight e^{-4 q t^2} has underflowed, and q^2 times
+            # their sums would be inf * 0; q is NaN (inf/inf), or
+            # (g~ - 1)^2 overflows, only where Delta is inf and the form 0
+            return 0.0, 0.0, 0.0, 0.0
         ew = w * np.exp(-4 * q * t * t)
         s0 = float(np.sum(ew))
         s1 = q * float(np.sum(ew * t * t))
         s2 = q * q * float(np.sum(ew * t ** 4))
         # x^2 - y^2 has zero mean under the isotropic prior
         return s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1), 0.0
+    if not at:
+        return 1.0, 0.0, 0.0, 0.0
     scale = (gt - 1) / math.sqrt(D)
     x, y = scale * at.real, scale * at.imag
     v = x * x + y * y
@@ -175,7 +206,11 @@ def _bell_form(family, gt, tau, D, terms, factors):
     pm, mm, z = terms
     k = 4 / D
     if family == "buridan":
-        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1) / D
+        # 2 (g~^2 - e^{-tau}) / Delta, taken as 0 where g~^2 overflows:
+        # Delta is inf there, and 4/Delta makes the whole form 0 (columns
+        # come from the optimizer's gains, g~ <= 2)
+        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1)
+        c2 = c2 / D if isinstance(D, np.ndarray) or D < math.inf else 0.0
         return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 + c2),
                             -2 * k * eb * (pm - mm),
                             -2 * k * c2)

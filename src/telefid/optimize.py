@@ -9,9 +9,10 @@ core, _optimize, at beta = 0 on the unity gain or averaged over the prior
 with the gain free; the search reads the prior average exactly as the
 beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma. Every 1-D search
 left is one grid refined by golden section (_grid_then_golden): the
-cat's gamma, the averaged gain and the affinity's r'. The averaged cat's
-(gain, gamma) grid is one broadcast form call, refined by a 3 x 3
-stencil search of one call per step. The subcase points (delta = 0, the
+cat's gamma, the averaged gain and the affinity's r'. Every grid is one
+broadcast form call, a gain grid taking its best delta row by row; the
+averaged cat's (gain, gamma) grid is refined by a 3 x 3 stencil search
+of one call per step. The subcase points (delta = 0, the
 photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
 stay in as a floor, so the subcase-domination inequalities hold exactly
 rather than to rounding. Each optimum's spec comes from ResourceSpec.of,
@@ -83,12 +84,12 @@ def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
     return (c, fc, nfev) if fc > fd else (d, fd, nfev)
 
 
-def _grid_then_golden(fun, grid, broadcast=False):
+def _grid_then_golden(fun, grid):
     """Maximize fun over the span of a grid: the best grid point,
     refined by golden section between its neighbours. fun takes the
-    whole grid in one call when broadcast. Returns (x, f(x), evaluations)
-    of the higher of the two points, the grid point on a tie."""
-    vals = fun(grid) if broadcast else [fun(x) for x in grid]
+    whole grid in one call. Returns (x, f(x), evaluations) of the higher
+    of the two points, the grid point on a tie."""
+    vals = np.ravel(fun(grid))
     i = int(np.argmax(vals))
     x, fx, n = golden_section_max(lambda x: float(fun(x)),
                                   grid[max(i - 1, 0)],
@@ -132,21 +133,22 @@ def _stencil_max(row, start, value, steps, box):
 
 
 def _best_delta(family, r, form):
-    """(delta, value) maximizing the form: the top eigenvector, unless a
-    subcase point is at least as high (delta = 0 and, for squeezed-Bell,
-    the photon-subtraction angle)."""
+    """(delta, value) maximizing the form, row by row for a column form:
+    the first of the highest of the subcase points (delta = 0 and, for
+    squeezed-Bell, the photon-subtraction angle) and the top
+    eigenvector."""
     if family == "twin-beam":
-        return None, float(form.a)
+        return None, form.a
     pss = photon_subtraction_angle(r)
     if family == "photon-subtracted":
-        return pss, float(form.value(pss))
+        return pss, form.value(pss)
     floor = (0.0, pss) if family == "squeezed-bell" else (0.0,)
-    best = (None, -math.inf)
-    for d in floor + (float(form.top()[1]),):
-        v = float(form.value(d))
-        if v > best[1]:
-            best = (d, v)
-    return best
+    deltas = floor + (form.top()[1],)
+    vals = [form.value(d) for d in deltas]
+    i = np.argmax(vals, axis=0)
+    if np.ndim(i):
+        return np.choose(i, deltas), np.choose(i, vals)
+    return float(deltas[i]), float(vals[i])
 
 
 def _optimize(family, r, noise, prior=None):
@@ -176,14 +178,14 @@ def _optimize(family, r, noise, prior=None):
         return gt, gamma_cov(noise, gain) + (gt - 1) ** 2 * sigma
 
     def form(g, gamma=None):
-        # g is one gain or a column of them
-        gt, gam = (np.array([shifted(x) for x in g[:, 0]]).T[..., None]
+        # g is one gain, or a row or column of them taken as a column
+        gt, gam = (np.array([shifted(x) for x in np.ravel(g)]).T[..., None]
                    if np.ndim(g) else shifted(g))
         return _fidelity_form(family, r, 0.0 if gamma is None else gamma,
                               gt, gam, noise.tau, 0j)
 
     def score(g, gamma=None):
-        # the cat's eigenvalue broadcasts over gains and gamma
+        # the cat's eigenvalue or the best delta, over gains (and gamma)
         f = form(g, gamma)
         return f.top()[0] if cat else _best_delta(family, r, f)[1]
 
@@ -191,7 +193,7 @@ def _optimize(family, r, noise, prior=None):
     if prior is None and cat:
         gamma, _, n = _grid_then_golden(
             lambda c: score(g_unity, c),
-            np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS), broadcast=True)
+            np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS))
         point, searched, nfev = (g_unity, gamma), ["golden"], nfev + n
     elif prior is not None:
         base = _optimize(family, r, noise)
@@ -318,7 +320,7 @@ def affinity(spec):
 
     grid = np.linspace(max(0.0, r - AFFINITY_RMAX), r + AFFINITY_RMAX,
                        AFFINITY_POINTS)
-    _, best, _ = _grid_then_golden(overlap_sq, grid, broadcast=True)
+    _, best, _ = _grid_then_golden(overlap_sq, grid)
     # rounding can lift an overlap of exactly 1 just past it
     return min(best, 1.0)
 

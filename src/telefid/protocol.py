@@ -105,8 +105,9 @@ def gamma_cov(noise, gain):
     """Thermal renormalized covariance Gamma of the output Gaussian
     noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2."""
     g = gain.gain(noise)
+    # R^2 = 0 adds nothing, also where g^2 overflows
     return ((1.0 - math.exp(-noise.tau)) * (0.5 + noise.n_th)
-            + g * g * noise.r2)
+            + (g * g * noise.r2 if noise.r2 else 0.0))
 
 
 def _chi_out_arrays(inp, spec, noise, gain, x, p):

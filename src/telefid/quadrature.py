@@ -40,23 +40,23 @@ def tensor_grid(L, n):
     return X, P, W
 
 
-def integrate_adaptive(f, L, tol=CONV_ABS_TOL, ladder=NODE_LADDER):
+def integrate_adaptive(f, L):
     """Integrate f(X, P) over [-L, L]^2, doubling nodes until converged.
 
     f must accept 2D arrays and return the integrand values elementwise.
-    Convergence is |I_n - I_{n/2}| < tol (absolute). Raises
-    QuadratureError when the ladder is exhausted.
+    Convergence is |I_n - I_{n/2}| < CONV_ABS_TOL (absolute). Raises
+    QuadratureError when NODE_LADDER is exhausted.
     """
     prev = None
     delta = np.inf
-    for n in ladder:
+    for n in NODE_LADDER:
         X, P, W = tensor_grid(L, n)
         val = np.sum(W * f(X, P))
         if prev is not None:
             delta = abs(val - prev)
-            if delta < tol:
+            if delta < CONV_ABS_TOL:
                 return val
         prev = val
     raise QuadratureError(
-        f"no convergence on [-{L:.3g}, {L:.3g}]^2 after {ladder[-1]} nodes "
-        f"(last delta {delta:.3e})")
+        f"no convergence on [-{L:.3g}, {L:.3g}]^2 after {NODE_LADDER[-1]} "
+        f"nodes (last delta {delta:.3e})")

@@ -251,6 +251,40 @@ class TestMainExitCodes:
         assert code == 0
         assert capsys.readouterr() == ("0\n", "")
 
+    @pytest.mark.parametrize("argv,value", [
+        (["--resource", "twin-beam", "--tau", "720"], "0.295761922808"),
+        (["--resource", "twin-beam", "--tau", "1500"], "0.295761922808"),
+        (["--resource", "squeezed-bell", "--delta", "0.3", "--tau", "1e308"],
+         "0.192312264633"),
+        (["--resource", "twin-beam", "--gain", "1e160"], "0"),
+        (["--resource", "twin-beam", "--gain", "1e154", "--r2", "0.05"],
+         "0"),
+        (["--resource", "twin-beam", "--nth", "1e308", "--tau", "1"], "0"),
+        (["--resource", "twin-beam", "--gain", "1.1", "--sigma", "1e160"],
+         "0"),
+        (["--resource", "squeezed-bell", "--delta", "0.3", "--gain", "1.1",
+          "--sigma", "1e300"], "0"),
+    ], ids=["tau-720", "tau-1500", "bell-tau-1e308", "gain-1e160",
+            "gain-1e154-r2", "nth-1e308", "sigma-1e160", "bell-sigma-1e300"])
+    def test_overflowing_inputs_exit_0(self, argv, value, capsys):
+        """A long channel, a huge gain or noise, or a prior so wide that
+        every Gauss-Hermite weight underflows: each used to exit 4. A long
+        channel gives the fully lossy limit, the others 0."""
+        code = main(["fidelity", "--r", "1"] + argv)
+        assert code == 0
+        assert capsys.readouterr() == (value + "\n", "")
+
+    @pytest.mark.parametrize("argv", [
+        ["--resource", "twin-beam"],
+        ["--resource", "squeezed-cat", "--sigma", "10"]],
+        ids=["twin-beam", "cat-sigma-10"])
+    def test_optimize_over_a_long_channel_exits_0(self, argv, capsys):
+        """e^{tau/2} overflowed at tau = 1500 (exit 4)."""
+        code = main(["optimize", "--r", "1", "--tau", "1500"] + argv)
+        out = capsys.readouterr()
+        assert code == 0 and out.err == ""
+        assert 0 < float(out.out.split(",")[-1]) <= 1
+
     def test_one_shot_outside_the_prior_support_exits_2(self, capsys):
         """|beta|^2 = 1e4 > 700 sigma; the command line used to print
         1.01363374149e-121 here, while the library raised."""

@@ -14,6 +14,7 @@ from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed, fidelity_gaussian_oracle,
                      fidelity_quadrature, gamma_cov)
+from telefid.phase_space import CORE_PARAMS
 
 IDEAL = NoiseParams()
 UNITY = GainSetting.fixed(1.0)
@@ -395,6 +396,86 @@ class TestCatLimits:
             0.5, delta=0.4, gamma_mod=gamma_mod), IDEAL, gain)
         assert got.value == pytest.approx(twin.value, rel=1e-12)
 
+
+class TestOverflowingInputs:
+    """Delta's terms past a double: a long channel, a huge gain, a huge
+    thermal noise, or a prior too wide for the Gauss-Hermite rule."""
+
+    @pytest.mark.parametrize("tau", [720.0, 1500.0, 1e308])
+    @pytest.mark.parametrize("spec", [
+        ResourceSpec.twin_beam(1.0),
+        ResourceSpec.squeezed_bell(1.0, delta=0.3)],
+        ids=["twin-beam", "squeezed-bell"])
+    def test_long_channel_is_the_fully_lossy_limit(self, spec, tau):
+        """(1 +- e^{tau/2} g~)^2 overflowed past tau ~ 710 and e^{tau/2}
+        past tau ~ 1420 (exit 4). e^{-tau} is below rounding long before,
+        so the value is the tau = 705 one, which the direct arithmetic
+        reaches; the quadrature, another route, agrees."""
+        gain = GainSetting.fixed(1.0)
+        want = fidelity_closed(spec, NoiseParams(tau=705.0), gain).value
+        got = fidelity_closed(spec, NoiseParams(tau=tau), gain).value
+        assert got == pytest.approx(want, abs=1e-12)
+        quad = fidelity_quadrature(CoherentInput(0j), spec,
+                                   NoiseParams(tau=tau), gain).value
+        assert got == pytest.approx(quad, abs=1e-10)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("noise,g", [
+        (IDEAL, 1e160), (NoiseParams(r2=0.05), 1e154),
+        (NoiseParams(tau=1.0, n_th=1e308), 1.0),
+        (NoiseParams(r2=0.05), 1e200)],
+        ids=["gain-1e160", "gain-1e154-r2", "nth-1e308", "infinite-gamma"])
+    def test_huge_gain_or_noise(self, family, noise, g):
+        """g~^2 overflowed a float power, or z = 2 (1 + g~^2 + 2 Gamma)
+        overflowed and log(inf) - inf was NaN (exit 4). Delta is far past
+        a double, so the fidelity is 0 to within 1e-300."""
+        core = ({"delta": 0.3} if "delta" in CORE_PARAMS.get(family, ())
+                else {})
+        if family == "squeezed-cat":
+            core["gamma_mod"] = 1.0
+        got = fidelity_closed(ResourceSpec.of(family, 1.0, **core), noise,
+                              GainSetting.fixed(g), 0.5 - 0.3j).value
+        assert 0.0 <= got <= 1e-300
+
+    @pytest.mark.parametrize("spec,sigma", [
+        (ResourceSpec.twin_beam(1.0), 1e160),
+        (ResourceSpec.squeezed_bell(1.0, delta=0.3), 1e300)],
+        ids=["twin-1e160", "bell-1e300"])
+    def test_huge_prior_variance(self, spec, sigma):
+        """Every Gauss-Hermite weight e^{-4 q t^2} underflows, and q^2
+        times their sum was inf * 0 (NaN, exit 4). The exact twin-beam
+        average, 4/(Delta + 4q) with q = (g~ - 1)^2 sigma, bounds it."""
+        gain = GainSetting.fixed(1.1)
+        q = (1.1 - 1) ** 2 * sigma
+        D = delta_scale_ref(1.0, 1.1, 0.0, gamma_cov(IDEAL, gain))
+        got = average_fidelity(spec, IDEAL, gain, AlphabetPrior(sigma)).value
+        assert abs(got - 4 / (D + 4 * q)) <= 1e-12
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 1000.0),
+    delta=st.floats(-math.pi, math.pi),
+    gamma=st.floats(0.0, 10.0),
+    g=st.floats(5e-324, sys.float_info.max),
+    tau=st.floats(0.0, sys.float_info.max),
+    n_th=st.floats(0.0, sys.float_info.max),
+    r2=st.floats(0.0, 0.99),
+    beta=st.complex_numbers(max_magnitude=10.0),
+)
+def test_closed_fidelity_over_any_channel(family, r, delta, gamma, g, tau,
+                                          n_th, r2, beta):
+    """Every finite tau, gain and noise gives a closed fidelity in
+    [0, 1], with no NumericalError: Delta's terms never overflow."""
+    core = {k: v for k, v in (("delta", delta), ("gamma_mod", gamma))
+            if k in CORE_PARAMS.get(family, ())}
+    try:
+        spec = ResourceSpec.of(family, r, **core)
+    except ParameterError:
+        return  # a degenerate cat core
+    val = fidelity_closed(spec, NoiseParams(tau=tau, n_th=n_th, r2=r2),
+                          GainSetting.fixed(g), beta).value
+    assert 0.0 <= val <= 1.0 + 1e-9
 
 def test_gaussian_oracle_report():
     noise = NoiseParams(tau=0.15, n_th=0.05, r2=0.06)

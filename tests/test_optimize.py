@@ -14,7 +14,9 @@ import oracles
 import telefid.optimize as optimize
 from telefid import (FAMILIES, AlphabetPrior, GainSetting, NoiseParams,
                      NumericalError, ParameterError, ResourceSpec,
-                     average_fidelity, classical_benchmark, fidelity_closed)
+                     average_fidelity, classical_benchmark, fidelity_closed,
+                     gamma_cov)
+from telefid.fidelity import _fidelity_form
 from telefid.optimize import (AFFINITY_RMAX, _grid_then_golden,
                               _stencil_max, affinity, fidelity_at_optimum,
                               golden_section_max, one_shot_fidelity,
@@ -41,7 +43,7 @@ class TestGoldenSection:
     def test_grid_then_golden_refines(self):
         grid = np.linspace(0.0, 2.0, 21)
         x, fx, nfev = _grid_then_golden(lambda x: 2 - (x - 0.73) ** 2,
-                                        grid, broadcast=True)
+                                        grid)
         assert x == pytest.approx(0.73, abs=1e-7)
         assert fx == pytest.approx(2.0, abs=1e-15)
         assert nfev > len(grid)
@@ -51,7 +53,7 @@ class TestGoldenSection:
         grid = np.linspace(0.0, 1.0, 11)
 
         def spike(x):
-            return 1.0 if x == grid[4] else x / 2
+            return np.where(x == grid[4], 1.0, x / 2)
 
         x, fx, _ = _grid_then_golden(spike, grid)
         assert (x, fx) == (grid[4], 1.0)
@@ -395,6 +397,53 @@ class TestAveragedOptimization:
         assert len(calls) <= 100
         # evaluations count distinct form points, the grid among them
         assert opt.evaluations >= 101 * 51
+
+    @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
+                                        "buridan", "photon-subtracted"])
+    def test_averaged_bell_search_cost(self, family, monkeypatch):
+        """The Bell-type gain grid is one form call, and each golden
+        section step one more; with one call per grid point this point
+        took 138. The evaluations, the 101 grid points among them, are
+        counted as before."""
+        calls = []
+        real = optimize._fidelity_form
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(optimize, "_fidelity_form", counted)
+        opt = optimize_gain_average(
+            family, 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
+            AlphabetPrior(10.0))
+        assert len(calls) <= 45
+        assert opt.evaluations == 139
+
+
+@pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell", "buridan",
+                                    "photon-subtracted"])
+def test_column_best_delta_is_the_rows_best_delta(family):
+    """The Bell-type gain grid takes the best delta of a column form: row
+    by row it must be the scalar choice, to the bit, so that the grid's
+    best point is the same. 101 gains with the unity gain among them, at
+    the prior-shifted noise Gamma + (g~ - 1)^2 sigma."""
+    r, noise, sigma = 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05), 10.0
+    gains = [GainSetting.fixed(g) for g in np.linspace(0.02, 2.0, 100)]
+    gains.insert(50, GainSetting.unity_over_t())
+    rows = [(gain.effective(noise), gamma_cov(noise, gain)
+             + (gain.effective(noise) - 1) ** 2 * sigma) for gain in gains]
+    gt, gam = np.array(rows).T[..., None]
+    col_delta, vals = optimize._best_delta(family, r, _fidelity_form(
+        family, r, 0.0, gt, gam, noise.tau, 0j))
+    assert vals.shape == gt.shape
+    for k, (g, c) in enumerate(rows):
+        delta, val = optimize._best_delta(family, r, _fidelity_form(
+            family, r, 0.0, g, c, noise.tau, 0j))
+        assert vals[k, 0] == val
+        if delta is None:
+            assert col_delta is None
+        else:
+            assert np.broadcast_to(col_delta, gt.shape)[k, 0] == delta
 
 
 class TestOneShot:
