@@ -118,49 +118,26 @@ class FidelityForm(NamedTuple):
         return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
 
 
-def _log(x):
-    """log x, and -inf at x = 0."""
-    return math.log(x) if x else -math.inf
-
-
 def _delta_terms(r, gt, tau, gam):
     """Delta, the scale of all closed forms (see fidelity_closed), and
-    its three terms over Delta, which sum to 1. Where a term overflows
-    (past r ~ 354, tau ~ 710, g~ ~ 1e154 or Gamma ~ 1e308), the terms over
-    Delta come from their logarithms, and Delta is inf where it is past
-    a double, so 4/Delta underflows to 0 as the fidelity does.
-    Columns of g~ and Gamma give columns, stacked row by row."""
+    its terms over Delta, summing to 1. e^{r} |g~ - eps| is one
+    exponential and squares are products, so no term overflows before
+    Delta; where Delta is inf, 4/Delta = 0 makes every form 0. Columns
+    of g~ and Gamma give columns, stacked row by row."""
     if isinstance(gt, np.ndarray):
-        # as floats, whose overflow raises rather than warns
         D, terms = zip(*(_delta_terms(r, g, tau, c)
                          for g, c in zip(gt[:, 0].tolist(),
                                          gam[:, 0].tolist())))
         return np.array(D)[:, None], np.array(terms).T[..., None]
-    try:
-        ep = math.exp(tau / 2)
-        lo, hi = (1 + ep * gt) ** 2, (1 - ep * gt) ** 2
-        z = 2 * (1 + gt * gt + 2 * gam)
-        if 2 * r - tau < LOG_DBL_MAX:
-            d0, d1 = math.exp(-2 * r - tau) * lo, math.exp(2 * r - tau) * hi
-            D = d0 + d1 + z
-            if D < math.inf:
-                return D, (d0 / D, d1 / D, z / D)
-    except OverflowError:
-        pass
-    if gam == math.inf:
-        # z is all of Delta
-        return math.inf, (0.0, 0.0, 1.0)
-    # in eps = e^{-tau/2}, d0 = e^{-2r} (g~ + eps)^2 and d1 = e^{2r}
-    # (g~ - eps)^2; z's parts 2, 2 g~^2 and 4 Gamma go in separately
     eps = math.exp(-tau / 2)
-    logs = (-2 * r + 2 * _log(gt + eps), 2 * r + 2 * _log(abs(gt - eps)),
-            math.log(2), math.log(2) + 2 * _log(gt), math.log(4) + _log(gam))
-    top = max(logs)
-    scaled = [math.exp(x - top) for x in logs]
-    total = sum(scaled)
-    log_d = top + math.log(total)
-    D = math.exp(log_d) if log_d < LOG_DBL_MAX else math.inf
-    return D, (scaled[0] / total, scaled[1] / total, sum(scaled[2:]) / total)
+    log_hi = r + math.log(abs(gt - eps)) if gt != eps else -math.inf
+    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
+    lo = math.exp(-r) * (gt + eps)
+    d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
+    D = d0 + d1 + z
+    if D == math.inf:
+        return D, (0.0, 0.0, 1.0)
+    return D, (d0 / D, d1 / D, z / D)
 
 
 def _bell_factors(gt, D, at):
@@ -172,14 +149,11 @@ def _bell_factors(gt, D, at):
     are 1, 0, 0 and 0, also for a column of Delta."""
     if isinstance(at, AlphabetPrior):
         t, w = _gh_nodes()
-        try:
-            q = (gt - 1) ** 2 * at.sigma / D
-        except OverflowError:
-            q = math.inf
+        q = (gt - 1) * (gt - 1) * at.sigma / D
         if not q < 1e150:
             # every weight e^{-4 q t^2} has underflowed, and q^2 times
-            # their sums would be inf * 0; q is NaN (inf/inf), or
-            # (g~ - 1)^2 overflows, only where Delta is inf and the form 0
+            # their sums would be inf * 0; q is NaN (inf/inf) only where
+            # Delta is inf and the form 0
             return 0.0, 0.0, 0.0, 0.0
         ew = w * np.exp(-4 * q * t * t)
         s0 = float(np.sum(ew))
@@ -206,11 +180,11 @@ def _bell_form(family, gt, tau, D, terms, factors):
     pm, mm, z = terms
     k = 4 / D
     if family == "buridan":
-        # 2 (g~^2 - e^{-tau}) / Delta, taken as 0 where g~^2 overflows:
-        # Delta is inf there, and 4/Delta makes the whole form 0 (columns
-        # come from the optimizer's gains, g~ <= 2)
-        c2 = 2 * (gt * gt - math.exp(-tau)) * (e0 - 4 * e1)
-        c2 = c2 / D if isinstance(D, np.ndarray) or D < math.inf else 0.0
+        # 2 (g~^2 - e^{-tau}) / Delta = 2 sgn(g~ - eps) sqrt(pm mm), as
+        # (g~ + eps)|g~ - eps| = sqrt(d0 d1)
+        xp = np if isinstance(pm, np.ndarray) else math
+        c2 = (2 * xp.copysign(xp.sqrt(pm * mm), gt - math.exp(-tau / 2))
+              * (e0 - 4 * e1))
         return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 + c2),
                             -2 * k * eb * (pm - mm),
                             -2 * k * c2)
@@ -296,14 +270,10 @@ def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
     one amplitude beta or averaged over an AlphabetPrior. For the cat at
     one beta, g~ and Gamma may be columns."""
-    try:
-        D, terms = _delta_terms(r, gt, tau, gam)
-        if family == "squeezed-cat":
-            return _cat_form(gamma, gt, tau, D, terms, at)
-        return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
-    except OverflowError as exc:
-        raise NumericalError(
-            f"{family} closed form overflows at r = {r}") from exc
+    D, terms = _delta_terms(r, gt, tau, gam)
+    if family == "squeezed-cat":
+        return _cat_form(gamma, gt, tau, D, terms, at)
+    return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
 
 
 def _is_multiple(angle, period):
@@ -345,9 +315,8 @@ def _closed_value(spec, noise, gain, at):
 def fidelity_closed(spec, noise, gain, beta=0j):
     """Closed-form fidelity at the specialized phases.
 
-    Internally g~ = g T and the scale
-    Delta = e^{-2r-tau}(1 + e^{tau/2} g~)^2
-          + e^{2r-tau}(1 - e^{tau/2} g~)^2 + 2(1 + g~^2 + 2 Gamma)
+    Internally g~ = g T and, with eps = e^{-tau/2}, the scale
+    Delta = (e^{-r}(g~ + eps))^2 + (e^{r}(g~ - eps))^2 + 2(1 + g~^2 + 2 Gamma)
     set the overall 4/Delta prefactor and every exponent.
     """
     beta = complex(beta)
@@ -357,14 +326,18 @@ def fidelity_closed(spec, noise, gain, beta=0j):
 
 def _overlap(inp, spec, noise, gain, spread=0.0):
     """(1/2pi) int chi_in(x,p) chi_out(-x,-p) e^{-spread (x^2+p^2)} dx dp
-    by adaptive quadrature."""
+    by adaptive quadrature; 0 where the envelope's rate is inf, as the
+    integrand is bounded and vanishes off the origin."""
     def integrand(x, p):
         val = (_chi_input_arrays(inp.beta, x, p)
                * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
         return val * np.exp(-spread * (x * x + p * p)) if spread else val
 
-    L = box_halfwidth(0.25 + gamma_cov(noise, gain) / 2
-                      + gain.effective(noise) ** 2 / 4 + spread)
+    gt = gain.effective(noise)
+    rate = 0.25 + gamma_cov(noise, gain) / 2 + gt * gt / 4 + spread
+    if rate == math.inf:
+        return 0.0
+    L = box_halfwidth(rate)
     return float((integrate_adaptive(integrand, L) / (2 * math.pi)).real)
 
 
@@ -388,7 +361,8 @@ def average_fidelity(spec, noise, gain, prior):
         val = _closed_value(spec, noise, gain, prior)
         method = "closed"
     except PhaseSpecializationError:
-        spread = (1 - gain.effective(noise)) ** 2 * prior.sigma / 2
+        gap = 1 - gain.effective(noise)
+        spread = gap * gap * prior.sigma / 2
         val = _overlap(CoherentInput(0j), spec, noise, gain, spread)
         method = "quadrature"
     return FidelityReport(val, method, spec, noise, gain, sigma=prior.sigma)

@@ -57,20 +57,18 @@ class OptimizationResult:
     gain: GainSetting | None = None
 
 
-def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
-    """Maximize a unimodal function on [lo, hi].
+def golden_section_max(fun, lo, hi):
+    """Maximize a unimodal function on [lo, hi] to PARAM_XTOL.
 
     Returns (x_opt, f_opt, evaluations). Plain golden-section search;
     deterministic evaluation count for reproducible optimizer metadata.
     """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
-    c = b - gr * (b - a)
-    d = a + gr * (b - a)
-    fc, fd = fun(c), fun(d)
-    nfev = 2
-    for _ in range(max_iter):
-        if b - a < tol:
+    c, d = b - gr * (b - a), a + gr * (b - a)
+    fc, fd, nfev = fun(c), fun(d), 2
+    for _ in range(200):
+        if b - a < PARAM_XTOL:
             break
         if fc > fd:
             b, d, fd = d, c, fc
@@ -87,16 +85,19 @@ def golden_section_max(fun, lo, hi, tol=PARAM_XTOL, max_iter=200):
 def _grid_then_golden(fun, grid):
     """Maximize fun over the span of a grid: the best grid point,
     refined by golden section between its neighbours. fun takes the
-    whole grid in one call. Returns (x, f(x), evaluations) of the higher
-    of the two points, the grid point on a tie."""
-    vals = np.ravel(fun(grid))
-    i = int(np.argmax(vals))
-    x, fx, n = golden_section_max(lambda x: float(fun(x)),
-                                  grid[max(i - 1, 0)],
-                                  grid[min(i + 1, len(grid) - 1)])
-    if fx > vals[i]:
-        return float(x), fx, len(grid) + n
-    return float(grid[i]), float(vals[i]), len(grid) + n
+    whole grid in one call, and a column per smooth branch is refined on
+    its own. Returns (x, f(x), evaluations) of the highest point, the
+    first on a tie (a grid point before its refinement)."""
+    vals, best, nfev = np.reshape(fun(grid), (len(grid), -1)), [], len(grid)
+    for j, col in enumerate(vals.T):
+        i = int(np.argmax(col))
+        x, fx, n = golden_section_max(
+            lambda x: float(fun(x)[j] if vals.shape[1] > 1 else fun(x)),
+            grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
+        best += [(float(col[i]), float(grid[i])), (fx, float(x))]
+        nfev += n
+    fx, x = max(best, key=lambda c: c[0])
+    return x, fx, nfev
 
 
 def _stencil_max(row, start, value, steps, box):
@@ -187,6 +188,10 @@ def _optimize(family, r, noise, prior=None):
     def score(g, gamma=None):
         # the cat's eigenvalue or the best delta, over gains (and gamma)
         f = form(g, gamma)
+        if family == "buridan":
+            # F = a + e sin^2 delta at beta = 0 (b = 0): max(a, a + e)
+            # kinks where e changes sign, so each side is its own branch
+            return np.hstack((f.a, f.a + f.e))
         return f.top()[0] if cat else _best_delta(family, r, f)[1]
 
     point, searched, nfev = (g_unity, None), [], 1
@@ -215,7 +220,7 @@ def _optimize(family, r, noise, prior=None):
             found, searched = (g, None), ["golden"]
         unity = (g_unity, base.gamma_opt)
         # first of the highest candidates
-        point = max([(value, found), (float(score(*unity)), unity)],
+        point = max([(value, found), (np.max(score(*unity)), unity)],
                     key=lambda c: c[0])[1]
         # the searches, the unity candidate and the public average
         nfev += base.evaluations + n + 2

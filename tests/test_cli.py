@@ -275,6 +275,22 @@ class TestMainExitCodes:
         assert capsys.readouterr() == (value + "\n", "")
 
     @pytest.mark.parametrize("argv", [
+        ["--resource", "twin-beam", "--method", "quadrature"],
+        ["--resource", "twin-beam", "--method", "quadrature", "--r2", "0.05"],
+        ["--resource", "squeezed-bell", "--delta", "0.3", "--theta", "1",
+         "--sigma", "10"]],
+        ids=["gain-1e160", "gain-1e160-r2", "off-phase-prior"])
+    def test_quadrature_at_overflowing_gain_exits_0(self, argv, capsys):
+        """g~^2 and the prior's (1 - g~)^2 overflowed a float power (a
+        traceback); formed as products, they make the box's envelope rate
+        inf, and with R^2 > 0 the noise factor e^{-Gamma (x^2 + p^2)/2}
+        was NaN at the origin (exit 4). The fidelity is 0, as on the
+        closed route."""
+        code = main(["fidelity", "--r", "1", "--gain", "1e160"] + argv)
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+    @pytest.mark.parametrize("argv", [
         ["--resource", "twin-beam"],
         ["--resource", "squeezed-cat", "--sigma", "10"]],
         ids=["twin-beam", "cat-sigma-10"])

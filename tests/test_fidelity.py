@@ -14,6 +14,7 @@ from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed, fidelity_gaussian_oracle,
                      fidelity_quadrature, gamma_cov)
+from telefid.fidelity import _delta_terms
 from telefid.phase_space import CORE_PARAMS
 
 IDEAL = NoiseParams()
@@ -395,6 +396,68 @@ class TestCatLimits:
         got = fidelity_closed(ResourceSpec.squeezed_cat(
             0.5, delta=0.4, gamma_mod=gamma_mod), IDEAL, gain)
         assert got.value == pytest.approx(twin.value, rel=1e-12)
+
+
+class TestDeltaTerms:
+    """Delta and its terms over Delta against 50-digit arithmetic, with
+    eps = e^{-tau/2} rounded as the program rounds it, so that g~ - eps
+    is exact near the ridge g~ = eps. The factor e^{r} |g~ - eps| is the
+    exponential of x = r + log |g~ - eps|, whose rounding is a relative
+    error of |x| ulp, so the bound grows with |x|."""
+
+    @staticmethod
+    def reference(r, gt, tau, gam):
+        eps = math.exp(-tau / 2)
+        with mpmath.workdps(50):
+            r, gt, gam, eps = map(mpmath.mpf, (r, gt, gam, eps))
+            d0 = (mpmath.exp(-r) * (gt + eps)) ** 2
+            d1 = (mpmath.exp(r) * (gt - eps)) ** 2
+            z = 2 * (1 + gt * gt + 2 * gam)
+            D = d0 + d1 + z
+            return D, (d0 / D, d1 / D, z / D)
+
+    def check(self, r, gt, tau, gam):
+        D, terms = _delta_terms(r, gt, tau, gam)
+        want, want_terms = self.reference(r, gt, tau, gam)
+        if want > sys.float_info.max:
+            assert (D, terms) == (math.inf, (0.0, 0.0, 1.0))
+            return
+        gap = abs(gt - math.exp(-tau / 2))
+        x = r + math.log(gap) if gap else 0.0
+        tol = sys.float_info.epsilon * (4 + 2 * abs(x))
+        assert abs(D - want) <= tol * want
+        assert all(abs(t - w) <= tol for t, w in zip(terms, want_terms))
+        assert sum(terms) == pytest.approx(1.0, abs=4e-16)
+
+    def test_normal_range(self):
+        """r <= 5, tau <= 3, Gamma <= 2, and g~ in [0.01, 2.5] or on the
+        ridge to within 1e-6."""
+        rng = np.random.default_rng(14)
+        for _ in range(2000):
+            r, gam = rng.uniform(0.0, 5.0), rng.uniform(0.0, 2.0)
+            tau = 0.0 if rng.random() < 0.2 else rng.uniform(0.0, 3.0)
+            gt = (rng.uniform(0.01, 2.5) if rng.random() < 0.5 else
+                  math.exp(-tau / 2) * (1 + rng.uniform(-1e-6, 1e-6)))
+            self.check(r, gt, tau, gam)
+
+    @pytest.mark.parametrize("r,gt,tau,gam", [
+        # r past 354: Delta is finite only near the ridge
+        (360.0, 1.3, 0.0, 0.2), (360.0, 1.0, 0.0, 0.2),
+        (370.0, 1.0 + 2 ** -52, 0.0, 0.2), (1e308, 1.0, 0.0, 0.2),
+        (500.0, math.exp(-300.0) * (1 + 2 ** -50), 600.0, 0.5),
+        (650.0, math.exp(-300.0) * (1 + 2 ** -50), 600.0, 0.5),
+        # tau past 710: eps underflows
+        (1.0, 1.3, 720.0, 0.5), (1.0, 1.3, 1500.0, 0.5),
+        (1.0, 1.3, 1e308, 0.5),
+        # g~ past 1e154: g~^2 overflows
+        (0.0, 5e153, 0.0, 0.0), (1.0, 1e155, 0.0, 0.0),
+        (1.0, 1e160, 0.3, 0.0), (1.0, sys.float_info.max, 0.3, 0.0),
+        # Gamma past 1e300
+        (1.0, 1.3, 0.3, 1e301), (1.0, 1.3, 0.3, 1e308),
+        (1.0, 1.3, 0.3, math.inf),
+    ])
+    def test_past_the_double_range(self, r, gt, tau, gam):
+        self.check(r, gt, tau, gam)
 
 
 class TestOverflowingInputs:
