@@ -11,6 +11,7 @@ values, prior averages and the optimizers all read it, and the best
 delta is a 2x2 eigenvalue.
 """
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -20,11 +21,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (NumericalError, ParameterError,
-                     PhaseSpecializationError)
+                     PhaseSpecializationError, QuadratureError)
 from .phase_space import (CoherentInput, ResourceSpec, _chi_input_arrays,
                           _require_finite)
 from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
-from .quadrature import box_halfwidth, integrate_adaptive
+from .quadrature import CONV_ABS_TOL, integrate_adaptive
 
 GH_ORDER = 60
 # |angle mod 2pi| below this counts as the specialized phase
@@ -185,7 +186,11 @@ def _bell_form(family, gt, tau, D, terms, factors):
         xp = np if isinstance(pm, np.ndarray) else math
         c2 = (2 * xp.copysign(xp.sqrt(pm * mm), gt - math.exp(-tau / 2))
               * (e0 - 4 * e1))
-        return FidelityForm(k * (e0 * z + 4 * (pm + mm) * e1 + c2),
+        # a, the |01> core's fidelity, is >= 0, but e0 z and c2 cancel as
+        # g~, Gamma and tau go to 0; (a + |a|)/2 is max(a, 0) on scalars
+        # and arrays alike, so rounding below 0 is 0
+        a = k * (e0 * z + 4 * (pm + mm) * e1 + c2)
+        return FidelityForm((a + abs(a)) / 2,
                             -2 * k * eb * (pm - mm),
                             -2 * k * c2)
     pair = 16 * (pm - mm) ** 2 * (e2 - e1)
@@ -326,19 +331,35 @@ def fidelity_closed(spec, noise, gain, beta=0j):
 
 def _overlap(inp, spec, noise, gain, spread=0.0):
     """(1/2pi) int chi_in(x,p) chi_out(-x,-p) e^{-spread (x^2+p^2)} dx dp
-    by adaptive quadrature; 0 where the envelope's rate is inf, as the
-    integrand is bounded and vanishes off the origin."""
+    by adaptive quadrature on the integrand's exact Gaussian envelope
+    e^{-c (x^2+p^2)}, c = Delta_phi/8 + spread, with eps = e^{-tau/2} and
+    Delta_phi = e^{2r}|g~ + e^{i phi} eps|^2 + e^{-2r}|g~ - e^{i phi} eps|^2
+    + 2(1 + g~^2 + 2 Gamma), the closed forms' Delta at phi = pi. As in
+    _delta_terms, e^{r}|g~ + e^{i phi} eps| is one exponential and
+    squares are products, so c overflows only to inf; there the fidelity
+    is 0, as the integrand is bounded and vanishes off the origin. A
+    negative value within the quadrature's tolerance, CONV_ABS_TOL/(2pi),
+    is a fidelity that rounds to 0; below it, QuadratureError."""
     def integrand(x, p):
         val = (_chi_input_arrays(inp.beta, x, p)
                * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
         return val * np.exp(-spread * (x * x + p * p)) if spread else val
 
     gt = gain.effective(noise)
-    rate = 0.25 + gamma_cov(noise, gain) / 2 + gt * gt / 4 + spread
+    eps_phi = cmath.exp(1j * spec.phi - noise.tau / 2)
+    log_hi = (spec.r + math.log(abs(gt + eps_phi)) if gt + eps_phi
+              else -math.inf)
+    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
+    lo = math.exp(-spec.r) * abs(gt - eps_phi)
+    delta_phi = hi * hi + lo * lo + 2 * (1 + gt * gt
+                                         + 2 * gamma_cov(noise, gain))
+    rate = delta_phi / 8 + spread
     if rate == math.inf:
         return 0.0
-    L = box_halfwidth(rate)
-    return float((integrate_adaptive(integrand, L) / (2 * math.pi)).real)
+    val = float((integrate_adaptive(integrand, rate) / (2 * math.pi)).real)
+    if val < -CONV_ABS_TOL / (2 * math.pi):
+        raise QuadratureError(f"overlap fidelity {val:.3g} < 0")
+    return max(val, 0.0)
 
 
 def fidelity_quadrature(inp, spec, noise, gain):

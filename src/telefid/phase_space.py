@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 
 MAX_FOCK_ORDER = 64
 # smallest squeezed-cat squared norm accepted before the state is
@@ -229,6 +229,15 @@ def coherent_displacement_overlap(g1, xi, g2):
     return val if val.ndim else complex(val)
 
 
+def _cosh_sinh(r):
+    """cosh r and sinh r; NumericalError past r ~ 710, where they
+    overflow a double."""
+    try:
+        return math.cosh(r), math.sinh(r)
+    except OverflowError:
+        raise NumericalError(f"cosh r overflows at r = {r}") from None
+
+
 def bogoliubov_args(zeta, alpha1, alpha2):
     """Displacement arguments after conjugation by the squeezer.
 
@@ -237,7 +246,7 @@ def bogoliubov_args(zeta, alpha1, alpha2):
     """
     r = abs(zeta)
     ph = cmath.phase(zeta) if r else 0.0
-    ch, sh = math.cosh(r), math.sinh(r)
+    ch, sh = _cosh_sinh(r)
     phase = cmath.exp(1j * ph)
     xi1 = ch * np.asarray(alpha1, dtype=complex) + phase * sh * np.conj(alpha2)
     xi2 = ch * np.asarray(alpha2, dtype=complex) + phase * sh * np.conj(alpha1)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DegeneracyError, ParameterError, QuadratureError
 from .phase_space import (SQRT2, PhasePoint, _chi_input_arrays,
-                          _chi_resource_arrays, _require_finite)
+                          _chi_resource_arrays, _cosh_sinh, _require_finite)
 from .quadrature import (CONV_ABS_TOL, _leggauss, box_halfwidth,
                          integrate_adaptive)
 
@@ -156,8 +156,10 @@ def _bell_raw(inp, spec, noise, outcome, x2, p2):
                 * _chi_input_arrays(inp.beta, T * xi / SQRT2, T * v / SQRT2)
                 * _chi_resource_arrays(spec, a1, a2))
 
-    L = box_halfwidth(T * T / 8 + noise.r2 / 4)
-    return integrate_adaptive(integrand, L) / (2 * math.pi) ** 2
+    # envelope rate T^2 (1 + cosh 2r)/8 + R^2/4, with 1 + cosh 2r = 2 cosh^2 r
+    c = T * _cosh_sinh(spec.r)[0] / 2
+    return (integrate_adaptive(integrand, c * c + noise.r2 / 4)
+            / (2 * math.pi) ** 2)
 
 
 def outcome_distribution(inp, spec, noise, outcome):

@@ -33,8 +33,9 @@ def _report(label, ok, detail):
 
 
 def _random_spec(rng, family):
-    """A random resource on the supported closed-form domain."""
-    r = rng.uniform(0.05, 1.5)
+    """A random resource on the closed-form domain, in the optimizer's
+    box and past it in r: r <= 8, cat amplitude <= 5 at any r."""
+    r = rng.uniform(0.05, 8.0)
     if family == "twin-beam":
         return ResourceSpec.twin_beam(r)
     if family == "photon-subtracted":
@@ -46,18 +47,18 @@ def _random_spec(rng, family):
         return ResourceSpec.buridan_donkey(r, delta=delta)
     while True:
         spec = ResourceSpec.squeezed_cat(
-            min(r, 0.9), delta=delta, gamma_mod=rng.uniform(0.0, 1.2),
+            r, delta=delta, gamma_mod=rng.uniform(0.0, 5.0),
             gamma_phase=math.pi * rng.integers(0, 2))
         if spec.norm_sq >= 1e-6:
             return spec
         delta = rng.uniform(-math.pi / 2, math.pi / 2)
 
 
-def _random_noise_gain(rng):
-    noise = NoiseParams(tau=rng.uniform(0.0, 0.5),
+def _random_noise_gain(rng, tau_max=0.5, gt_range=(0.5, 1.5)):
+    noise = NoiseParams(tau=rng.uniform(0.0, tau_max),
                         n_th=rng.uniform(0.0, 0.5),
                         r2=rng.uniform(0.0, 0.2))
-    gt = rng.uniform(0.5, 1.5)
+    gt = rng.uniform(*gt_range)
     return noise, GainSetting.fixed(gt / noise.transmissivity)
 
 
@@ -68,7 +69,9 @@ def _random_beta(rng, radius=3.0):
 
 
 def test_01_closed_forms_match_quadrature():
-    """200 random points per family, |closed - quadrature| <= 1e-8."""
+    """200 random points per family, |closed - quadrature| <= 1e-8, over
+    r <= 8, cat amplitude <= 5, |beta| <= 5, g~ in [0.1, 2], tau <= 1,
+    n_th <= 0.5 and R^2 <= 0.2."""
     budget = 120.0
     start = time.perf_counter()
     worst = 0.0
@@ -76,8 +79,8 @@ def test_01_closed_forms_match_quadrature():
         rng = np.random.default_rng(1000 + k)
         for _ in range(200):
             spec = _random_spec(rng, family)
-            noise, gain = _random_noise_gain(rng)
-            beta = _random_beta(rng)
+            noise, gain = _random_noise_gain(rng, 1.0, (0.1, 2.0))
+            beta = _random_beta(rng, 5.0)
             closed = fidelity_closed(spec, noise, gain, beta=beta).value
             quad = fidelity_quadrature(CoherentInput(beta), spec, noise,
                                        gain).value

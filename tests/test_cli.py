@@ -291,6 +291,60 @@ class TestMainExitCodes:
         assert capsys.readouterr() == ("0\n", "")
 
     @pytest.mark.parametrize("argv", [
+        ["--r", "4", "--tau", "0.75", "--nth", "0.2", "--r2", "0.1",
+         "--gain", "2.8", "--beta-re", "3", "--beta-im", "1"],
+        ["--r", "5", "--gain", "1.2"]], ids=["r-4", "r-5"])
+    def test_quadrature_at_large_squeezing_prints_the_closed_value(
+            self, argv, capsys):
+        """The quadrature sized its nodes without the resource's own
+        envelope: at r = 4 it printed 6.01183322631e-13 for
+        0.000342221837931, and at r = 5 it exhausted the node ladder
+        (exit 4)."""
+        argv = ["fidelity", "--resource", "twin-beam"] + argv
+        assert main(argv) == 0
+        closed = capsys.readouterr()
+        assert main(argv + ["--method", "quadrature"]) == 0
+        assert capsys.readouterr() == closed
+
+    def test_quadrature_rounding_below_zero_prints_0(self, capsys):
+        """The converged overlap is -1.8e-16 here, within the quadrature's
+        tolerance of 0."""
+        code = main(["fidelity", "--resource", "squeezed-bell", "--delta",
+                     "0.4", "--theta", "1", "--r", "1", "--gain", "0.8",
+                     "--beta-re", "50", "--beta-im", "15", "--method",
+                     "quadrature"])
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
+
+    @pytest.mark.parametrize("phi", [repr(math.pi), "2"])
+    @pytest.mark.parametrize("gain", [[], ["--gain", "1.2"]],
+                             ids=["unity", "gain-1.2"])
+    @pytest.mark.parametrize("r", ["800", "1000"])
+    def test_quadrature_past_cosh_overflow(self, r, gain, phi, capsys):
+        """cosh r overflowed in the Bogoliubov arguments, a traceback
+        (exit 1). Past r ~ 30 the value at phi = fl(pi) may leave the
+        closed value at pi, as e^{r} sin fl(pi) is no longer small, so
+        only the range is asserted."""
+        code = main(["fidelity", "--resource", "twin-beam", "--r", r,
+                     "--phi", phi, "--method", "quadrature"] + gain)
+        out = capsys.readouterr()
+        assert code in (0, 4), out.err
+        if code == 0:
+            assert 0 <= float(out.out) <= 1 and out.err == ""
+
+    def test_quadrature_with_a_finite_envelope_past_cosh_overflow_exits_4(
+            self, capsys):
+        """e^{r} |g~ + e^{i phi} eps| stays finite at r = 800 with tiny
+        gain and eps = e^{-500}, so the overlap has a finite envelope
+        while cosh r overflows: a numerical failure, not a traceback."""
+        code = main(["fidelity", "--resource", "twin-beam", "--r", "800",
+                     "--tau", "1000", "--gain", "1e-300", "--method",
+                     "quadrature"])
+        out = capsys.readouterr()
+        assert code == 4 and out.out == ""
+        assert "cosh r overflows" in out.err
+
+    @pytest.mark.parametrize("argv", [
         ["--resource", "twin-beam"],
         ["--resource", "squeezed-cat", "--sigma", "10"]],
         ids=["twin-beam", "cat-sigma-10"])
@@ -326,6 +380,14 @@ class TestMainExitCodes:
                      "--r2=0.5313155841032986", "--gain=0.0575320288032457",
                      "--beta-re=-4.144360080992896",
                      "--beta-im=-0.7018987842160088"])
+        assert code == 0
+        assert capsys.readouterr().out == "0\n"
+
+    def test_cancelling_buridan_core_exits_0(self, capsys):
+        """Buridan's delta = 0 fidelity is 0 at g~ = 0 and tau = 0, but
+        its cancelling terms left -1.1e-16, reported as outside [0, 1]."""
+        code = main(["fidelity", "--resource", "buridan", "--r", "0.03125",
+                     "--gain", "5e-324"])
         assert code == 0
         assert capsys.readouterr().out == "0\n"
 

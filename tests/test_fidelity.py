@@ -9,13 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import telefid.fidelity as fidelity_module
 from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
                      NoiseParams, ParameterError, PhaseSpecializationError,
-                     ResourceSpec, average_fidelity, classical_benchmark,
-                     fidelity_closed, fidelity_gaussian_oracle,
-                     fidelity_quadrature, gamma_cov)
+                     QuadratureError, ResourceSpec, average_fidelity,
+                     classical_benchmark, fidelity_closed,
+                     fidelity_gaussian_oracle, fidelity_quadrature,
+                     gamma_cov)
 from telefid.fidelity import _delta_terms
 from telefid.phase_space import CORE_PARAMS
+from telefid.quadrature import CONV_ABS_TOL
 
 IDEAL = NoiseParams()
 UNITY = GainSetting.fixed(1.0)
@@ -79,6 +82,51 @@ class TestClosedVersusQuadrature:
             assert closed.value == pytest.approx(quad.value, abs=1e-8)
             assert closed.method == "closed"
             assert quad.method == "quadrature"
+
+    @pytest.mark.parametrize("r", [3.5, 4.0, 5.0, 6.0, 8.0])
+    def test_agree_at_large_squeezing(self, r):
+        """Nodes sized from the input, gain and noise alone, without the
+        resource's envelope, exhausted the ladder or settled on a wrong
+        value past r ~ 3.5 (24 and 44 of these 120 points). On the
+        integrand's exact envelope the quadrature meets every family's
+        closed form."""
+        specs = [ResourceSpec.twin_beam(r),
+                 ResourceSpec.squeezed_bell(r, delta=0.5),
+                 ResourceSpec.squeezed_cat(r, delta=0.4, gamma_mod=1.3),
+                 ResourceSpec.squeezed_cat(r, delta=-0.7, gamma_mod=3.0,
+                                           gamma_phase=math.pi),
+                 ResourceSpec.buridan_donkey(r, delta=0.5),
+                 ResourceSpec.photon_subtracted(r)]
+        cases = [(NoiseParams(tau=0.75, n_th=0.2, r2=0.1),
+                  GainSetting.fixed(2.8), 3 + 1j),
+                 (IDEAL, GainSetting.fixed(1.2), 0j),
+                 (NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
+                  GainSetting.fixed(0.85), 0.7 - 0.4j),
+                 (NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
+                  GainSetting.unity_over_t(), 1.5 + 2j)]
+        for spec in specs:
+            for noise, gain, beta in cases:
+                closed = fidelity_closed(spec, noise, gain, beta=beta)
+                quad = fidelity_quadrature(CoherentInput(beta), spec, noise,
+                                           gain)
+                assert quad.value == pytest.approx(closed.value, abs=1e-10)
+
+    def test_overlap_rounding_below_zero(self, monkeypatch):
+        """A converged overlap below 0 by less than the quadrature's
+        tolerance over 2pi is a fidelity that rounds to 0; further below,
+        QuadratureError."""
+        spec = ResourceSpec.squeezed_bell(0.8, delta=0.4, theta=1.0)
+        for raw, want in ((-0.9 * CONV_ABS_TOL, 0.0),
+                          (-1.1 * CONV_ABS_TOL, None)):
+            monkeypatch.setattr(fidelity_module, "integrate_adaptive",
+                                lambda f, rate, raw=raw: complex(raw))
+            if want is None:
+                with pytest.raises(QuadratureError):
+                    fidelity_quadrature(CoherentInput(0j), spec, IDEAL,
+                                        UNITY)
+            else:
+                assert fidelity_quadrature(CoherentInput(0j), spec, IDEAL,
+                                           UNITY).value == want
 
 
 class TestPhaseSpecialization:

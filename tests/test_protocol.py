@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import oracles
-from telefid import (CoherentInput, GainSetting, NoiseParams, ParameterError,
-                     PhasePoint, QuadratureError, ResourceSpec,
-                     fidelity_closed, protocol)
+from telefid import (CoherentInput, GainSetting, NoiseParams,
+                     NumericalError, ParameterError, PhasePoint,
+                     QuadratureError, ResourceSpec, fidelity_closed,
+                     protocol)
 from telefid.phase_space import _chi_input_arrays
 from telefid.protocol import (BellOutcome, chi_bell_conditioned, chi_out,
                               chi_out_ideal, chi_out_via_measurement_average,
@@ -215,6 +216,30 @@ class TestBellConditioning:
                                                noise.r2, out.x_tilde,
                                                out.p_tilde)
             assert ours == pytest.approx(ref, abs=1e-10)
+
+    @pytest.mark.parametrize("r", [3.0, 5.0, 8.0])
+    def test_outcome_density_at_large_squeezing(self, r):
+        """Nodes sized by the input and detector noise alone, without
+        the resource's envelope, gave 0 at the origin for r = 8, where
+        the density is 2/(pi (1 + cosh 2r)) = 1.43e-7. Outcomes spread
+        as cosh r."""
+        noise = NoiseParams(tau=0.2, r2=0.08)
+        for u, v in ((0.0, 0.0), (0.7, -0.4)):
+            out = BellOutcome(u * math.cosh(r), v * math.cosh(r))
+            ours = outcome_distribution(CoherentInput(0.3 - 0.2j),
+                                        ResourceSpec.twin_beam(r), noise, out)
+            ref = oracles.bell_outcome_density(0.3 - 0.2j, r,
+                                               noise.transmissivity,
+                                               noise.r2, out.x_tilde,
+                                               out.p_tilde)
+            assert ours == pytest.approx(ref, rel=1e-8)
+
+    def test_outcome_density_past_cosh_overflow_raises(self):
+        """cosh r overflowed a double with an OverflowError."""
+        with pytest.raises(NumericalError):
+            outcome_distribution(CoherentInput(0j),
+                                 ResourceSpec.twin_beam(800.0),
+                                 NoiseParams(), BellOutcome(0.0, 0.0))
 
     def test_conditional_chi(self):
         rng = np.random.default_rng(11)
