@@ -119,6 +119,17 @@ class FidelityForm(NamedTuple):
         return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
 
 
+def _delta_parts(r, gt, e, gam):
+    """e^{r}|g~ + e|, e^{-r}|g~ - e| and 2(1 + g~^2 + 2 Gamma), whose
+    squares and last term sum to Delta_phi at e = e^{i phi - tau/2}:
+    Delta at phi = pi. e may be real or complex. e^{r}|g~ + e| is one
+    exponential, so it overflows only where its square would."""
+    s = abs(gt + e)
+    log_hi = r + math.log(s) if s else -math.inf
+    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
+    return hi, math.exp(-r) * abs(gt - e), 2 * (1 + gt * gt + 2 * gam)
+
+
 def _delta_terms(r, gt, tau, gam):
     """Delta, the scale of all closed forms (see fidelity_closed), and
     its terms over Delta, summing to 1. e^{r} |g~ - eps| is one
@@ -130,11 +141,8 @@ def _delta_terms(r, gt, tau, gam):
                          for g, c in zip(gt[:, 0].tolist(),
                                          gam[:, 0].tolist())))
         return np.array(D)[:, None], np.array(terms).T[..., None]
-    eps = math.exp(-tau / 2)
-    log_hi = r + math.log(abs(gt - eps)) if gt != eps else -math.inf
-    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
-    lo = math.exp(-r) * (gt + eps)
-    d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
+    hi, lo, z = _delta_parts(r, gt, -math.exp(-tau / 2), gam)
+    d0, d1 = lo * lo, hi * hi
     D = d0 + d1 + z
     if D == math.inf:
         return D, (0.0, 0.0, 1.0)
@@ -334,26 +342,21 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
     by adaptive quadrature on the integrand's exact Gaussian envelope
     e^{-c (x^2+p^2)}, c = Delta_phi/8 + spread, with eps = e^{-tau/2} and
     Delta_phi = e^{2r}|g~ + e^{i phi} eps|^2 + e^{-2r}|g~ - e^{i phi} eps|^2
-    + 2(1 + g~^2 + 2 Gamma), the closed forms' Delta at phi = pi. As in
-    _delta_terms, e^{r}|g~ + e^{i phi} eps| is one exponential and
-    squares are products, so c overflows only to inf; there the fidelity
-    is 0, as the integrand is bounded and vanishes off the origin. A
-    negative value within the quadrature's tolerance, CONV_ABS_TOL/(2pi),
-    is a fidelity that rounds to 0; below it, QuadratureError."""
+    + 2(1 + g~^2 + 2 Gamma), the closed forms' Delta at phi = pi, from
+    _delta_parts with squares taken as products, so c overflows only to
+    inf; there the fidelity is 0, as the integrand is bounded and
+    vanishes off the origin. A negative value within the quadrature's
+    tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
+    it, QuadratureError."""
     def integrand(x, p):
         val = (_chi_input_arrays(inp.beta, x, p)
                * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
         return val * np.exp(-spread * (x * x + p * p)) if spread else val
 
-    gt = gain.effective(noise)
-    eps_phi = cmath.exp(1j * spec.phi - noise.tau / 2)
-    log_hi = (spec.r + math.log(abs(gt + eps_phi)) if gt + eps_phi
-              else -math.inf)
-    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
-    lo = math.exp(-spec.r) * abs(gt - eps_phi)
-    delta_phi = hi * hi + lo * lo + 2 * (1 + gt * gt
-                                         + 2 * gamma_cov(noise, gain))
-    rate = delta_phi / 8 + spread
+    hi, lo, z = _delta_parts(spec.r, gain.effective(noise),
+                             cmath.exp(1j * spec.phi - noise.tau / 2),
+                             gamma_cov(noise, gain))
+    rate = (hi * hi + lo * lo + z) / 8 + spread
     if rate == math.inf:
         return 0.0
     val = float((integrate_adaptive(integrand, rate) / (2 * math.pi)).real)

@@ -12,6 +12,7 @@ the intermediate conditioned states and two independent oracles
 pipeline) used to validate it.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -148,18 +149,26 @@ def _bell_raw(inp, spec, noise, outcome, x2, p2):
     """
     T = noise.transmissivity
     a2 = complex(x2, p2) / SQRT2
+    # envelope rate T^2 (1 + cosh 2r)/8 + R^2/4, with 1 + cosh 2r = 2 cosh^2 r
+    half = T * _cosh_sinh(spec.r)[0] / 2
+    rate = half * half + noise.r2 / 4
+    # the resource's Gaussian in a1 = T (xi - i v)/2, of rate cosh(2r)/2,
+    # peaks at a1 = -tanh(2r) e^{i phi} conj(a2), off 0 unless a2 is 0;
+    # times the input's and detectors' Gaussians, centred on 0, the
+    # envelope peaks at xi - i v = z0, scaled in by the resource's share
+    # of the rate
+    z0 = (-(2 / T) * (1 - (T * T / 8 + noise.r2 / 4) / rate)
+          * math.tanh(2 * spec.r) * cmath.exp(1j * spec.phi) * a2.conjugate())
 
-    def integrand(xi, v):
+    def integrand(s, u):
+        xi, v = s + z0.real, u - z0.imag
         a1 = T * (xi - 1j * v) / 2.0
         return (np.exp(1j * (xi * outcome.p_tilde - outcome.x_tilde * v)
                        - noise.r2 * (xi * xi + v * v) / 4)
                 * _chi_input_arrays(inp.beta, T * xi / SQRT2, T * v / SQRT2)
                 * _chi_resource_arrays(spec, a1, a2))
 
-    # envelope rate T^2 (1 + cosh 2r)/8 + R^2/4, with 1 + cosh 2r = 2 cosh^2 r
-    c = T * _cosh_sinh(spec.r)[0] / 2
-    return (integrate_adaptive(integrand, c * c + noise.r2 / 4)
-            / (2 * math.pi) ** 2)
+    return integrate_adaptive(integrand, rate) / (2 * math.pi) ** 2
 
 
 def outcome_distribution(inp, spec, noise, outcome):

@@ -445,6 +445,39 @@ class TestCatLimits:
             0.5, delta=0.4, gamma_mod=gamma_mod), IDEAL, gain)
         assert got.value == pytest.approx(twin.value, rel=1e-12)
 
+    # (r, phi, delta, theta, gamma phase, tau, n_th, R^2, g~, beta, value)
+    # off the closed phases; values from adaptive Gauss-Legendre on a
+    # 12-sigma box
+    AMPLITUDE_20 = [
+        (2.375169639405065, 0.2660918236918595, 0.06355220647566595,
+         3.7781087076200155, 4.413278330639383, 0.33590931498582155,
+         0.1639543050654031, 0.0008568031217230266, 0.1669497323294025,
+         3.2946773555222655 + 1.701919603266818j, 0.024130582839682994),
+        (0.5062030289237449, 2.0940092072918954, -1.288586224511488,
+         0.19389809319385695, 5.824012948677243, 0.4352086295786912,
+         0.10244223032010186, 0.14169036026983353, 0.11794614842893769,
+         2.400077867164235 - 0.6041998201705385j, 0.0011582498719522765),
+        (1.557842561988094, 0.6131757990690033, 0.5082220211017607,
+         6.046016042252245, 6.162398003446838, 0.8892412174344906,
+         0.4033054271299177, 0.035590662239494524, 1.9432963120330289,
+         1.5312540218267763 - 1.6502548852733268j, 0.0177643969617292),
+    ]
+
+    @pytest.mark.parametrize("case", AMPLITUDE_20, ids=range(3))
+    def test_quadrature_at_amplitude_20(self, case):
+        """A Gauss-Hermite rule needs about omega^2/(2c) nodes for a
+        plane wave of frequency omega, so some cats at gamma = 20 exhaust
+        the 1024-node rung; these three stop on 256 and 512 nodes. They
+        pin the boundary, so a smaller ladder or a coarser rate fails."""
+        r, phi, delta, theta, gph, tau, n_th, r2, gt, beta, want = case
+        spec = ResourceSpec.squeezed_cat(r, phi=phi, delta=delta,
+                                         theta=theta, gamma_mod=20.0,
+                                         gamma_phase=gph)
+        noise = NoiseParams(tau=tau, n_th=n_th, r2=r2)
+        gain = GainSetting.fixed(gt / noise.transmissivity)
+        got = fidelity_quadrature(CoherentInput(beta), spec, noise, gain)
+        assert got.value == pytest.approx(want, abs=1e-10)
+
 
 class TestDeltaTerms:
     """Delta and its terms over Delta against 50-digit arithmetic, with

@@ -1,5 +1,6 @@
 """Protocol output chi, Bell conditioning, channel map, Gaussian pipeline."""
 
+import cmath
 import math
 
 import numpy as np
@@ -256,6 +257,53 @@ class TestBellConditioning:
                                                noise.r2, out.x_tilde,
                                                out.p_tilde, pt.x, pt.p)
             assert ours == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("r", [2.5, 3.0])
+    def test_conditional_chi_at_large_squeezing(self, r):
+        """Away from pt = 0 the resource's Gaussian in the unmeasured
+        quadratures peaks at a1 = -tanh(2r) e^{i phi} conj(a2), some
+        twelve envelope widths off the origin at r = 2.5, |pt| = 2.8;
+        nodes centred on the origin missed it and converged on 0."""
+        rng = np.random.default_rng(13)
+        noise = NoiseParams(r2=0.05)
+        spec = ResourceSpec.twin_beam(r)
+        for _ in range(3):
+            beta = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            out = BellOutcome(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+            pt = PhasePoint(*(rng.uniform(2.0, 3.0) / math.sqrt(2)
+                              * np.array([1.0, rng.choice([-1.0, 1.0])])))
+            ours = chi_bell_conditioned(CoherentInput(beta), spec, noise,
+                                        out, pt)
+            ref = oracles.bell_conditional_chi(beta, r, noise.transmissivity,
+                                               noise.r2, out.x_tilde,
+                                               out.p_tilde, pt.x, pt.p)
+            assert abs(ref) > 1e-3
+            assert ours == pytest.approx(ref, abs=1e-8)
+        beta, out = 0.0, BellOutcome(0.0, 0.0)
+        pt = PhasePoint(2.83, 0.0)
+        ours = chi_bell_conditioned(CoherentInput(beta), spec, noise, out, pt)
+        ref = oracles.bell_conditional_chi(beta, r, noise.transmissivity,
+                                           noise.r2, 0.0, 0.0, pt.x, pt.p)
+        assert ours == pytest.approx(ref, abs=1e-8)
+
+    @pytest.mark.parametrize("phi", [0.0, 1.0, -2.0])
+    def test_conditional_chi_at_any_squeezing_phase(self, phi):
+        """The squeezing phase rotates mode 2 alone: chi at phase phi and
+        a2 is chi at phase pi and a2 e^{-i(phi - pi)}, which moves the
+        peak the nodes must be centred on."""
+        r, beta = 2.5, 0.3 - 0.5j
+        noise = NoiseParams(r2=0.05)
+        out = BellOutcome(0.4, -0.7)
+        xp = complex(3.5, 0.5)  # x + i p = sqrt2 a2
+        rot = xp * cmath.exp(-1j * (phi - math.pi))
+        ours = chi_bell_conditioned(CoherentInput(beta),
+                                    ResourceSpec.twin_beam(r, phi=phi),
+                                    noise, out, PhasePoint(xp.real, xp.imag))
+        ref = oracles.bell_conditional_chi(beta, r, noise.transmissivity,
+                                           noise.r2, out.x_tilde,
+                                           out.p_tilde, rot.real, rot.imag)
+        assert abs(ref) > 1e-3
+        assert ours == pytest.approx(ref, abs=1e-8)
 
     def test_conditional_chi_is_normalized(self):
         """chi of the conditioned state equals 1 at the origin, also for
