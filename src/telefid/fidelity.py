@@ -1,9 +1,10 @@
 """Teleportation fidelities: closed forms, quadrature overlap, Gaussian
 alphabet averages, and the classical benchmark.
 
-The closed forms hold at the protocol-optimal phases phi = pi, theta = 0
-with real cat amplitude; fidelity_closed rejects anything else so that
-callers fall back to the universal quadrature overlap. Each family's
+The closed forms hold at phi = pi, theta = 0 with real cat amplitude, and
+fidelity_closed rejects anything else so that callers fall back to the
+universal quadrature overlap. Those phases are not always optimal: a
+cat can do better at complex gamma and theta != 0. Each family's
 closed form is written once, as a FidelityForm: a ratio of quadratic
 forms in (cos delta, sin delta) whose input dependence enters through a
 few scalar factors, taken at one beta or averaged over the prior. Point

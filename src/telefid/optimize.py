@@ -259,10 +259,11 @@ def fidelity_at_optimum(opt, noise, prior, beta):
     averaged optimum opt, taken at this noise and prior. beta must lie in
     the prior's numerical support, |beta|^2 <= 700 sigma."""
     beta = complex(beta)
-    if abs(beta) ** 2 > 700 * prior.sigma:
+    size = math.hypot(beta.real, beta.imag)  # abs(beta) ** 2 overflows
+    if size > math.sqrt(700 * prior.sigma):
         raise ParameterError(
-            f"|beta|^2 = {abs(beta) ** 2:.3g} lies outside the numerical "
-            f"support of the sigma = {prior.sigma} prior")
+            f"|beta| = {size:.3g} lies outside the numerical support, "
+            f"|beta|^2 <= 700 sigma, of the sigma = {prior.sigma} prior")
     rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
     return FidelityReport(rep.value, rep.method, opt.spec, noise, opt.gain,
                           beta=beta, sigma=prior.sigma)

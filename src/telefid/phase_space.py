@@ -163,8 +163,10 @@ class ResourceSpec:
     def norm_sq(self):
         """Squared norm of the un-normalized core superposition."""
         if self.family == "squeezed-cat":
-            return 1.0 + (math.exp(-self.gamma_mod * self.gamma_mod)
-                          * math.sin(2 * self.delta) * math.cos(self.theta))
+            # sin 2 delta as 2 sin cos: 2 delta overflows past 9e307
+            return 1.0 + (math.exp(-self.gamma_mod * self.gamma_mod) * 2
+                          * math.sin(self.delta) * math.cos(self.delta)
+                          * math.cos(self.theta))
         return 1.0
 
 
@@ -219,13 +221,17 @@ def coherent_displacement_overlap(g1, xi, g2):
     """Overlap <g1| D(xi) |g2> of coherent states around a displacement.
 
     Follows from D(xi)|g2> = e^{(xi conj(g2) - conj(xi) g2)/2} |xi + g2>
-    and the coherent-coherent overlap.
+    and the coherent-coherent overlap, as exp(-|g1 - g2 - xi|^2/2 +
+    i Im(xi conj(g1 + g2) + conj(g1) g2)): no |g|^2 is formed, and
+    Im(conj(g1) g2) is 0 at g1 = g2 with no product. Where the phase
+    overflows the value is NaN, which no quadrature converges on.
     """
     xi = np.asarray(xi, dtype=complex)
-    val = np.exp((xi * np.conj(g2) - np.conj(xi) * g2) / 2
-                 - abs(g1) ** 2 / 2
-                 - (np.abs(xi + g2) ** 2) / 2
-                 + np.conj(g1) * (xi + g2))
+    d = (g1 - g2) - xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = 0.0 if g1 == g2 else (np.conj(g1) * g2).imag
+        val = np.exp(-(d.real * d.real + d.imag * d.imag) / 2
+                     + 1j * ((xi * np.conj(g1 + g2)).imag + cross))
     return val if val.ndim else complex(val)
 
 

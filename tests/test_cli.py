@@ -9,7 +9,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import telefid
@@ -364,6 +364,26 @@ class TestMainExitCodes:
         assert code == 2 and out.out == ""
         assert "numerical support" in out.err
 
+    def test_one_shot_past_the_square_overflow_exits_2(self, capsys):
+        """|beta|^2 overflows a double; this used to end in an
+        OverflowError traceback."""
+        code = main(["optimize", "--resource", "twin-beam", "--r", "0.5",
+                     "--sigma", "3", "--beta-re", "1e308"])
+        out = capsys.readouterr()
+        assert code == 2 and out.out == ""
+        assert "numerical support" in out.err
+
+    def test_cat_at_huge_delta_exits_0(self, capsys):
+        """2 delta overflows a double; the cat's squared norm took its
+        sine and ended in a ValueError traceback. Squeezed-Bell at the
+        same delta already printed its value."""
+        for family in ("squeezed-cat", "squeezed-bell"):
+            code = main(["fidelity", "--resource", family, "--r", "1",
+                         "--delta", "1e308"])
+            out = capsys.readouterr()
+            assert code == 0 and out.err == ""
+            assert 0 <= float(out.out) <= 1
+
     def test_squeezing_past_delta_overflow_exits_0(self, capsys):
         """Delta overflows a double past r ~ 354; the fidelity, about
         4/Delta, is 0."""
@@ -506,11 +526,23 @@ def test_package_imports_only_stdlib_and_numpy():
     assert roots - set(sys.stdlib_module_names) <= {"numpy", "telefid"}
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _run(argv):
+    """Exit code, stdout and stderr of main(argv). A traceback or a
+    numpy RuntimeWarning, which pytest raises, fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     family=st.sampled_from(FAMILIES),
     r=st.floats(0.0, 1000.0),
-    delta=st.floats(-math.pi, math.pi),
+    delta=FINITE,
     gamma=st.floats(0.0, 1e300),
     g=st.floats(1e-3, 1e3),
     beta_re=st.floats(-1e300, 1e300),
@@ -520,6 +552,8 @@ def test_package_imports_only_stdlib_and_numpy():
     r2=st.floats(0.0, 0.99),
     sigma=st.none() | st.floats(1e-3, 1e6),
 )
+@example(family="squeezed-cat", r=1.0, delta=1e308, gamma=0.0, g=1.0,
+         beta_re=0.0, beta_im=0.0, tau=0.0, nth=0.0, r2=0.0, sigma=None)
 def test_fidelity_command_over_the_domain(family, r, delta, gamma, g,
                                           beta_re, beta_im, tau, nth, r2,
                                           sigma):
@@ -538,9 +572,70 @@ def test_fidelity_command_over_the_domain(family, r, delta, gamma, g,
         argv += [f"--beta-re={beta_re!r}", f"--beta-im={beta_im!r}"]
     else:
         argv.append(f"--sigma={sigma!r}")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    assert code in (0, 4), err.getvalue()
+    code, out, err = _run(argv)
+    assert code in (0, 4), err
     if code == 0:
-        assert 0.0 <= float(out.getvalue()) <= 1.0 + 1e-9
+        assert 0.0 <= float(out) <= 1.0 + 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 3.0),
+    tau=st.floats(0.0, 2.0),
+    sigma=st.floats(1e-3, 1e6),
+    beta_re=FINITE,
+    beta_im=FINITE,
+)
+@example(family="twin-beam", r=0.5, tau=0.0, sigma=3.0, beta_re=1e308,
+         beta_im=0.0)
+def test_one_shot_command_over_any_amplitude(family, r, tau, sigma,
+                                             beta_re, beta_im):
+    """The one-shot value at a prior-averaged optimum exits 0 with a
+    fidelity in [0, 1], or 2 outside the prior's numerical support, at
+    every finite amplitude."""
+    code, out, err = _run(["optimize", f"--resource={family}", f"--r={r!r}",
+                           f"--tau={tau!r}", f"--sigma={sigma!r}",
+                           f"--beta-re={beta_re!r}",
+                           f"--beta-im={beta_im!r}"])
+    assert code in (0, 2), err
+    if code == 0:
+        assert 0.0 <= float(out.split(",")[-1]) <= 1.0 + 1e-9
+    else:
+        assert "numerical support" in err
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 8.0),
+    phi=st.floats(-math.pi, math.pi),
+    delta=st.floats(-math.pi, math.pi),
+    theta=st.floats(-math.pi, math.pi),
+    gamma=st.floats(0.0, sys.float_info.max),
+    g=st.floats(0.1, 3.0),
+    beta_re=st.floats(-3.5, 3.5),
+    beta_im=st.floats(-3.5, 3.5),
+    tau=st.floats(0.0, 2.0),
+    r2=st.floats(0.0, 0.5),
+)
+@example(family="squeezed-cat", r=0.5, phi=math.pi, delta=0.3, theta=0.0,
+         gamma=1e155, g=1.0, beta_re=0.0, beta_im=0.0, tau=0.0, r2=0.0)
+def test_quadrature_command_over_the_domain(family, r, phi, delta, theta,
+                                            gamma, g, beta_re, beta_im,
+                                            tau, r2):
+    """At any phases, r <= 8, |beta| <= 5 and any cat amplitude, the
+    quadrature route exits 0 with a fidelity in [0, 1] or 4 when it does
+    not converge."""
+    argv = ["fidelity", "--method=quadrature", f"--resource={family}",
+            f"--r={r!r}", f"--phi={phi!r}", f"--tau={tau!r}",
+            f"--r2={r2!r}", f"--gain={g!r}", f"--beta-re={beta_re!r}",
+            f"--beta-im={beta_im!r}"]
+    if family in ("squeezed-bell", "buridan", "squeezed-cat"):
+        argv += [f"--delta={delta!r}", f"--theta={theta!r}"]
+    if family == "squeezed-cat":
+        argv.append(f"--gamma-mod={gamma!r}")
+    code, out, err = _run(argv)
+    assert code in (0, 4), err
+    if code == 0:
+        assert 0.0 <= float(out) <= 1.0 + 1e-9

@@ -12,10 +12,10 @@ from scipy.optimize import minimize_scalar
 
 import oracles
 import telefid.optimize as optimize
-from telefid import (FAMILIES, AlphabetPrior, GainSetting, NoiseParams,
-                     NumericalError, ParameterError, ResourceSpec,
-                     average_fidelity, classical_benchmark, fidelity_closed,
-                     gamma_cov)
+from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
+                     NoiseParams, NumericalError, ParameterError,
+                     ResourceSpec, average_fidelity, classical_benchmark,
+                     fidelity_closed, fidelity_quadrature, gamma_cov)
 from telefid.fidelity import _fidelity_form
 from telefid.optimize import (AFFINITY_RMAX, _grid_then_golden,
                               _stencil_max, affinity, fidelity_at_optimum,
@@ -167,6 +167,18 @@ class TestBetaIndependentOptimization:
 
     NOISES = [NoiseParams(), NoiseParams(tau=0.1, n_th=0.1, r2=0.05),
               NONIDEAL]
+
+    def test_cat_optimum_can_lie_off_the_closed_form_phases(self):
+        """The closed forms, and so the optimizer, hold theta = 0 and
+        gamma real; a complex gamma with theta != 0 beats this cat's
+        real-gamma optimum 0.7177569 by 1.47e-4."""
+        noise = NoiseParams(tau=0.36106, n_th=0.078615, r2=0.052422)
+        opt = optimize_beta_independent("squeezed-cat", 1.4093, noise)
+        spec = ResourceSpec.squeezed_cat(1.4093, delta=0.11, theta=2.021,
+                                         gamma_mod=0.712, gamma_phase=-2.491)
+        off = fidelity_quadrature(CoherentInput(0j), spec, noise, opt.gain)
+        assert opt.best_value == pytest.approx(0.7177569, abs=1e-7)
+        assert off.value - opt.best_value > 1.4e-4
 
     @pytest.mark.parametrize("r", [0.3, 0.8, 1.3])
     @pytest.mark.parametrize("noise", NOISES, ids=["ideal", "mild", "lossy"])

@@ -1,6 +1,7 @@
 """Characteristic functions and Fock-basis helpers against independent
 truncated-Fock oracles."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -123,6 +124,36 @@ class TestCoherentOverlap:
     def test_zero_displacement(self):
         g = 0.3 + 0.5j
         assert coherent_displacement_overlap(g, 0j, g) == pytest.approx(1.0)
+
+    def test_amplitudes_past_the_square_overflow(self):
+        """|g|^2 overflows a double past 1.3e154, and forming it was an
+        OverflowError. mpmath takes the textbook exponent (xi conj(g2) -
+        conj(xi) g2)/2 - |g1|^2/2 - |xi + g2|^2/2 + conj(g1)(xi + g2) at
+        400 digits, past its cancellation of terms of size 1e310. Where
+        |xi g| is large the phase has no digits left in a double, so
+        there only the modulus is held."""
+        mpmath = pytest.importorskip("mpmath")
+        g = 1e155 * cmath.exp(0.3j)
+        for g1, xi, g2, phase_too in ((g, 4e-156 - 7e-156j, g, True),
+                                      (g, 0.2 + 0.1j, g, False),
+                                      (0j, 0.2 + 0.1j, g, True),
+                                      (g, 0.2 + 0.1j, 0j, True)):
+            with mpmath.workdps(400):
+                a, b, x = (mpmath.mpc(z) for z in (g1, g2, xi))
+                ref = complex(mpmath.exp(
+                    (x * mpmath.conj(b) - mpmath.conj(x) * b) / 2
+                    - abs(a) ** 2 / 2 - abs(x + b) ** 2 / 2
+                    + mpmath.conj(a) * (x + b)))
+            ours = coherent_displacement_overlap(g1, xi, g2)
+            assert abs(ours) == pytest.approx(abs(ref), rel=1e-14)
+            if phase_too:
+                assert ours == pytest.approx(ref, rel=1e-14, abs=1e-300)
+
+    def test_phase_overflow_is_nan_without_warning(self):
+        """Past |xi| |g| ~ 1.8e308 the phase has no double; the value is
+        NaN, which no quadrature converges on, and numpy does not warn."""
+        val = coherent_displacement_overlap(1.7e308, 0.5, 1.7e308)
+        assert cmath.isnan(val)
 
 
 class TestBogoliubov:
@@ -296,6 +327,16 @@ class TestResourceSpec:
         with pytest.raises(ParameterError):
             ResourceSpec.squeezed_cat(0.5, delta=-math.pi / 4,
                                       gamma_mod=1e-9)
+
+    def test_cat_norm_past_the_double_angle_overflow(self):
+        """2 delta overflows a double past 9e307, and sin 2 delta was a
+        ValueError; mpmath holds the squared norm."""
+        mpmath = pytest.importorskip("mpmath")
+        spec = ResourceSpec.squeezed_cat(1.0, delta=1e308, theta=0.4,
+                                         gamma_mod=0.5)
+        ref = 1 + (mpmath.exp(-0.25) * mpmath.sin(2 * mpmath.mpf(1e308))
+                   * mpmath.cos(0.4))
+        assert spec.norm_sq == pytest.approx(float(ref), rel=1e-14)
 
     def test_photon_subtracted_resolution(self):
         """Photon subtraction is stored as its squeezed-Bell state."""

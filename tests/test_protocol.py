@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
-from telefid import (CoherentInput, GainSetting, NoiseParams,
+from telefid import (FAMILIES, CoherentInput, GainSetting, NoiseParams,
                      NumericalError, ParameterError, PhasePoint,
                      QuadratureError, ResourceSpec, fidelity_closed,
                      protocol)
-from telefid.phase_space import _chi_input_arrays
+from telefid.phase_space import CORE_PARAMS, _chi_input_arrays
 from telefid.protocol import (BellOutcome, chi_bell_conditioned, chi_out,
                               chi_out_ideal, chi_out_via_measurement_average,
                               displace_chi, gamma_cov, gaussian_pipeline,
@@ -345,15 +345,67 @@ class TestMeasurementAverage:
             fast = chi_out(inp, spec, noise, gain, pt)
             assert slow == pytest.approx(fast, abs=1e-5)
 
-    def test_unsupported_families(self):
+    def test_cat_and_buridan_match_chi_out(self):
+        """These families used to raise ParameterError: the oracle's
+        outcome window rested on the twin beam's outcome variance."""
         inp = CoherentInput(0j)
         noise = NoiseParams(r2=0.05)
         gain = GainSetting.fixed(1.0)
         pt = PhasePoint(0.1, 0.1)
         for spec in (ResourceSpec.squeezed_cat(0.5, delta=0.3, gamma_mod=0.5),
                      ResourceSpec.buridan_donkey(0.5, delta=0.3)):
-            with pytest.raises(ParameterError):
-                chi_out_via_measurement_average(inp, spec, noise, gain, pt)
+            slow = chi_out_via_measurement_average(inp, spec, noise, gain, pt)
+            fast = chi_out(inp, spec, noise, gain, pt)
+            assert slow == pytest.approx(fast, abs=1e-12)
+
+    def test_cat_past_the_nodes_raises(self):
+        """The nodes grow with a cat's outcome box, up to |gamma| ~ 12."""
+        spec = ResourceSpec.squeezed_cat(2.0, delta=0.4, gamma_mod=13.0)
+        with pytest.raises(QuadratureError):
+            chi_out_via_measurement_average(CoherentInput(0j), spec,
+                                            NoiseParams(),
+                                            GainSetting.fixed(1.0),
+                                            PhasePoint(0.3, 0.2))
+
+    def test_twin_beam_at_large_squeezing(self):
+        """The inner box used to be sized without the resource's
+        envelope, and the outcome window by a loose variance bound, so
+        the oracle left chi_out from r ~ 1.75: here it gave 0.311 at the
+        origin at r = 2, where chi_out is 1, and |chi| = 3.57 at r = 2.5,
+        pt = (-1, -1.1)."""
+        inp = CoherentInput(0.7 - 0.4j)
+        noise = NoiseParams(tau=0.2, r2=0.05)
+        gain = GainSetting.fixed(1.0)
+        for r, pt in ((2.0, PhasePoint(0.0, 0.0)),
+                      (2.5, PhasePoint(-1.0, -1.1))):
+            spec = ResourceSpec.twin_beam(r)
+            slow = chi_out_via_measurement_average(inp, spec, noise, gain, pt)
+            fast = chi_out(inp, spec, noise, gain, pt)
+            assert slow == pytest.approx(fast, abs=1e-12)
+        assert abs(fast) > 0.1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_chi_out_at_large_squeezing(self, family):
+        """Every family at r in {1.75, 2, 2.5, 3}, any phases, complex
+        cat amplitudes |gamma| <= 5, |Re beta|, |Im beta| <= 2, g in
+        [0.5, 1.5], tau <= 1, n_th <= 0.5, R^2 <= 0.2 and |x|, |p| <=
+        1.5."""
+        rng = np.random.default_rng(FAMILIES.index(family) + 21)
+        for r in (1.75, 2.0, 2.5, 3.0):
+            core = {name: rng.uniform(-math.pi, math.pi)
+                    for name in CORE_PARAMS.get(family, ())}
+            if "gamma_mod" in core:
+                core["gamma_mod"] = rng.uniform(0.0, 5.0)
+            spec = ResourceSpec.of(family, r, rng.uniform(-math.pi, math.pi),
+                                   **core)
+            inp = CoherentInput(complex(*rng.uniform(-2.0, 2.0, 2)))
+            noise = NoiseParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5),
+                                rng.uniform(0.0, 0.2))
+            gain = GainSetting.fixed(rng.uniform(0.5, 1.5))
+            pt = PhasePoint(*rng.uniform(-1.5, 1.5, 2))
+            slow = chi_out_via_measurement_average(inp, spec, noise, gain, pt)
+            fast = chi_out(inp, spec, noise, gain, pt)
+            assert slow == pytest.approx(fast, abs=1e-12)
 
 
 class TestGaussianPipeline:
