@@ -7,9 +7,10 @@ universal quadrature overlap. Those phases are not always optimal: a
 cat can do better at complex gamma and theta != 0. Each family's
 closed form is written once, as a FidelityForm: a ratio of quadratic
 forms in (cos delta, sin delta) whose input dependence enters through a
-few scalar factors, taken at one beta or averaged over the prior. Point
-values, prior averages and the optimizers all read it, and the best
-delta is a 2x2 eigenvalue.
+few scalar factors. Point values, prior averages and the optimizers all
+read it, and the best delta is a 2x2 eigenvalue. The cat's prior
+average is exactly its beta = 0 form at _shifted_noise; the Bell-type
+forms still average theirs on GH_ORDER Gauss-Hermite nodes.
 """
 
 import cmath
@@ -220,73 +221,67 @@ def _exp_expm1(lo, ex):
     return math.exp(lo) * math.expm1(ex)
 
 
-def _cat_form(gamma, gt, tau, D, terms, at):
+def _cat_form(gamma, gt, tau, D, terms, beta):
     """Squeezed-cat FidelityForm for real, signed gamma (scalar or
-    array), in Delta's terms over Delta, as _bell_form; at one beta,
-    g~ and Delta's terms may be columns against a row of gamma. The Gaussian
-    overlap with Bogoliubov coefficients k1 = cosh(r) g~ - sinh(r) eps,
-    k2 = cosh(r) eps - sinh(r) g~, eps = e^{-tau/2}, has the exponents
+    array) at one amplitude beta, in Delta's terms over Delta, as
+    _bell_form; g~ and Delta's terms may be columns against a row of
+    gamma. The Gaussian overlap with Bogoliubov coefficients
+    k1 = cosh(r) g~ - sinh(r) eps, k2 = cosh(r) eps - sinh(r) g~,
+    eps = e^{-tau/2}, has the exponents
     U = 2 e^{r}(g~ - eps) gamma/sqrt(Delta) = 2 gamma sgn(g~ - eps) sqrt(mm)
     and V = 2 e^{-r}(g~ + eps) gamma/sqrt(Delta) = 2 gamma sqrt(pm). With
     a + i b = 2 (g~ - 1) beta/sqrt(Delta) and t1 = e^{-a^2 - b^2} the
     twin beam, the cross term is n t1 Re e^{a U + gamma^2 (pm - mm) + i b V}
-    and the cat term t1 e^{2 a U - U^2}; the prior average takes a and b
-    on the Gauss-Hermite nodes, where both factorize. No exponent grows
-    with r, and where Delta is inf, 4/Delta = 0 times bounded terms is 0.
+    and the cat term t1 e^{2 a U - U^2}. No exponent grows with r, and
+    where Delta is inf, 4/Delta = 0 times bounded terms is 0.
     Where gamma^2 overflows, the form is the limit: n = 0, h = 1, no
     cross term and a cat term of -t1, or of 0 where mm = 0 (U = 0).
     """
     pm, mm, _ = terms
     if not isinstance(gamma, np.ndarray) and gamma * gamma == math.inf:
-        t1 = _cat_form(0.0, gt, tau, D, terms, at).a
+        t1 = _cat_form(0.0, gt, tau, D, terms, beta).a
         return FidelityForm(t1, 0.0, -t1 if mm else 0.0)
-    prior = isinstance(at, AlphabetPrior)
-    xp = np if prior or np.ndarray in (type(gamma), type(D)) else math
+    xp = np if np.ndarray in (type(gamma), type(D)) else math
     U = 2 * xp.copysign(xp.sqrt(mm), gt - math.exp(-tau / 2)) * gamma
     V = 2 * xp.sqrt(pm) * gamma
     ex = gamma * gamma * (pm - mm)
     n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
     scale = 2 / xp.sqrt(D) * (gt - 1)
-    if prior:
-        t, w = _gh_nodes()
-        a = scale * math.sqrt(at.sigma) * t
-        s0 = float(w @ np.exp(-a * a))
-        # nodes along the first axis, gamma along the rest
-        a = a.reshape((-1,) + (1,) * np.ndim(gamma))
-        lo = -a * a
-        t1 = s0 * s0
-        # U^2 may overflow, making the cat term -t1 as on the point path
-        with np.errstate(over="ignore"):
-            # the cross term's a and b sums are s0 + re / n and s0 - im
-            re = w @ _exp_expm1(lo - gamma * gamma, a * U + ex)
-            im = w @ (np.exp(lo) * 2 * np.sin(a * V / 2) ** 2)
-            cross = s0 * (re - n * im) - re * im
-            cat = s0 * (w @ _exp_expm1(lo, 2 * a * U - U * U))
+    a, b = scale * beta.real, scale * beta.imag
+    lo = -a * a - b * b
+    t1 = xp.exp(lo)
+    # a column of t1 comes from the beta = 0 search, where it is 1
+    if isinstance(t1, np.ndarray) or t1:
+        ph = b * V
+        cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * xp.cos(ph)
+                 - 2 * n * t1 * xp.sin(ph / 2) ** 2)
+        cat = _exp_expm1(lo, 2 * a * U - U * U)
     else:
-        a, b = scale * at.real, scale * at.imag
-        lo = -a * a - b * b
-        t1 = xp.exp(lo)
-        # a column of t1 comes from the beta = 0 search, where it is 1
-        if isinstance(t1, np.ndarray) or t1:
-            ph = b * V
-            cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * xp.cos(ph)
-                     - 2 * n * t1 * xp.sin(ph / 2) ** 2)
-            cat = _exp_expm1(lo, 2 * a * U - U * U)
-        else:
-            # the cross term, at most sqrt(t1 (t1 + cat)), is lost beside
-            # cat s^2; the completed square overflows only to e^{-inf} = 0
-            cross, cat = 0.0, math.exp(-(a - U) * (a - U) - b * b)
+        # the cross term, at most sqrt(t1 (t1 + cat)), is lost beside
+        # cat s^2; the completed square overflows only to e^{-inf} = 0
+        cross, cat = 0.0, math.exp(-(a - U) * (a - U) - b * b)
     k = 4 / D
     return FidelityForm(k * t1, k * cross, k * cat, n, h)
 
 
+def _shifted_noise(gt, gam, sigma):
+    """Gamma + (g~ - 1)^2 sigma, the noise at which the beta = 0
+    fidelity is the average over an AlphabetPrior of variance sigma. A
+    product: a huge gain overflows to inf, a fidelity of 0, where a
+    square would raise."""
+    return gam + (gt - 1) * (gt - 1) * sigma
+
+
 def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
-    one amplitude beta or averaged over an AlphabetPrior. For the cat at
-    one beta, g~ and Gamma may be columns."""
-    D, terms = _delta_terms(r, gt, tau, gam)
+    one amplitude beta or averaged over an AlphabetPrior: the cat's
+    average is its beta = 0 form at _shifted_noise. For the cat at one
+    beta, g~ and Gamma may be columns."""
     if family == "squeezed-cat":
-        return _cat_form(gamma, gt, tau, D, terms, at)
+        if isinstance(at, AlphabetPrior):
+            gam, at = _shifted_noise(gt, gam, at.sigma), 0j
+        return _cat_form(gamma, gt, tau, *_delta_terms(r, gt, tau, gam), at)
+    D, terms = _delta_terms(r, gt, tau, gam)
     return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
 
 
@@ -376,11 +371,13 @@ def fidelity_quadrature(inp, spec, noise, gain):
 def average_fidelity(spec, noise, gain, prior):
     """Fidelity averaged over the Gaussian alphabet prior.
 
-    On the closed path the closed forms factorize a Gauss-Hermite rule
-    of order GH_ORDER in Re beta and Im beta into 1-D node sums.
-    Otherwise beta enters the overlap integrand only as a plane wave,
+    beta enters the overlap integrand only as a plane wave,
     e^{i sqrt2 (1 - g~)(p Re beta - x Im beta)}, which the prior averages
-    to the envelope e^{-(1 - g~)^2 sigma (x^2 + p^2)/2}: one quadrature.
+    to the envelope e^{-(1 - g~)^2 sigma (x^2 + p^2)/2} of the noise
+    _shifted_noise. The cat's closed form takes it exactly, at beta = 0;
+    the Bell-type forms factorize a Gauss-Hermite rule of order GH_ORDER
+    in Re beta and Im beta into 1-D node sums; off the closed phases it
+    is one quadrature.
     """
     try:
         val = _closed_value(spec, noise, gain, prior)

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .fidelity import (FidelityReport, _fidelity_form, average_fidelity,
-                       fidelity_closed)
+from .fidelity import (FidelityReport, _fidelity_form, _shifted_noise,
+                       average_fidelity, fidelity_closed)
 from .phase_space import (CORE_PARAMS, FAMILIES, ResourceSpec, _core_terms,
                           photon_subtraction_angle)
 from .protocol import GainSetting, NoiseParams, gamma_cov
@@ -172,11 +172,9 @@ def _optimize(family, r, noise, prior=None):
         return GainSetting(None if g == g_unity else float(g))
 
     def shifted(g):
-        # the prior average is, exactly, the beta = 0 value at the noise
-        # Gamma + (g~ - 1)^2 sigma
         gain = gain_at(g)
         gt = gain.effective(noise)
-        return gt, gamma_cov(noise, gain) + (gt - 1) ** 2 * sigma
+        return gt, _shifted_noise(gt, gamma_cov(noise, gain), sigma)
 
     def form(g, gamma=None):
         # g is one gain, or a row or column of them taken as a column

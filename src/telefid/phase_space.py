@@ -286,7 +286,12 @@ def _mode_element(kind, bra, ket, xi):
 
 def _chi_resource_arrays(spec, alpha1, alpha2):
     """chi_res on arrays of complex two-mode arguments."""
-    xi1, xi2 = bogoliubov_args(spec.zeta, alpha1, alpha2)
+    return _chi_core_arrays(spec, *bogoliubov_args(spec.zeta, alpha1, alpha2))
+
+
+def _chi_core_arrays(spec, xi1, xi2):
+    """The core superposition's chi at the Bogoliubov-transformed
+    arguments (xi1, xi2): chi_res at the arguments they come from."""
     norm, terms = _core_terms(spec)
     # every family's core terms share one ket kind
     kind = terms[0][1]

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneracyError, ParameterError, QuadratureError
-from .phase_space import (SQRT2, _chi_input_arrays, _chi_resource_arrays,
-                          _cosh_sinh, _require_finite, bogoliubov_args)
+from .phase_space import (SQRT2, _chi_core_arrays, _chi_input_arrays,
+                          _chi_resource_arrays, _cosh_sinh, _require_finite,
+                          bogoliubov_args)
 from .quadrature import (CONV_ABS_TOL, _leggauss, box_halfwidth,
                          integrate_adaptive)
 
@@ -114,9 +115,10 @@ def _chi_out_arrays(inp, spec, noise, gain, x, p):
     gam = gamma_cov(noise, gain)
     a1 = gt * (x - 1j * p) / SQRT2
     a2 = et * (x + 1j * p) / SQRT2
+    # no noise is a factor of 1, also where x^2 + p^2 overflows
     return (_chi_input_arrays(inp.beta, gt * x, gt * p)
             * _chi_resource_arrays(spec, a1, a2)
-            * np.exp(-0.5 * gam * (x * x + p * p)))
+            * (np.exp(-0.5 * gam * (x * x + p * p)) if gam else 1.0))
 
 
 def chi_out(inp, spec, noise, gain, pt):
@@ -129,34 +131,43 @@ def chi_out(inp, spec, noise, gain, pt):
 
 
 def chi_out_ideal(inp, spec, pt):
-    """Ideal-protocol factorization chi_in(x,p) chi_res(x,-p;x,p)."""
-    x, p = float(pt.x), float(pt.p)
-    a1 = (x - 1j * p) / SQRT2
-    a2 = (x + 1j * p) / SQRT2
-    return complex(_chi_input_arrays(inp.beta, np.asarray(x), np.asarray(p))
-                   * _chi_resource_arrays(spec, a1, a2))
+    """Ideal-protocol factorization chi_in(x,p) chi_res(x,-p;x,p): chi_out
+    with no loss, noise or detector reflectivity at unity gain."""
+    return chi_out(inp, spec, NoiseParams(), GainSetting(), pt)
 
 
 def _bell_integrand(inp, spec, noise, a2):
-    """(rate, z0, kernel) at mode-2 argument a2: kernel(xi, v) over the
-    unmeasured Bell quadratures is chi_in(T xi/sqrt2, T v/sqrt2)
-    chi_res(T (xi - i v)/2, a2) e^{-R^2 (xi^2 + v^2)/4}, a bounded
-    factor times its envelope exp(-rate |xi - i v - z0|^2)."""
+    """(rate, z0, kernel) at mode-2 argument a2: kernel(s, u) is, at the
+    unmeasured Bell quadratures xi - i v = z0 + s - i u,
+    chi_in(T xi/sqrt2, T v/sqrt2) chi_res(T (xi - i v)/2, a2)
+    e^{-R^2 (xi^2 + v^2)/4}, a bounded factor times its envelope
+    exp(-rate (s^2 + u^2))."""
     T = noise.transmissivity
+    ch, sh = _cosh_sinh(spec.r)
     # envelope rate T^2 (1 + cosh 2r)/8 + R^2/4, with 1 + cosh 2r = 2 cosh^2 r
-    half = T * _cosh_sinh(spec.r)[0] / 2
+    half = T * ch / 2
     rate = half * half + noise.r2 / 4
     # the resource's Gaussian in a1 = T (xi - i v)/2, of rate cosh(2r)/2,
-    # peaks at a1 = -tanh(2r) e^{i phi} conj(a2); times the input's and
-    # detectors' Gaussians, centred on 0, the envelope peaks at xi - i v
-    # = z0, scaled in by the resource's share of the rate
-    z0 = (-(2 / T) * (1 - (T * T / 8 + noise.r2 / 4) / rate)
-          * math.tanh(2 * spec.r) * cmath.exp(1j * spec.phi) * a2.conjugate())
+    # peaks at a1* = -tanh(2r) e^{i phi} conj(a2); times the input's and
+    # detectors' Gaussians, centred on 0 with kappa of the rate, the
+    # envelope peaks at a1 = (1 - kappa) a1*
+    ph = cmath.exp(1j * spec.phi)
+    peak = -math.tanh(2 * spec.r) * ph * a2.conjugate()
+    kappa = (T * T / 8 + noise.r2 / 4) / rate
+    z0 = (2 / T) * (1 - kappa) * peak
+    # the Bogoliubov arguments' terms of size e^{r} cancel near the peak;
+    # in d = a1 - a1* they are xi1 = ch d - e^{i phi} conj(a2) sh/cosh 2r
+    # and xi2 = a2 ch/cosh 2r + e^{i phi} sh conj(d), cosh 2r = ch^2 + sh^2
+    c2 = ch * ch + sh * sh
+    xi1_peak, xi2_peak = -ph * a2.conjugate() * (sh / c2), a2 * (ch / c2)
 
-    def kernel(xi, v):
+    def kernel(s, u):
+        xi, v = s + z0.real, u - z0.imag
+        d = T * (s - 1j * u) / 2 - kappa * peak
         return (np.exp(-noise.r2 * (xi * xi + v * v) / 4)
                 * _chi_input_arrays(inp.beta, T * xi / SQRT2, T * v / SQRT2)
-                * _chi_resource_arrays(spec, T * (xi - 1j * v) / 2, a2))
+                * _chi_core_arrays(spec, ch * d + xi1_peak,
+                                   xi2_peak + ph * sh * np.conj(d)))
 
     return rate, z0, kernel
 
@@ -171,7 +182,7 @@ def _bell_raw(inp, spec, noise, outcome, x2, p2):
     def integrand(s, u):
         xi, v = s + z0.real, u - z0.imag
         return (np.exp(1j * (xi * outcome.p_tilde - outcome.x_tilde * v))
-                * kernel(xi, v))
+                * kernel(s, u))
 
     return integrate_adaptive(integrand, rate) / (2 * math.pi) ** 2
 
@@ -229,9 +240,12 @@ def chi_out_via_measurement_average(inp, spec, noise, gain, pt):
     rate, z0, kernel = _bell_integrand(inp, spec, noise,
                                        math.exp(-noise.tau / 2) * pt.alpha)
     # a cat's |gamma gamma> term, a plane wave in a1, moves its outcomes
-    # by T |xi1| at a1 = gamma, a2 = -gamma; the rules resolve phases up
-    # to L_in L_out, so the nodes grow with the outcome box
-    shift = abs(bogoliubov_args(spec.zeta, spec.gamma, -spec.gamma)[0])
+    # by T |xi1| at a1 = gamma, a2 = -gamma: |gamma| times |xi1| at unit
+    # amplitude, a float product that overflows only to inf; the rules
+    # resolve phases up to L_in L_out, so the nodes grow with the box
+    unit = cmath.exp(1j * spec.gamma_phase)
+    shift = spec.gamma_mod * float(abs(bogoliubov_args(spec.zeta, unit,
+                                                       -unit)[0]))
     L_in, L_dual = box_halfwidth(rate), box_halfwidth(1 / (4 * rate))
     L_out = L_dual + T * shift
     if not L_out <= 3 * L_dual:
@@ -239,15 +253,15 @@ def chi_out_via_measurement_average(inp, spec, noise, gain, pt):
         raise QuadratureError(f"cat amplitude {spec.gamma_mod} needs more "
                               "nodes than the measurement average takes")
     t, w = _leggauss(128 * math.ceil(MEAS_AVG_NODES / 128 * L_out / L_dual))
-    xi, v, w_in = z0.real + L_in * t, -z0.imag + L_in * t, L_in * w
+    s, w_in = L_in * t, L_in * w
     xt, pt_, w_out = (T * inp.beta.real + L_out * t,
                       T * inp.beta.imag + L_out * t, L_out * w)
 
     # raw[k, l] at outcome (x~_k, p~_l), via two matrix products: the
-    # xi -> p~ phase and the v -> x~ phase
-    e_p = np.exp(1j * np.outer(xi, pt_)) * w_in[:, None]
-    e_x = np.exp(-1j * np.outer(v, xt)) * w_in[:, None]
-    K = kernel(xi[:, None], v[None, :])
+    # xi -> p~ phase and the v -> x~ phase, at xi - i v = z0 + s - i s'
+    e_p = np.exp(1j * np.outer(z0.real + s, pt_)) * w_in[:, None]
+    e_x = np.exp(-1j * np.outer(s - z0.imag, xt)) * w_in[:, None]
+    K = kernel(s[:, None], s[None, :])
     raw = (e_x.T @ K.T @ e_p) / (2 * math.pi) ** 2
 
     # raw is P chi_Bm at e^{-tau/2} pt: the channel adds its damping (its

@@ -10,6 +10,7 @@ integral. Slow and simple on purpose.
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import diags, identity, kron
@@ -144,3 +145,26 @@ def bell_conditional_chi(beta, r, transmissivity, r2, x_tilde, p_tilde,
                                       x_tilde, p_tilde, 0.0, 0.0)
     return complex(np.exp(0.5 * j @ np.linalg.solve(m, j) + c0
                           - 0.5 * j0 @ np.linalg.solve(m0, j0)))
+
+
+def bell_conditional_chi_mp(beta, r, transmissivity, r2, x_tilde, p_tilde,
+                            x2, p2, dps=400):
+    """bell_conditional_chi's Gaussian integral in mpmath at dps digits.
+    Its exponent's terms grow like cosh 2r and cancel, so in doubles it
+    drifts from r ~ 12 and overflows from r ~ 30; 400 digits hold to
+    r = 200."""
+    mp = mpmath
+    with mp.workdps(dps):
+        t = mp.mpf(transmissivity)
+        ch, sh = mp.cosh(2 * mp.mpf(r)) / 2, mp.sinh(2 * mp.mpf(r)) / 2
+        scale = mp.diag([t / mp.sqrt(2), -t / mp.sqrt(2)])
+        m = scale.T * (ch * mp.eye(2)) * scale + (t * t / 4 + r2 / 2) * mp.eye(2)
+        wave = mp.matrix([1j * (p_tilde - t * beta.imag),
+                          1j * (-x_tilde + t * beta.real)])
+
+        def exponent(k2):
+            j = -scale.T * mp.diag([-sh, sh]) * k2 + wave
+            return (j.T * mp.lu_solve(m, j))[0] / 2 - ch * (k2.T * k2)[0] / 2
+
+        return complex(mp.exp(exponent(mp.matrix([x2, p2]))
+                              - exponent(mp.matrix([0, 0]))))

@@ -1,5 +1,6 @@
 """Argument parsing, exit codes, CSV schema and byte determinism."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import example, given, settings
@@ -179,7 +181,11 @@ class TestMainExitCodes:
         assert float(out.out) == pytest.approx(factor * twin, rel=1e-11)
 
     @pytest.mark.parametrize("extra,value", [
-        ([], "0.0912667807455"), (["--sigma", "10"], "0.0182533561474")],
+        ([], "0.0912667807455"),
+        # the exact average: cos^2 delta times 4/(Delta + 4q), Delta = 40
+        # at r = 0 and g~ = 3, q = (g~ - 1)^2 sigma = 40; the 60-node
+        # prior rule printed 0.0182533561474
+        (["--sigma", "10"], "%.12g" % (math.cos(0.3) ** 2 * 4 / (40 + 160)))],
         ids=["point", "sigma-10"])
     def test_cat_amplitude_past_delta_overflow_exits_0(self, extra, value,
                                                        capsys):
@@ -191,6 +197,19 @@ class TestMainExitCodes:
                      "3"] + extra)
         assert code == 0
         assert capsys.readouterr() == (value + "\n", "")
+
+    def test_cat_at_huge_prior_and_amplitude_exits_0(self, capsys):
+        """The cat's 60-node prior rule met -inf + inf here, with numpy
+        overflow and invalid-value warnings, and exited 4 ("closed form is
+        nan"). The exact average, cos^2 delta times 4/(Delta + 4q) with q
+        overflowing, is 0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["fidelity", "--resource", "squeezed-cat", "--r",
+                         "0", "--delta", "0.4", "--gamma-mod", "1e154",
+                         "--gain", "3", "--sigma", "1.7e308"])
+        assert code == 0
+        assert capsys.readouterr() == ("0\n", "")
 
     @pytest.mark.parametrize("gamma,beta", [
         ("1e100", ["--beta-im", "1e300"]), ("1e100", ["--beta-re", "1e300"]),
@@ -524,6 +543,31 @@ def test_package_imports_only_stdlib_and_numpy():
     roots = {name.split(".")[0] for name in out.split()}
     assert "telefid" in roots
     assert roots - set(sys.stdlib_module_names) <= {"numpy", "telefid"}
+
+
+def test_package_imports_no_oracle():
+    """No module of the package names the bench's reference values,
+    workloads or tracer, or the tests' oracles, in any import statement,
+    at the top or inside a function: a result that imported its oracle
+    would agree with it by construction."""
+    checkers = {"reference", "workloads", "tracing", "oracles"}
+    pkg = os.path.dirname(telefid.__file__)
+    paths = sorted(os.path.join(pkg, f) for f in os.listdir(pkg)
+                   if f.endswith(".py"))
+    assert len(paths) > 5
+    found = []
+    for path in paths:
+        with open(path) as f:
+            tree = ast.parse(f.read(), filename=path)
+        for node in ast.walk(tree):
+            names = [alias.name for alias in getattr(node, "names", ())]
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            elif not isinstance(node, ast.Import):
+                continue
+            found += [(os.path.basename(path), name) for name in names
+                      if checkers & set(name.split("."))]
+    assert found == []
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)

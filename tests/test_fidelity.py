@@ -218,6 +218,35 @@ class TestAveraged:
             at_origin = fidelity_closed(spec, shifted, gain).value
             assert avg == pytest.approx(at_origin, abs=1e-13)
 
+    def test_cat_average_matches_the_overlap_at_any_prior(self):
+        """The cat's closed average is its beta = 0 form at the noise
+        Gamma + (g~ - 1)^2 sigma: it matches the overlap quadrature with
+        the prior's envelope folded in at any sigma. The 60-node rule it
+        replaced was off once lambda = 4 (g~ - 1)^2 sigma/Delta passed
+        about 10: by 7.1e-3 (0.00279 against 0.00988) at the first point
+        here, where lambda is about 80."""
+        rng = np.random.default_rng(29)
+        cases = [(ResourceSpec.squeezed_cat(0.8, delta=0.4, gamma_mod=1.0),
+                  NoiseParams(tau=0.3, r2=0.05), 0.9, 1e4)]
+        for sigma in (1.0, 100.0, 1e4, 1e6):
+            for _ in range(6):
+                spec = ResourceSpec.squeezed_cat(
+                    rng.uniform(0.0, 2.0), delta=rng.uniform(-math.pi, math.pi),
+                    gamma_mod=rng.uniform(0.0, 5.0),
+                    gamma_phase=math.pi * rng.integers(2))
+                noise = NoiseParams(rng.uniform(0.0, 1.0),
+                                    rng.uniform(0.0, 0.5),
+                                    rng.uniform(0.0, 0.2))
+                cases.append((spec, noise, rng.uniform(0.3, 1.5), sigma))
+        for spec, noise, gt, sigma in cases:
+            gain = GainSetting.fixed(gt / noise.transmissivity)
+            gap = 1 - gain.effective(noise)
+            ref = fidelity_module._overlap(CoherentInput(0j), spec, noise,
+                                           gain, gap * gap * sigma / 2)
+            rep = average_fidelity(spec, noise, gain, AlphabetPrior(sigma))
+            assert rep.method == "closed"
+            assert abs(rep.value - ref) <= 1e-10
+
     def test_narrow_prior_recovers_origin(self):
         spec = ResourceSpec.squeezed_bell(0.9, delta=0.5)
         noise = NoiseParams(tau=0.1, r2=0.05)

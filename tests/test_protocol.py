@@ -110,6 +110,17 @@ class TestChiOut:
             assert chi_out_ideal(inp, spec, pt) == pytest.approx(
                 expect, abs=1e-14)
 
+    def test_noiseless_chi_where_the_squares_overflow(self):
+        """Without noise, Gamma = 0, the noise factor is 1 also where
+        x^2 + p^2 overflows; it was e^{0 * inf}, so chi_out was NaN where
+        the input's Gaussian makes it 0."""
+        inp, spec = CoherentInput(0.3 + 0.1j), ResourceSpec.twin_beam(0.7)
+        pt = PhasePoint(1e200, 0.0)
+        with np.errstate(all="ignore"):
+            assert chi_out(inp, spec, NoiseParams(), GainSetting.fixed(1.0),
+                           pt) == 0
+            assert chi_out_ideal(inp, spec, pt) == 0
+
     def test_origin_is_one(self):
         inp = CoherentInput(1.5 + 1j)
         spec = ResourceSpec.squeezed_cat(0.6, delta=0.4, gamma_mod=0.7)
@@ -305,6 +316,23 @@ class TestBellConditioning:
         assert abs(ref) > 1e-3
         assert ours == pytest.approx(ref, abs=1e-8)
 
+    @pytest.mark.parametrize("r", [12.0, 20.0, 30.0, 60.0, 200.0])
+    def test_conditional_chi_where_the_bogoliubov_terms_cancel(self, r):
+        """Near the envelope's peak both Bogoliubov arguments are sums of
+        terms of size e^{r} that cancel. Formed that way, chi was 1.8e-9
+        off at r = 20, 4.7e-5 off at r = 30 and 0j from r = 60. The float
+        Gaussian oracle loses the same digits, so the reference is its
+        integral in mpmath."""
+        noise = NoiseParams(r2=0.05)
+        ours = chi_bell_conditioned(CoherentInput(0.3 + 0j),
+                                    ResourceSpec.twin_beam(r), noise,
+                                    BellOutcome(0.1, 0.2),
+                                    PhasePoint(1.0, 0.5))
+        ref = oracles.bell_conditional_chi_mp(0.3 + 0j, r,
+                                              noise.transmissivity,
+                                              noise.r2, 0.1, 0.2, 1.0, 0.5)
+        assert abs(ours - ref) <= 1e-12
+
     def test_conditional_chi_is_normalized(self):
         """chi of the conditioned state equals 1 at the origin, also for
         a non-Gaussian resource."""
@@ -361,6 +389,16 @@ class TestMeasurementAverage:
     def test_cat_past_the_nodes_raises(self):
         """The nodes grow with a cat's outcome box, up to |gamma| ~ 12."""
         spec = ResourceSpec.squeezed_cat(2.0, delta=0.4, gamma_mod=13.0)
+        with pytest.raises(QuadratureError):
+            chi_out_via_measurement_average(CoherentInput(0j), spec,
+                                            NoiseParams(),
+                                            GainSetting.fixed(1.0),
+                                            PhasePoint(0.3, 0.2))
+
+    def test_cat_at_the_largest_amplitude_raises(self):
+        """The outcome shift |xi1(gamma, -gamma)| overflowed in numpy,
+        with warnings, before the QuadratureError."""
+        spec = ResourceSpec.squeezed_cat(2.0, delta=0.3, gamma_mod=1.7e308)
         with pytest.raises(QuadratureError):
             chi_out_via_measurement_average(CoherentInput(0j), spec,
                                             NoiseParams(),
