@@ -136,13 +136,22 @@ def _delta_terms(r, gt, tau, gam):
     """Delta, the scale of all closed forms (see fidelity_closed), and
     its terms over Delta, summing to 1. e^{r} |g~ - eps| is one
     exponential and squares are products, so no term overflows before
-    Delta; where Delta is inf, 4/Delta = 0 makes every form 0. Columns
-    of g~ and Gamma give columns, stacked row by row."""
+    Delta; where Delta is inf, 4/Delta = 0 makes every form 0. A column
+    of g~ gives columns, each row bit-identical to the scalar path: its
+    log and exp are math's, taken over the column's floats."""
     if isinstance(gt, np.ndarray):
-        D, terms = zip(*(_delta_terms(r, g, tau, c)
-                         for g, c in zip(gt[:, 0].tolist(),
-                                         gam[:, 0].tolist())))
-        return np.array(D)[:, None], np.array(terms).T[..., None]
+        e = -math.exp(-tau / 2)
+        log_hi = [r + math.log(s) if s else -math.inf
+                  for s in np.abs(gt + e).ravel().tolist()]
+        hi = np.reshape([math.exp(x) if x < LOG_DBL_MAX else math.inf
+                         for x in log_hi], gt.shape)
+        lo = math.exp(-r) * np.abs(gt - e)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
+            D = d0 + d1 + z
+            inf = D == math.inf
+            return D, (np.where(inf, 0.0, d0 / D), np.where(inf, 0.0, d1 / D),
+                       np.where(inf, 1.0, z / D))
     hi, lo, z = _delta_parts(r, gt, -math.exp(-tau / 2), gam)
     d0, d1 = lo * lo, hi * hi
     D = d0 + d1 + z

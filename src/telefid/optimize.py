@@ -7,13 +7,16 @@ is a ratio of quadratic forms in (cos delta, sin delta)
 eigenvalue of a 2x2 pair and takes no search. Both optimizers are one
 core, _optimize, at beta = 0 on the unity gain or averaged over the prior
 with the gain free; the search reads the prior average exactly as the
-beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma. Every 1-D search
-left is one grid refined by golden section (_grid_then_golden): the
-cat's gamma, the averaged gain and the affinity's r'. Every grid is one
-broadcast form call, a gain grid taking its best delta row by row; the
-averaged cat's (gain, gamma) grid is refined by a 3 x 3 stencil search
-of one call per step. The subcase points (delta = 0, the
-photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
+beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma. Every search left
+is one grid in one broadcast form call, refined by _zoom_max: a mesh of
+ZOOM_POINTS per axis around the best point, one form call per step,
+zooming in by the mesh spacing. It refines the cat's gamma, the averaged
+gain (_grid_then_zoom, a gain grid taking its best delta row by row),
+the averaged cat's (gain, gamma) and the affinity's r'. The averaged
+cat's peak in the gain is about e^{-2r} wide at g~ = e^{-tau/2}, so its
+gain is searched on an axis stretched around that ridge, which is one
+more row of its grid. The subcase points (delta = 0,
+the photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
 stay in as a floor, so the subcase-domination inequalities hold exactly
 rather than to rounding. Each optimum's spec comes from ResourceSpec.of,
 so a photon-subtracted one is stored as its squeezed-Bell state.
@@ -37,6 +40,8 @@ AVG_GAIN_POINTS = 101
 AVG_GAMMA_POINTS = 51
 GAMMA_MAX = 5.0
 PARAM_XTOL = 1e-8
+# mesh points per axis of each zoom step
+ZOOM_POINTS = 17
 
 AFFINITY_RMAX = 5.0
 AFFINITY_POINTS = 201
@@ -82,55 +87,50 @@ def golden_section_max(fun, lo, hi):
     return (c, fc, nfev) if fc > fd else (d, fd, nfev)
 
 
-def _grid_then_golden(fun, grid):
-    """Maximize fun over the span of a grid: the best grid point,
-    refined by golden section between its neighbours. fun takes the
-    whole grid in one call, and a column per smooth branch is refined on
-    its own. Returns (x, f(x), evaluations) of the highest point, the
-    first on a tie (a grid point before its refinement)."""
-    vals, best, nfev = np.reshape(fun(grid), (len(grid), -1)), [], len(grid)
-    for j, col in enumerate(vals.T):
-        i = int(np.argmax(col))
-        x, fx, n = golden_section_max(
-            lambda x: float(fun(x)[j] if vals.shape[1] > 1 else fun(x)),
-            grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)])
-        best += [(float(col[i]), float(grid[i])), (fx, float(x))]
+def _zoom_max(fun, start, value, steps, box):
+    """Maximize f on a box from a start of known value. Each step takes
+    a mesh of ZOOM_POINTS per axis, spanning +-steps around the best
+    point and clipped to the box, in one call fun(*np.ix_(*axes)): a
+    row in 1-D, a column of x against a row of y in 2-D. It moves to the
+    highest mesh point only if that is strictly higher, then shrinks the
+    steps to the mesh spacing, until they are below PARAM_XTOL. Returns
+    (point, value, evaluations)."""
+    point, nfev = tuple(start), 0
+    mesh = np.linspace(-1.0, 1.0, ZOOM_POINTS)
+    while max(steps) >= PARAM_XTOL:
+        axes = [np.clip(x + h * mesh, lo, hi)
+                for x, h, (lo, hi) in zip(point, steps, box)]
+        vals = np.reshape(fun(*np.ix_(*axes)), [ZOOM_POINTS] * len(axes))
+        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
+        if vals[k] > value:
+            value = float(vals[k])
+            point = tuple(float(a[i]) for a, i in zip(axes, k))
+        steps = [2 * h / (ZOOM_POINTS - 1) for h in steps]
+        nfev += vals.size
+    return point, value, nfev
+
+
+def _grid_then_zoom(fun, *grids):
+    """Maximize fun over the span of a grid, one sorted axis per grid:
+    the best grid point, refined by _zoom_max within its neighbours. fun
+    takes the grid in one call, as _zoom_max's meshes, and a last axis of
+    smooth branches is refined branch by branch. Returns (point, value,
+    evaluations) of the highest, the first on a tie."""
+    shape = [len(g) for g in grids]
+    vals = np.reshape(fun(*np.ix_(*grids)), shape + [-1])
+    steps = [np.max(np.diff(g)) for g in grids]
+    best, nfev = [], math.prod(shape)
+    for j in range(vals.shape[-1]):
+        k = np.unravel_index(int(np.argmax(vals[..., j])), shape)
+        point, fx, n = _zoom_max(
+            lambda *xs: np.reshape(fun(*xs), [ZOOM_POINTS] * len(xs)
+                                   + [-1])[..., j],
+            [float(g[i]) for g, i in zip(grids, k)], float(vals[k][j]),
+            steps, [(g[0], g[-1]) for g in grids])
+        best.append((fx, point))
         nfev += n
-    fx, x = max(best, key=lambda c: c[0])
-    return x, fx, nfev
-
-
-def _stencil_max(row, start, value, steps, box):
-    """Maximize f(x, y) on a box from a start of known value: move to the
-    best point of a 3 x 3 stencil of half-widths steps, halve them when
-    the centre wins or after 64 moves in a row, stop below
-    PARAM_XTOL. The run limit bounds the crawl along a ridge that is
-    narrow across the lattice's axes. row(xs, ys) gives f on a column of
-    x against a row of y, one call per stencil. Points lie on the lattice
-    start + (i hx, j hy), so one met again is the same floats and keeps
-    its first value. Returns (point, value, evaluations), the number of
-    distinct points."""
-    (x0, y0), (hx, hy), ((xlo, xhi), (ylo, yhi)) = start, steps, box
-    seen, point, i, j, run = {start: value}, start, 0, 0, 0
-    while max(hx, hy) >= PARAM_XTOL:
-        xs = [min(max(x0 + (i + d) * hx, xlo), xhi) for d in (-1, 0, 1)]
-        ys = [min(max(y0 + (j + d) * hy, ylo), yhi) for d in (-1, 0, 1)]
-        if any((x, y) not in seen for x in xs for y in ys):
-            xu, yu = list(dict.fromkeys(xs)), list(dict.fromkeys(ys))
-            vals = row(np.array(xu)[:, None], np.array(yu)).ravel()
-            for xy, v in zip([(x, y) for x in xu for y in yu], vals.tolist()):
-                seen.setdefault(xy, v)
-        best = (value, i, j, point)
-        for di, x in zip((-1, 0, 1), xs):
-            for dj, y in zip((-1, 0, 1), ys):
-                if seen[x, y] > best[0]:
-                    best = (seen[x, y], i + di, j + dj, (x, y))
-        # a centre that wins ends the run at once
-        run = run + 1 if best[0] > value else 64
-        value, i, j, point = best
-        if run == 64:
-            i, j, hx, hy, run = 2 * i, 2 * j, hx / 2, hy / 2, 0
-    return point, value, len(seen) - 1
+    fx, point = max(best, key=lambda c: c[0])
+    return point, fx, nfev
 
 
 def _best_delta(family, r, form):
@@ -158,30 +158,29 @@ def _optimize(family, r, noise, prior=None):
     N = AVG_GAIN_POINTS. The objective at each searched point takes the
     best delta. The unity gain with the beta-independent optimum is an
     averaged candidate, so the averaged optimum never falls below it. The
-    route names what was searched: eigen where delta is free, then
-    golden or stencil, or closed where nothing was."""
+    route names what was searched: eigen where delta is free, then zoom,
+    or closed where nothing was."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
-    g_top = 2.0 / noise.transmissivity
-    g_unity = 1.0 / noise.transmissivity
+    T = noise.transmissivity
+    g_top, g_unity = 2.0 / T, 1.0 / T
     sigma = 0.0 if prior is None else prior.sigma
 
     def gain_at(g):
         # the unity rule (None) keeps g~ = 1 exactly
         return GainSetting(None if g == g_unity else float(g))
 
-    def shifted(g):
-        gain = gain_at(g)
-        gt = gain.effective(noise)
-        return gt, _shifted_noise(gt, gamma_cov(noise, gain), sigma)
-
     def form(g, gamma=None):
-        # g is one gain, or a row or column of them taken as a column
-        gt, gam = (np.array([shifted(x) for x in np.ravel(g)]).T[..., None]
-                   if np.ndim(g) else shifted(g))
-        return _fidelity_form(family, r, 0.0 if gamma is None else gamma,
-                              gt, gam, noise.tau, 0j)
+        # g is one gain, or an array of them taken as a column
+        if np.ndim(g):
+            g = np.reshape(g, (-1, 1))
+            gt = np.where(g == g_unity, 1.0, g * T)
+        else:
+            gt = gain_at(g).effective(noise)
+        return _fidelity_form(family, r, 0.0 if gamma is None else gamma, gt,
+                              _shifted_noise(gt, gamma_cov(noise, g), sigma),
+                              noise.tau, 0j)
 
     def score(g, gamma=None):
         # the cat's eigenvalue or the best delta, over gains (and gamma)
@@ -194,28 +193,35 @@ def _optimize(family, r, noise, prior=None):
 
     point, searched, nfev = (g_unity, None), [], 1
     if prior is None and cat:
-        gamma, _, n = _grid_then_golden(
+        (gamma,), _, n = _grid_then_zoom(
             lambda c: score(g_unity, c),
             np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS))
-        point, searched, nfev = (g_unity, gamma), ["golden"], nfev + n
+        point, searched, nfev = (g_unity, gamma), ["zoom"], nfev + n
     elif prior is not None:
         base = _optimize(family, r, noise)
         g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top,
                              AVG_GAIN_POINTS)
+        searched = ["zoom"]
         if cat:
-            gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
-            vals = score(g_grid[:, None], gammas)
-            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            found, value, n = _stencil_max(
-                score, (float(g_grid[i]), float(gammas[j])),
-                float(vals[i, j]),
-                ((g_grid[1] - g_grid[0]) / 2, (gammas[1] - gammas[0]) / 2),
-                ((g_grid[0], g_top), (0.0, GAMMA_MAX)))
-            n += vals.size
-            searched = ["stencil"]
+            # the gain peak at g~ = eps is about e^{-2r} wide: search the
+            # gain as w, g~ = eps + c sinh w, c = e^{-2r} (no finer than
+            # eps's rounding, nor 0), with the ridge w = 0 as one more row
+            eps = math.exp(-noise.tau / 2)
+            c = max(math.exp(-2 * r), 1e-16 * eps, 1e-300)
+
+            def gain(w):
+                return (eps + c * np.sinh(w)) / T
+
+            ws = np.linspace(*np.arcsinh((g_grid[[0, -1]] * T - eps) / c),
+                             AVG_GAIN_POINTS)
+            ws = np.sort(np.append(ws, 0.0)) if ws[0] <= 0 <= ws[-1] else ws
+            (w, gamma), value, n = _grid_then_zoom(
+                lambda w, gamma: score(gain(w), gamma), ws,
+                np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS))
+            found = (float(gain(w)), gamma)
         else:
-            g, value, n = _grid_then_golden(score, g_grid)
-            found, searched = (g, None), ["golden"]
+            (g,), value, n = _grid_then_zoom(score, g_grid)
+            found = (g, None)
         unity = (g_unity, base.gamma_opt)
         # first of the highest candidates
         point = max([(value, found), (np.max(score(*unity)), unity)],
@@ -289,7 +295,7 @@ def affinity(spec):
     """Largest squared overlap with a two-mode squeezed vacuum, sup over
     its squeezing: max over r' within AFFINITY_RMAX of r (and >= 0) of
     |<00| S(r' e^{i pi})+ S(zeta) |core>|^2, on a grid of AFFINITY_POINTS
-    refined by golden section around the best point.
+    refined by _zoom_max around the best point.
 
     By the SU(1,1) disentangling identity the overlap is N <00|
     e^{kappa a1 a2} |core> / A, A = cosh r cosh r' + e^{i phi} sinh r
@@ -324,7 +330,7 @@ def affinity(spec):
 
     grid = np.linspace(max(0.0, r - AFFINITY_RMAX), r + AFFINITY_RMAX,
                        AFFINITY_POINTS)
-    _, best, _ = _grid_then_golden(overlap_sq, grid)
+    _, best, _ = _grid_then_zoom(overlap_sq, grid)
     # rounding can lift an overlap of exactly 1 just past it
     return min(best, 1.0)
 

@@ -102,8 +102,9 @@ class BellOutcome:
 
 def gamma_cov(noise, gain):
     """Thermal renormalized covariance Gamma of the output Gaussian
-    noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2."""
-    g = gain.gain(noise)
+    noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2, at a GainSetting
+    or at bare gains g, a number or an array."""
+    g = gain.gain(noise) if isinstance(gain, GainSetting) else gain
     # R^2 = 0 adds nothing, also where g^2 overflows
     return ((1.0 - math.exp(-noise.tau)) * (0.5 + noise.n_th)
             + (g * g * noise.r2 if noise.r2 else 0.0))
@@ -124,10 +125,12 @@ def _chi_out_arrays(inp, spec, noise, gain, x, p):
 def chi_out(inp, spec, noise, gain, pt):
     """Output characteristic function of the nonideal protocol:
     chi_in(g~x, g~p) chi_res(g~x, -g~p; e^{-tau/2}x, e^{-tau/2}p)
-    exp{-Gamma (x^2+p^2)/2}."""
-    return complex(_chi_out_arrays(inp, spec, noise, gain,
-                                   np.asarray(float(pt.x)),
-                                   np.asarray(float(pt.p))))
+    exp{-Gamma (x^2+p^2)/2}. Past |x|, |p| ~ 1e154 the squares inside
+    overflow to inf, and the value is their limit, 0."""
+    with np.errstate(over="ignore"):
+        return complex(_chi_out_arrays(inp, spec, noise, gain,
+                                       np.asarray(float(pt.x)),
+                                       np.asarray(float(pt.p))))
 
 
 def chi_out_ideal(inp, spec, pt):

@@ -495,6 +495,25 @@ class TestCsvSchema:
         assert row["gamma_opt"] == "" and row["beta_re"] == ""
         assert row["method"] == "eigen"
 
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--figure", "4"],
+        ["optimize", "--resource", "squeezed-cat", "--r", "0.8", "--tau",
+         "0.3", "--r2", "0.05", "--sigma", "10", "--beta-re", "1"],
+        ["sweep", "--resource", "buridan", "--r", "0.8", "--delta", "0.4",
+         "--vary", "gain", "--from", "0.5", "--to", "1.5", "--steps", "5",
+         "--sigma", "10"],
+    ], ids=["figure", "optimize", "sweep"])
+    def test_output_leaves_stdout_and_stderr_empty(self, argv, tmp_path,
+                                                   capfd):
+        """With --output the CSV goes to the file alone: a caller that
+        reads stdout, as a benchmark reads its last line, sees nothing
+        else."""
+        path = tmp_path / "out.csv"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_text(encoding="utf-8").startswith(
+            ",".join(CSV_HEADER) + "\n")
+        assert capfd.readouterr() == ("", "")
+
     def test_emit_csv_stdout(self, capsys):
         emit_csv([ResultRow(resource="twin-beam", r=1.0, fidelity=0.5)])
         out = capsys.readouterr().out

@@ -17,14 +17,29 @@ from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
                      ResourceSpec, average_fidelity, classical_benchmark,
                      fidelity_closed, fidelity_quadrature, gamma_cov)
 from telefid.fidelity import _fidelity_form
-from telefid.optimize import (AFFINITY_RMAX, _grid_then_golden,
-                              _stencil_max, affinity, fidelity_at_optimum,
-                              golden_section_max, one_shot_fidelity,
+from telefid.optimize import (AFFINITY_RMAX, PARAM_XTOL, ZOOM_POINTS,
+                              _grid_then_zoom, _zoom_max, affinity,
+                              fidelity_at_optimum, golden_section_max,
+                              one_shot_fidelity,
                               optimize_beta_independent,
                               optimize_gain_average, r_max)
 from telefid.phase_space import photon_subtraction_angle
 
 NONIDEAL = NoiseParams(tau=0.3, r2=0.05)
+
+
+@pytest.fixture
+def form_calls(monkeypatch):
+    """The optimizer's _fidelity_form calls, recorded as it makes them."""
+    calls = []
+    real = optimize._fidelity_form
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(optimize, "_fidelity_form", counted)
+    return calls
 
 
 class TestGoldenSection:
@@ -40,78 +55,83 @@ class TestGoldenSection:
         x, fx, _ = golden_section_max(lambda x: x, 0.0, 1.0)
         assert x == pytest.approx(1.0, abs=1e-7)
 
-    def test_grid_then_golden_refines(self):
+
+class TestZoom:
+
+    @staticmethod
+    def quadratic(x, ys):
+        return 1 - (x - 0.31) ** 2 - 2 * (ys + 0.17) ** 2 + 0.5 * x * ys
+
+    def test_grid_then_zoom_refines(self):
         grid = np.linspace(0.0, 2.0, 21)
-        x, fx, nfev = _grid_then_golden(lambda x: 2 - (x - 0.73) ** 2,
-                                        grid)
+        (x,), fx, nfev = _grid_then_zoom(lambda x: 2 - (x - 0.73) ** 2,
+                                         grid)
         assert x == pytest.approx(0.73, abs=1e-7)
         assert fx == pytest.approx(2.0, abs=1e-15)
         assert nfev > len(grid)
 
-    def test_grid_then_golden_keeps_a_higher_grid_point(self):
-        """A spike the golden section cannot see stays the answer."""
+    def test_grid_then_zoom_keeps_a_higher_grid_point(self):
+        """A spike the zoom's meshes never meet again stays the answer."""
         grid = np.linspace(0.0, 1.0, 11)
 
         def spike(x):
             return np.where(x == grid[4], 1.0, x / 2)
 
-        x, fx, _ = _grid_then_golden(spike, grid)
+        (x,), fx, _ = _grid_then_zoom(spike, grid)
         assert (x, fx) == (grid[4], 1.0)
 
-
-    def test_grid_then_golden_refines_each_branch(self):
+    def test_grid_then_zoom_refines_each_branch(self):
         """The higher of two branches: the grid favours the first (0.9999
         at 0.3 against 0.955 at 0.8), while the second peaks higher
-        between grid points, where golden section from 0.3 never goes."""
+        between grid points, where a zoom from 0.3 never goes."""
         grid = np.linspace(0.0, 1.0, 11)
 
         def branches(x):
             return np.stack((1 - (x - 0.31) ** 2,
                              1 + 1e-7 - 50 * (x - 0.77) ** 2), axis=-1)
 
-        x, fx, nfev = _grid_then_golden(branches, grid)
+        (x,), fx, nfev = _grid_then_zoom(branches, grid)
         assert x == pytest.approx(0.77, abs=1e-7)
         assert fx == pytest.approx(1 + 1e-7, abs=1e-12)
-        assert nfev > len(grid) + 60
-
-
-class TestStencil:
-
-    @staticmethod
-    def quadratic(x, ys):
-        return 1 - (x - 0.31) ** 2 - 2 * (ys + 0.17) ** 2 + 0.5 * x * ys
+        # each branch takes its own zoom, eight meshes from a 0.1 step
+        assert nfev == len(grid) + 2 * 8 * ZOOM_POINTS
 
     def test_interior_maximum(self):
-        # grad = 0 at x = 0.31 + y / 4, y = x / 8 - 0.17
+        # grad = 0 at x = 0.31 + y / 4, y = x / 8 - 0.17, within the steps
+        # of the start
         x_opt = (0.31 - 0.17 / 4) / (1 - 1 / 32)
         y_opt = x_opt / 8 - 0.17
-        (x, y), fx, nfev = _stencil_max(
-            self.quadratic, (0.0, 0.0), float(self.quadratic(0.0, 0.0)),
+        (x, y), fx, nfev = _zoom_max(
+            self.quadratic, (0.25, -0.1), float(self.quadratic(0.25, -0.1)),
             (0.05, 0.1), ((-1.0, 1.0), (-1.0, 1.0)))
         assert x == pytest.approx(x_opt, abs=1e-7)
         assert y == pytest.approx(y_opt, abs=1e-7)
         assert fx == self.quadratic(x, np.array([y]))[0]
-        assert 0 < nfev < 500
+        assert nfev == 8 * ZOOM_POINTS ** 2
 
     def test_stays_in_the_box(self):
         # the maximum on x <= 0.1, y >= 0 is the corner (0.1, 0)
-        (x, y), fx, _ = _stencil_max(
-            self.quadratic, (0.0, 0.5), float(self.quadratic(0.0, 0.5)),
-            (0.05, 0.05), ((-1.0, 0.1), (0.0, 1.0)))
+        (x, y), fx, _ = _zoom_max(
+            self.quadratic, (0.0, 0.05), float(self.quadratic(0.0, 0.05)),
+            (0.1, 0.1), ((-1.0, 0.1), (0.0, 1.0)))
         assert (x, y) == (0.1, 0.0)
         assert fx == self.quadratic(0.1, np.array([0.0]))[0]
 
     def test_narrow_ridge_costs_a_bounded_search(self):
-        """The lattice cannot follow the ridge x = 0.3 y, so each move
-        gains little; the search used to crawl along it for 1.2 million
-        evaluations (the averaged cat's g~ = e^{-tau/2} ridge at r = 6.5
-        took 356k, 48 s). 64 moves per step level bound it."""
+        """The meshes cannot follow the ridge x = 0.3 y, which is narrow
+        across their axes; the stencil search this replaced crawled along
+        it for 1.2 million evaluations before a run limit was added. The
+        zoom's cost is set by its steps alone: one mesh per factor
+        (ZOOM_POINTS - 1)/2 down to PARAM_XTOL, never below the start."""
         def ridge(x, ys):
             return ys - 1e6 * (x - 0.3 * ys) ** 2
 
-        _, fx, nfev = _stencil_max(ridge, (0.0, 0.0), 0.0, (0.05, 0.05),
-                                   ((-1.0, 1.0), (0.0, 1.0)))
-        assert fx > 0.0 and nfev < 5000
+        (x, y), fx, nfev = _zoom_max(ridge, (0.0, 0.0), 0.0, (0.05, 0.05),
+                                     ((-1.0, 1.0), (0.0, 1.0)))
+        meshes = math.ceil(math.log(0.05 / PARAM_XTOL)
+                           / math.log((ZOOM_POINTS - 1) / 2))
+        assert fx >= 0.0 and -1.0 <= x <= 1.0 and 0.0 <= y <= 1.0
+        assert nfev == meshes * ZOOM_POINTS ** 2
 
 
 class TestSqueezingSweetSpot:
@@ -227,7 +247,7 @@ class TestBetaIndependentOptimization:
 
     def test_cat_optimum_metadata(self):
         opt = optimize_beta_independent("squeezed-cat", 1.0, NONIDEAL)
-        assert opt.method == "eigen+golden"
+        assert opt.method == "eigen+zoom"
         assert opt.best_value == pytest.approx(0.752540968191, abs=1e-9)
         assert opt.delta_opt == pytest.approx(0.244730616209, abs=1e-5)
         assert opt.gamma_opt == pytest.approx(0.834822832584, abs=1e-5)
@@ -354,7 +374,7 @@ class TestAveragedOptimization:
         assert opt.best_value == pytest.approx(0.793071310803, abs=1e-9)
         assert opt.g_opt == pytest.approx(0.951308935551, abs=1e-6)
         assert opt.delta_opt == pytest.approx(0.404832762182, abs=1e-5)
-        assert opt.method == "eigen+golden"
+        assert opt.method == "eigen+zoom"
 
     def test_wide_prior_bell_optimum_beats_dense_scan(self):
         """At sigma = 100 and r = 1.325 the best Bell angle is small but
@@ -379,7 +399,7 @@ class TestAveragedOptimization:
 
     @pytest.mark.parametrize("sigma,r", [(100.0, 1.325), (10.0, 1.775)])
     def test_averaged_cat_optimum_beats_dense_scan(self, sigma, r):
-        """The averaged cat's (g, gamma) stencil search and delta
+        """The averaged cat's (g, gamma) zoom search and delta
         eigenvalue must not be beaten by a (g, gamma, delta) scan of the
         public average, refined twice."""
         prior = AlphabetPrior(sigma)
@@ -398,7 +418,7 @@ class TestAveragedOptimization:
                                     np.linspace(c0 - dc, c0 + dc, 11),
                                     np.linspace(d0 - dd, d0 + dd, 11))
         opt = optimize_gain_average("squeezed-cat", r, NONIDEAL, prior)
-        assert opt.method == "eigen+stencil"
+        assert opt.method == "eigen+zoom"
         assert opt.best_value >= best - 1e-12
 
     def test_beats_classical_benchmark(self):
@@ -406,25 +426,41 @@ class TestAveragedOptimization:
         opt = optimize_gain_average("squeezed-bell", 1.0, NONIDEAL, prior)
         assert opt.best_value > classical_benchmark(prior)
 
-    def test_averaged_cat_search_cost(self, monkeypatch):
+    def test_averaged_cat_search_cost(self, form_calls):
         """The averaged cat's search reads the beta = 0 form at the
-        shifted noise: one form call covers the 101 x 51 (g, gamma) grid
-        and one each stencil step. With the prior's 60-node form, one
-        call per gain row and per stencil row, this point took 235."""
-        calls = []
-        real = optimize._fidelity_form
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(optimize, "_fidelity_form", counted)
+        shifted noise: one form call covers the 102 x 51 (gain, gamma)
+        grid and one each zoom mesh, 21 calls with the beta-independent
+        search it starts from. With the prior's 60-node form, one call
+        per gain row and per stencil row, this point took 235, and the
+        3 x 3 stencil walk 80."""
         opt = optimize_gain_average(
             "squeezed-cat", 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
             AlphabetPrior(10.0))
-        assert len(calls) <= 100
-        # evaluations count distinct form points, the grid among them
+        assert len(form_calls) <= 25
+        # evaluations count the form points, the grid among them
         assert opt.evaluations >= 101 * 51
+
+    @pytest.mark.parametrize("r", [2.0, 4.0, 6.5, 10.0])
+    def test_averaged_cat_on_the_gain_ridge(self, r, form_calls):
+        """At large r the averaged cat's gain peak at g~ = eps = e^{-tau/2}
+        is about e^{-2r} wide, far below the gain grid's spacing. The
+        search must not fall below a dense scan of 2,001 gains across
+        that ridge, g~ - eps in e^{-2r} [-1, 1], plus 2,001 uniform gains,
+        times 501 gamma, read as the exact average; the 3 x 3 stencil walk
+        fell 1.5e-7 and 7.4e-9 short of it at r = 4 and 6.5."""
+        x = 0.713
+        noise, prior = NoiseParams(tau=x, n_th=x, r2=x), AlphabetPrior(6.5)
+        opt = optimize_gain_average("squeezed-cat", r, noise, prior)
+        assert len(form_calls) <= 25
+        T, eps = noise.transmissivity, math.exp(-x / 2)
+        dense = 0.0
+        for gt in (eps + math.exp(-2 * r) * np.linspace(-1.0, 1.0, 2001),
+                   np.linspace(2 / 101, 2.0, 2001)):
+            form = _fidelity_form(
+                "squeezed-cat", r, np.linspace(0.0, 5.0, 501), gt[:, None],
+                gamma_cov(noise, gt[:, None] / T), x, prior)
+            dense = max(dense, float(np.max(form.top()[0])))
+        assert opt.best_value >= dense - 1e-10
 
     @pytest.mark.parametrize("r,noise,sigma", [
         (1.9, NoiseParams(tau=0.1), 10.0),
@@ -448,26 +484,21 @@ class TestAveragedOptimization:
 
     @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
                                         "buridan", "photon-subtracted"])
-    def test_averaged_bell_search_cost(self, family, monkeypatch):
-        """The Bell-type gain grid is one form call, and each golden
-        section step one more; with one call per grid point this point
-        took 138. The evaluations, the 101 grid points among them, are
-        counted as before. Buridan's two branches share the grid call
-        and take a golden section each, 34 more calls and evaluations."""
-        calls = []
-        real = optimize._fidelity_form
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(optimize, "_fidelity_form", counted)
+    def test_averaged_bell_search_cost(self, family, form_calls):
+        """The Bell-type gain grid is one form call, and each zoom mesh
+        one more: seven meshes of ZOOM_POINTS from the grid's spacing
+        down to PARAM_XTOL, 11 calls in all, where one call per grid
+        point took 138 and golden section 38. The evaluations are the
+        101 grid points, the meshes' 119, the beta-independent optimum,
+        the unity candidate, the public average and the form at the
+        optimum. Buridan's two branches share the grid call and take a
+        zoom each, 7 more calls and 119 more evaluations."""
         opt = optimize_gain_average(
             family, 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
             AlphabetPrior(10.0))
-        extra = 34 if family == "buridan" else 0
-        assert len(calls) <= 45 + extra
-        assert opt.evaluations == 139 + extra
+        extra = 7 if family == "buridan" else 0
+        assert len(form_calls) <= 12 + extra
+        assert opt.evaluations == 224 + 17 * extra
 
 
 @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell", "buridan",

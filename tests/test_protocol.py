@@ -80,6 +80,17 @@ def test_gamma_cov():
         expect, abs=1e-15)
 
 
+def test_gamma_cov_at_bare_gains():
+    """An array of bare gains gives, bit for bit, each GainSetting's
+    Gamma, the unity rule's 1/T among them."""
+    noise = NoiseParams(tau=0.3, n_th=0.4, r2=0.1)
+    gains = [GainSetting.fixed(g) for g in np.linspace(0.1, 2.0, 20)]
+    gains.append(GainSetting())
+    bare = np.array([gain.gain(noise) for gain in gains])
+    assert gamma_cov(noise, bare).tolist() == [gamma_cov(noise, gain)
+                                               for gain in gains]
+
+
 class TestChiOut:
 
     def test_ideal_limit(self):
@@ -120,6 +131,20 @@ class TestChiOut:
             assert chi_out(inp, spec, NoiseParams(), GainSetting.fixed(1.0),
                            pt) == 0
             assert chi_out_ideal(inp, spec, pt) == 0
+
+    @pytest.mark.parametrize("spec", [
+        ResourceSpec.twin_beam(0.5),
+        ResourceSpec.squeezed_cat(0.5, delta=0.3, gamma_mod=1.0)])
+    @pytest.mark.parametrize("x", [1e200, 1.7e308])
+    def test_past_the_squares_overflow_is_0_without_warnings(self, spec,
+                                                             x):
+        """Both public functions give the limit 0 where x^2 overflows,
+        and no RuntimeWarning on the way (an error under this suite's
+        settings)."""
+        inp, pt = CoherentInput(0.3), PhasePoint(x, 0.0)
+        noise = NoiseParams(tau=0.3, n_th=0.1, r2=0.05)
+        assert chi_out_ideal(inp, spec, pt) == 0
+        assert chi_out(inp, spec, noise, GainSetting(), pt) == 0
 
     def test_origin_is_one(self):
         inp = CoherentInput(1.5 + 1j)
