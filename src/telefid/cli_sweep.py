@@ -252,9 +252,11 @@ def run_figure_preset(tag):
         else:
             resources = FIG4_RESOURCES
             noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)]
-        return [_opt_row(res, r, noise,
-                         optimize_beta_independent(res, r, noise))
-                for res in resources for noise in noises for r in axis]
+        # one lockstep optimization per (family, noise) over the r axis
+        return [_opt_row(res, r, noise, opt)
+                for res in resources for noise in noises
+                for r, opt in zip(axis, optimize_beta_independent(
+                    res, axis, noise))]
 
     if tag.endswith("-I"):
         sigma, betas = 10.0, (1.0, 2.0, 3.0)
@@ -269,9 +271,9 @@ def run_figure_preset(tag):
                   for t in axis]
     rows = []
     for res in FIG56_RESOURCES:
-        opts = [optimize_gain_average(res, r, noise, prior)
-                for r, noise in points]
-        # one optimization per axis point is reused for every beta
+        # one lockstep optimization over the axis, reused for every beta
+        opts = optimize_gain_average(res, [r for r, _ in points],
+                                     [noise for _, noise in points], prior)
         rows += [_opt_row(res, r, noise, opt, prior, complex(beta, 0.0))
                  for beta in betas for (r, noise), opt in zip(points, opts)]
     return rows

@@ -83,8 +83,8 @@ class FidelityForm(NamedTuple):
     families. For the cat, b, e and h vanish like gamma^2 and are formed
     without cancellation, so small gamma loses no digits.
 
-    Fields may be arrays over gamma or (gain, gamma). delta is a scalar,
-    or a column against scalar or column fields.
+    Fields may be arrays over points, gains and gamma. delta is a
+    scalar, or an array against them.
     """
 
     a: object
@@ -121,6 +121,16 @@ class FidelityForm(NamedTuple):
         return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
 
 
+def _math(f, x):
+    """math's f at a number, or at each element of an array: numpy's
+    exp and log round differently from math's in the last bit, so column
+    paths take math's, to keep each row the scalar path's."""
+    if isinstance(x, np.ndarray):
+        return np.reshape(np.fromiter(map(f, x.ravel().tolist()), float,
+                                      x.size), x.shape)
+    return f(x)
+
+
 def _delta_parts(r, gt, e, gam):
     """e^{r}|g~ + e|, e^{-r}|g~ - e| and 2(1 + g~^2 + 2 Gamma), whose
     squares and last term sum to Delta_phi at e = e^{i phi - tau/2}:
@@ -137,15 +147,19 @@ def _delta_terms(r, gt, tau, gam):
     its terms over Delta, summing to 1. e^{r} |g~ - eps| is one
     exponential and squares are products, so no term overflows before
     Delta; where Delta is inf, 4/Delta = 0 makes every form 0. A column
-    of g~ gives columns, each row bit-identical to the scalar path: its
-    log and exp are math's, taken over the column's floats."""
+    of g~ gives columns, against numbers or columns of r, tau and Gamma
+    (rows first), each row bit-identical to the scalar path: its log
+    and exp are math's, taken over the elements."""
     if isinstance(gt, np.ndarray):
-        e = -math.exp(-tau / 2)
-        log_hi = [r + math.log(s) if s else -math.inf
-                  for s in np.abs(gt + e).ravel().tolist()]
-        hi = np.reshape([math.exp(x) if x < LOG_DBL_MAX else math.inf
-                         for x in log_hi], gt.shape)
-        lo = math.exp(-r) * np.abs(gt - e)
+        e = -_math(math.exp, -tau / 2)
+        # e^{r}|g~ + e| as _delta_parts forms it
+        s = np.abs(gt + e)
+        log_hi = np.where(s != 0, r + _math(math.log, np.where(s != 0, s, 1)),
+                          -math.inf)
+        fin = log_hi < LOG_DBL_MAX
+        hi = np.where(fin, _math(math.exp, np.where(fin, log_hi, 0.0)),
+                      math.inf)
+        lo = _math(math.exp, -r) * np.abs(gt - e)
         with np.errstate(over="ignore", invalid="ignore"):
             d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
             D = d0 + d1 + z
@@ -195,7 +209,8 @@ def _bell_factors(gt, D, at):
 def _bell_form(family, gt, tau, D, terms, factors):
     """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm,
     in the Delta terms over Delta (pm + mm + z = 1) and _bell_factors:
-    all O(1) times 4/Delta, so large r neither overflows nor cancels."""
+    all O(1) times 4/Delta, so large r neither overflows nor cancels.
+    g~, tau and the terms may be columns."""
     e0, e1, e2, eb = factors
     pm, mm, z = terms
     k = 4 / D
@@ -203,7 +218,8 @@ def _bell_form(family, gt, tau, D, terms, factors):
         # 2 (g~^2 - e^{-tau}) / Delta = 2 sgn(g~ - eps) sqrt(pm mm), as
         # (g~ + eps)|g~ - eps| = sqrt(d0 d1)
         xp = np if isinstance(pm, np.ndarray) else math
-        c2 = (2 * xp.copysign(xp.sqrt(pm * mm), gt - math.exp(-tau / 2))
+        c2 = (2 * xp.copysign(xp.sqrt(pm * mm),
+                                  gt - _math(math.exp, -tau / 2))
               * (e0 - 4 * e1))
         # a, the |01> core's fidelity, is >= 0, but e0 z and c2 cancel as
         # g~, Gamma and tau go to 0; (a + |a|)/2 is max(a, 0) on scalars
@@ -233,8 +249,8 @@ def _exp_expm1(lo, ex):
 def _cat_form(gamma, gt, tau, D, terms, beta):
     """Squeezed-cat FidelityForm for real, signed gamma (scalar or
     array) at one amplitude beta, in Delta's terms over Delta, as
-    _bell_form; g~ and Delta's terms may be columns against a row of
-    gamma. The Gaussian overlap with Bogoliubov coefficients
+    _bell_form; g~, tau and Delta's terms may be columns against gamma.
+    The Gaussian overlap with Bogoliubov coefficients
     k1 = cosh(r) g~ - sinh(r) eps, k2 = cosh(r) eps - sinh(r) g~,
     eps = e^{-tau/2}, has the exponents
     U = 2 e^{r}(g~ - eps) gamma/sqrt(Delta) = 2 gamma sgn(g~ - eps) sqrt(mm)
@@ -251,7 +267,7 @@ def _cat_form(gamma, gt, tau, D, terms, beta):
         t1 = _cat_form(0.0, gt, tau, D, terms, beta).a
         return FidelityForm(t1, 0.0, -t1 if mm else 0.0)
     xp = np if np.ndarray in (type(gamma), type(D)) else math
-    U = 2 * xp.copysign(xp.sqrt(mm), gt - math.exp(-tau / 2)) * gamma
+    U = 2 * xp.copysign(xp.sqrt(mm), gt - _math(math.exp, -tau / 2)) * gamma
     V = 2 * xp.sqrt(pm) * gamma
     ex = gamma * gamma * (pm - mm)
     n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
@@ -284,8 +300,8 @@ def _shifted_noise(gt, gam, sigma):
 def _fidelity_form(family, r, gamma, gt, gam, tau, at):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
     one amplitude beta or averaged over an AlphabetPrior: the cat's
-    average is its beta = 0 form at _shifted_noise. For the cat at one
-    beta, g~ and Gamma may be columns."""
+    average is its beta = 0 form at _shifted_noise. At beta = 0, r, g~,
+    Gamma and tau may be arrays, with a row per point first."""
     if family == "squeezed-cat":
         if isinstance(at, AlphabetPrior):
             gam, at = _shifted_noise(gt, gam, at.sigma), 0j

@@ -7,19 +7,25 @@ is a ratio of quadratic forms in (cos delta, sin delta)
 eigenvalue of a 2x2 pair and takes no search. Both optimizers are one
 core, _optimize, at beta = 0 on the unity gain or averaged over the prior
 with the gain free; the search reads the prior average exactly as the
-beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma. Every search left
-is one grid in one broadcast form call, refined by _zoom_max: a mesh of
-ZOOM_POINTS per axis around the best point, one form call per step,
-zooming in by the mesh spacing. It refines the cat's gamma, the averaged
-gain (_grid_then_zoom, a gain grid taking its best delta row by row),
-the averaged cat's (gain, gamma) and the affinity's r'. The averaged
-cat's peak in the gain is about e^{-2r} wide at g~ = e^{-tau/2}, so its
-gain is searched on an axis stretched around that ridge, which is one
-more row of its grid. The subcase points (delta = 0,
-the photon-subtraction angle, gamma = 0 and the unity-gain rule g = 1/T)
-stay in as a floor, so the subcase-domination inequalities hold exactly
-rather than to rounding. Each optimum's spec comes from ResourceSpec.of,
-so a photon-subtracted one is stored as its squeezed-Bell state.
+beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma.
+
+Each optimizer takes a point (r, noise) or a column of them, searched
+in lockstep; one point is the one-row case. Every search left is a grid
+refined by _zoom_max, a mesh of ZOOM_POINTS per axis around each row's
+best point per step, each grid and mesh one form call with a row per
+point. The steps shrink on a fixed schedule, so each row ends where the
+point alone would, to the bit. It refines the cat's gamma, the averaged
+gain, the averaged cat's (gain, gamma) and the affinity's r'. The
+averaged gain peaks within a few e^{-2r} of g~ = e^{-tau/2}, so it is
+searched on an axis stretched around that ridge. The averaged cat's
+(gain, gamma) grid, 102 x 51 points a row, is taken row by row: a
+column's at once would cost tens of megabytes of peak memory, where no
+other form call of a preset's 81 rows holds 25,000 points. The subcase
+points (delta = 0, the photon-subtraction angle, gamma = 0 and the
+unity-gain rule g = 1/T) stay in as a floor, so the subcase-domination
+inequalities hold exactly rather than to rounding. Each optimum's spec
+comes from ResourceSpec.of, so a photon-subtracted one is stored as its
+squeezed-Bell state.
 """
 
 import cmath
@@ -29,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .fidelity import (FidelityReport, _fidelity_form, _shifted_noise,
-                       average_fidelity, fidelity_closed)
+from .fidelity import (FidelityReport, _fidelity_form, _math,
+                       _shifted_noise, average_fidelity, fidelity_closed)
 from .phase_space import (CORE_PARAMS, FAMILIES, ResourceSpec, _core_terms,
                           photon_subtraction_angle)
 from .protocol import GainSetting, NoiseParams, gamma_cov
@@ -87,174 +93,247 @@ def golden_section_max(fun, lo, hi):
     return (c, fc, nfev) if fc > fd else (d, fd, nfev)
 
 
+def _rowwise(x, like):
+    """x, one value per row, shaped to broadcast against an array like
+    whose first axis is the rows."""
+    return np.reshape(x, (-1,) + (1,) * (np.ndim(like) - 1))
+
+
+def _mesh(axes):
+    """Per-row axes, each (rows, points) with one row or a row per point,
+    as np.ix_ would mesh each row's: axis i keeps its points on axis
+    i + 1."""
+    return [np.reshape(a, (len(a),) + tuple(
+        a.shape[1] if j == i else 1 for j in range(len(axes))))
+        for i, a in enumerate(axes)]
+
+
 def _zoom_max(fun, start, value, steps, box):
-    """Maximize f on a box from a start of known value. Each step takes
-    a mesh of ZOOM_POINTS per axis, spanning +-steps around the best
-    point and clipped to the box, in one call fun(*np.ix_(*axes)): a
-    row in 1-D, a column of x against a row of y in 2-D. It moves to the
-    highest mesh point only if that is strictly higher, then shrinks the
-    steps to the mesh spacing, until they are below PARAM_XTOL. Returns
-    (point, value, evaluations)."""
-    point, nfev = tuple(start), 0
+    """Maximize f on a box from starts of known value: start and steps
+    (rows, d), value (rows,), box d (lo, hi) bounds, numbers or a row
+    each; one point, start of shape (d,), is the one-row case. Each step
+    takes a mesh of ZOOM_POINTS per axis, spanning +-steps around each
+    row's best point and clipped to the box, in one call
+    fun(*_mesh(axes)). A row moves to its highest mesh point only if
+    that is strictly higher, then shrinks its steps to the mesh spacing;
+    once they are below PARAM_XTOL it stops, as it would alone. Returns
+    (point, value, evaluations), a row each."""
+    if np.ndim(start) == 1:
+        (point,), (value,), (nfev,) = _zoom_max(fun, [start], [value],
+                                                [steps], box)
+        return tuple(point.tolist()), float(value), int(nfev)
+    point, value = np.array(start, dtype=float), np.array(value, dtype=float)
+    n, d = point.shape
+    steps = np.array(np.broadcast_to(steps, (n, d)), dtype=float)
+    lo, hi = (np.stack([np.broadcast_to(b[j], n) for b in box], axis=1)
+              [..., None] for j in (0, 1))
+    nfev, rows = np.zeros(n, dtype=int), np.arange(n)
     mesh = np.linspace(-1.0, 1.0, ZOOM_POINTS)
-    while max(steps) >= PARAM_XTOL:
-        axes = [np.clip(x + h * mesh, lo, hi)
-                for x, h, (lo, hi) in zip(point, steps, box)]
-        vals = np.reshape(fun(*np.ix_(*axes)), [ZOOM_POINTS] * len(axes))
-        k = np.unravel_index(int(np.argmax(vals)), vals.shape)
-        if vals[k] > value:
-            value = float(vals[k])
-            point = tuple(float(a[i]) for a, i in zip(axes, k))
-        steps = [2 * h / (ZOOM_POINTS - 1) for h in steps]
-        nfev += vals.size
+    while True:
+        live = np.max(steps, axis=1) >= PARAM_XTOL
+        if not live.any():
+            return point, value, nfev
+        axes = np.clip(point[..., None] + steps[..., None] * mesh, lo, hi)
+        vals = np.reshape(fun(*_mesh(list(axes.swapaxes(0, 1)))), (n, -1))
+        k = np.argmax(vals, axis=1)
+        up = live & (vals[rows, k] > value)
+        value = np.where(up, vals[rows, k], value)
+        at = np.stack(np.unravel_index(k, (ZOOM_POINTS,) * d), axis=1)
+        point = np.where(up[:, None], axes[rows[:, None], np.arange(d), at],
+                         point)
+        steps = np.where(live[:, None], 2 * steps / (ZOOM_POINTS - 1), steps)
+        nfev += live * vals.shape[1]
+
+
+def _grid_then_zoom(fun, *grids, values=None):
+    """Maximize fun over the span of a grid: each row's best grid point,
+    refined by _zoom_max within its neighbours. Each grid is one sorted
+    axis, shared by the rows (1-D) or one per row (rows, points). fun
+    takes the grid in one call, unless values gives it as blocks of rows
+    (each reduced to its best points as it comes), and the meshes; a
+    last axis of smooth branches is refined branch by branch. Returns
+    (point, value, evaluations), a row each, of the highest branch, the
+    first on a tie."""
+    grids = [np.atleast_2d(g) for g in grids]
+    shape = tuple(g.shape[1] for g in grids)
+    picks = []
+    for block in [fun(*_mesh(grids))] if values is None else values:
+        flat = np.reshape(block, (len(block), math.prod(shape), -1))
+        k = np.argmax(flat, axis=1)
+        picks.append((k, np.take_along_axis(flat, k[:, None], axis=1)[:, 0]))
+    k, best = (np.concatenate(x) for x in zip(*picks))
+    n, rows = len(k), np.arange(len(k))
+    steps = np.stack([np.broadcast_to(np.max(np.diff(g, axis=1), axis=1), n)
+                      for g in grids], axis=1)
+    found, nfev = [], math.prod(shape)
+    for j in range(k.shape[1]):
+        start = np.stack([np.broadcast_to(g, (n, len(g[0])))[rows, i] for g, i
+                          in zip(grids, np.unravel_index(k[:, j], shape))],
+                         axis=1)
+        point, fx, m = _zoom_max(
+            lambda *xs: np.reshape(fun(*xs), (n,) + (ZOOM_POINTS,) * len(shape)
+                                   + (-1,))[..., j],
+            start, best[:, j], steps, [(g[:, 0], g[:, -1]) for g in grids])
+        found.append((fx, point))
+        nfev = nfev + m
+    value, point = found[0]
+    for fx, other in found[1:]:
+        up = fx > value
+        value, point = np.where(up, fx, value), np.where(up[:, None], other,
+                                                         point)
     return point, value, nfev
 
 
-def _grid_then_zoom(fun, *grids):
-    """Maximize fun over the span of a grid, one sorted axis per grid:
-    the best grid point, refined by _zoom_max within its neighbours. fun
-    takes the grid in one call, as _zoom_max's meshes, and a last axis of
-    smooth branches is refined branch by branch. Returns (point, value,
-    evaluations) of the highest, the first on a tie."""
-    shape = [len(g) for g in grids]
-    vals = np.reshape(fun(*np.ix_(*grids)), shape + [-1])
-    steps = [np.max(np.diff(g)) for g in grids]
-    best, nfev = [], math.prod(shape)
-    for j in range(vals.shape[-1]):
-        k = np.unravel_index(int(np.argmax(vals[..., j])), shape)
-        point, fx, n = _zoom_max(
-            lambda *xs: np.reshape(fun(*xs), [ZOOM_POINTS] * len(xs)
-                                   + [-1])[..., j],
-            [float(g[i]) for g, i in zip(grids, k)], float(vals[k][j]),
-            steps, [(g[0], g[-1]) for g in grids])
-        best.append((fx, point))
-        nfev += n
-    fx, point = max(best, key=lambda c: c[0])
-    return point, fx, nfev
-
-
 def _best_delta(family, r, form):
-    """(delta, value) maximizing the form, row by row for a column form:
+    """(delta, value) maximizing the form, row by row for an array form:
     the first of the highest of the subcase points (delta = 0 and, for
     squeezed-Bell, the photon-subtraction angle) and the top
     eigenvector."""
     if family == "twin-beam":
         return None, form.a
-    pss = photon_subtraction_angle(r)
+    pss = _math(photon_subtraction_angle, r)
     if family == "photon-subtracted":
         return pss, form.value(pss)
     floor = (0.0, pss) if family == "squeezed-bell" else (0.0,)
     deltas = floor + (form.top()[1],)
     vals = [form.value(d) for d in deltas]
     i = np.argmax(vals, axis=0)
-    if np.ndim(i):
-        return np.choose(i, deltas), np.choose(i, vals)
-    return float(deltas[i]), float(vals[i])
+    return np.choose(i, deltas), np.choose(i, vals)
+
+
+class Optima(tuple):
+    """The OptimizationResults of a column of points, in order."""
+
+    @property
+    def evaluations(self):
+        return sum(o.evaluations for o in self)
 
 
 def _optimize(family, r, noise, prior=None):
-    """The optimum over the family's free parameters: at beta = 0 on the
-    unity gain, or averaged over the prior with g free on [2/(T N), 2/T],
+    """The optimum over the family's free parameters at a point, or an
+    Optima at each of a column of points (r and noise a number and a
+    NoiseParams, or sequences of one length): at beta = 0 on the unity
+    gain, or averaged over the prior with g free on [2/(T N), 2/T],
     N = AVG_GAIN_POINTS. The objective at each searched point takes the
     best delta. The unity gain with the beta-independent optimum is an
-    averaged candidate, so the averaged optimum never falls below it. The
-    route names what was searched: eigen where delta is free, then zoom,
-    or closed where nothing was."""
+    averaged candidate, so the averaged optimum never falls below it.
+    The route names what was searched: eigen where delta is free, then
+    zoom, or closed where nothing was. A NumericalError of any row is
+    the column's."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
+    column = np.ndim(r) > 0 or not isinstance(noise, NoiseParams)
+    rs = np.ravel(np.asarray(r, dtype=float))
+    noises = [noise] if isinstance(noise, NoiseParams) else list(noise)
+    n = max(len(rs), len(noises))
+    if not n or {len(rs), len(noises)} - {1, n}:
+        raise ParameterError(f"r and noise columns of lengths {len(rs)} "
+                             f"and {len(noises)} do not match")
+    rs, noises = np.broadcast_to(rs, n), noises * (n // len(noises))
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
-    T = noise.transmissivity
+    T = np.array([nz.transmissivity for nz in noises])
+    tau = np.array([nz.tau for nz in noises])
     g_top, g_unity = 2.0 / T, 1.0 / T
     sigma = 0.0 if prior is None else prior.sigma
 
-    def gain_at(g):
-        # the unity rule (None) keeps g~ = 1 exactly
-        return GainSetting(None if g == g_unity else float(g))
+    def form(g, gamma=None, at=slice(None)):
+        # gains g with the rows at first; the unity rule keeps g~ = 1
+        gt = np.where(g == _rowwise(g_unity[at], g), 1.0,
+                      g * _rowwise(T[at], g))
+        return _fidelity_form(
+            family, _rowwise(rs[at], g), 0.0 if gamma is None else gamma, gt,
+            _shifted_noise(gt, gamma_cov(noises[at], g), sigma),
+            _rowwise(tau[at], g), 0j)
 
-    def form(g, gamma=None):
-        # g is one gain, or an array of them taken as a column
-        if np.ndim(g):
-            g = np.reshape(g, (-1, 1))
-            gt = np.where(g == g_unity, 1.0, g * T)
-        else:
-            gt = gain_at(g).effective(noise)
-        return _fidelity_form(family, r, 0.0 if gamma is None else gamma, gt,
-                              _shifted_noise(gt, gamma_cov(noise, g), sigma),
-                              noise.tau, 0j)
-
-    def score(g, gamma=None):
+    def score(g, gamma=None, at=slice(None)):
         # the cat's eigenvalue or the best delta, over gains (and gamma)
-        f = form(g, gamma)
+        f = form(g, gamma, at)
         if family == "buridan":
             # F = a + e sin^2 delta at beta = 0 (b = 0): max(a, a + e)
             # kinks where e changes sign, so each side is its own branch
-            return np.hstack((f.a, f.a + f.e))
-        return f.top()[0] if cat else _best_delta(family, r, f)[1]
+            return np.stack((f.a, f.a + f.e), axis=-1)
+        return (f.top()[0] if cat
+                else _best_delta(family, _rowwise(rs[at], g), f)[1])
 
-    point, searched, nfev = (g_unity, None), [], 1
+    g_opt, gamma, searched, nfev = g_unity, None, [], np.ones(n, dtype=int)
     if prior is None and cat:
-        (gamma,), _, n = _grid_then_zoom(
-            lambda c: score(g_unity, c),
+        point, _, m = _grid_then_zoom(
+            lambda c: score(g_unity[:, None], c),
             np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS))
-        point, searched, nfev = (g_unity, gamma), ["zoom"], nfev + n
+        gamma, searched, nfev = point[:, 0], ["zoom"], nfev + m
     elif prior is not None:
-        base = _optimize(family, r, noise)
-        g_grid = np.linspace(g_top / AVG_GAIN_POINTS, g_top,
-                             AVG_GAIN_POINTS)
-        searched = ["zoom"]
+        base = _optimize(family, rs, noises)
+        # the gain peak at g~ = eps is about e^{-2r} wide: search the gain
+        # as w, g~ = eps + c sinh w, c = e^{-2r} (no finer than eps's
+        # rounding, nor 0), uniform in w with the ridge w = 0, or the end
+        # nearest it, as one more grid point
+        eps = _math(math.exp, -tau / 2)
+        c = np.array([max(math.exp(-2 * x), 1e-16 * e, 1e-300)
+                      for x, e in zip(rs.tolist(), eps.tolist())])
+
+        def stretched(w):
+            # the gains g at w, a row per point
+            return ((_rowwise(eps, w) + _rowwise(c, w) * np.sinh(w))
+                    / _rowwise(T, w))
+
+        lo, hi = np.arcsinh((np.stack((g_top / AVG_GAIN_POINTS, g_top)) * T
+                             - eps) / c)
+        ws = np.sort(np.append(np.linspace(lo, hi, AVG_GAIN_POINTS, axis=1),
+                               np.clip(0.0, lo, hi)[:, None], axis=1), axis=1)
         if cat:
-            # the gain peak at g~ = eps is about e^{-2r} wide: search the
-            # gain as w, g~ = eps + c sinh w, c = e^{-2r} (no finer than
-            # eps's rounding, nor 0), with the ridge w = 0 as one more row
-            eps = math.exp(-noise.tau / 2)
-            c = max(math.exp(-2 * r), 1e-16 * eps, 1e-300)
-
-            def gain(w):
-                return (eps + c * np.sinh(w)) / T
-
-            ws = np.linspace(*np.arcsinh((g_grid[[0, -1]] * T - eps) / c),
-                             AVG_GAIN_POINTS)
-            ws = np.sort(np.append(ws, 0.0)) if ws[0] <= 0 <= ws[-1] else ws
-            (w, gamma), value, n = _grid_then_zoom(
-                lambda w, gamma: score(gain(w), gamma), ws,
-                np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS))
-            found = (float(gain(w)), gamma)
+            # the (gain, gamma) grid row by row (see the module docstring)
+            gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
+            gains = stretched(ws)
+            point, value, m = _grid_then_zoom(
+                lambda w, gm: score(stretched(w), gm), ws, gammas, values=(
+                    score(gains[at, :, None], gammas, at)
+                    for at in (slice(i, i + 1) for i in range(n))))
+            found = stretched(point[:, 0]), point[:, 1]
         else:
-            (g,), value, n = _grid_then_zoom(score, g_grid)
-            found = (g, None)
-        unity = (g_unity, base.gamma_opt)
-        # first of the highest candidates
-        point = max([(value, found), (np.max(score(*unity)), unity)],
-                    key=lambda c: c[0])[1]
+            point, value, m = _grid_then_zoom(
+                lambda w: score(stretched(w)), ws)
+            found = stretched(point[:, 0]), None
+        unity = g_unity, (np.array([b.gamma_opt for b in base]) if cat
+                          else None)
+        # the first of the highest candidates
+        take = np.max(np.reshape(score(*unity), (n, -1)), axis=1) > value
+        g_opt = np.where(take, unity[0], found[0])
+        gamma = np.where(take, unity[1], found[1]) if cat else None
         # the searches, the unity candidate and the public average
-        nfev += base.evaluations + n + 2
-    g_opt, gamma = point
-    delta, value = _best_delta(family, r, form(g_opt, gamma))
-    if gamma is not None:
+        searched = ["zoom"]
+        nfev = nfev + [b.evaluations for b in base] + m + 2
+    delta, best = _best_delta(family, rs, form(g_opt, gamma))
+    route = "+".join((["eigen"] if "delta" in free else []) + searched)
+    optima = []
+    for i, (x, nz) in enumerate(zip(rs.tolist(), noises)):
+        d = None if delta is None else float(delta[i])
         # delta = 0 is the twin beam at every gamma
-        gamma = float(gamma) if delta else 0.0
-    spec = ResourceSpec.of(family, r, **{k: v for k, v in (
-        ("delta", delta), ("gamma_mod", gamma)) if k in free})
-    gain = gain_at(g_opt)
-    if prior is not None:
-        value = average_fidelity(spec, noise, gain, prior).value
-    route = (["eigen"] if "delta" in free else []) + searched
-    return OptimizationResult(
-        value, delta_opt=delta, gamma_opt=gamma,
-        g_opt=None if prior is None else g_opt, evaluations=nfev,
-        method="+".join(route) or "closed", spec=spec, gain=gain)
+        gm = None if gamma is None else float(gamma[i]) if d else 0.0
+        spec = ResourceSpec.of(family, x, **{k: v for k, v in (
+            ("delta", d), ("gamma_mod", gm)) if k in free})
+        g = float(g_opt[i])
+        gain = GainSetting(None if g == g_unity[i] else g)
+        optima.append(OptimizationResult(
+            float(best[i]) if prior is None
+            else average_fidelity(spec, nz, gain, prior).value,
+            delta_opt=d, gamma_opt=gm, g_opt=None if prior is None else g,
+            evaluations=int(nfev[i]), method=route or "closed", spec=spec,
+            gain=gain))
+    return Optima(optima) if column else optima[0]
 
 
 def optimize_beta_independent(family, r, noise):
     """Maximize the beta-independent fidelity (gain rule g = 1/T) over
-    the family's free resource parameters."""
+    the family's free resource parameters, at a point or, with r or
+    noise a sequence, at each of a column of points (an Optima)."""
     return _optimize(family, r, noise)
 
 
 def optimize_gain_average(family, r, noise, prior):
     """Maximize the prior-averaged fidelity over gain and the family's
     free resource parameters; g runs over [2/(T N), 2/T] with N =
-    AVG_GAIN_POINTS."""
+    AVG_GAIN_POINTS. At a point or, with r or noise a sequence, at each
+    of a column of points (an Optima)."""
     return _optimize(family, r, noise, prior)
 
 
@@ -330,9 +409,9 @@ def affinity(spec):
 
     grid = np.linspace(max(0.0, r - AFFINITY_RMAX), r + AFFINITY_RMAX,
                        AFFINITY_POINTS)
-    _, best, _ = _grid_then_zoom(overlap_sq, grid)
+    _, (best,), _ = _grid_then_zoom(overlap_sq, grid)
     # rounding can lift an overlap of exactly 1 just past it
-    return min(best, 1.0)
+    return min(float(best), 1.0)
 
 
 def _coherent_overlap(kappa, k1, k2):

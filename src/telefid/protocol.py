@@ -103,7 +103,13 @@ class BellOutcome:
 def gamma_cov(noise, gain):
     """Thermal renormalized covariance Gamma of the output Gaussian
     noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2, at a GainSetting
-    or at bare gains g, a number or an array."""
+    or at bare gains g, a number or an array. At a sequence of noises, g
+    is an array of bare gains whose first axis runs over the noises."""
+    if not isinstance(noise, NoiseParams):
+        shape = (-1,) + (1,) * (np.ndim(gain) - 1)
+        thermal, r2 = (np.reshape(x, shape) for x in zip(
+            *[(gamma_cov(n, 0.0), n.r2) for n in noise]))
+        return thermal + gain * gain * r2
     g = gain.gain(noise) if isinstance(gain, GainSetting) else gain
     # R^2 = 0 adds nothing, also where g^2 overflows
     return ((1.0 - math.exp(-noise.tau)) * (0.5 + noise.n_th)

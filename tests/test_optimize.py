@@ -485,20 +485,50 @@ class TestAveragedOptimization:
     @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
                                         "buridan", "photon-subtracted"])
     def test_averaged_bell_search_cost(self, family, form_calls):
-        """The Bell-type gain grid is one form call, and each zoom mesh
-        one more: seven meshes of ZOOM_POINTS from the grid's spacing
-        down to PARAM_XTOL, 11 calls in all, where one call per grid
+        """The Bell-type gain grid, 101 points uniform in the stretched
+        gain w plus the ridge, is one form call, and each zoom mesh one
+        more: eight meshes of ZOOM_POINTS from the grid's spacing in w
+        down to PARAM_XTOL, 12 calls in all, where one call per grid
         point took 138 and golden section 38. The evaluations are the
-        101 grid points, the meshes' 119, the beta-independent optimum,
+        102 grid points, the meshes' 136, the beta-independent optimum,
         the unity candidate, the public average and the form at the
         optimum. Buridan's two branches share the grid call and take a
-        zoom each, 7 more calls and 119 more evaluations."""
+        zoom each, 8 more calls and 136 more evaluations."""
         opt = optimize_gain_average(
             family, 0.8, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
             AlphabetPrior(10.0))
-        extra = 7 if family == "buridan" else 0
+        extra = 8 if family == "buridan" else 0
         assert len(form_calls) <= 12 + extra
-        assert opt.evaluations == 224 + 17 * extra
+        assert opt.evaluations == 242 + 17 * extra
+
+    @pytest.mark.parametrize("family", ["squeezed-bell", "buridan"])
+    @pytest.mark.parametrize("r", [6.0, 7.0, 8.0])
+    def test_averaged_bell_on_the_gain_ridge(self, family, r):
+        """Like the cat's, the Bell-type averaged gain peaks a few e^{-2r}
+        from g~ = eps = e^{-tau/2}, far below a uniform gain grid's
+        spacing. The searched objective, the beta = 0 form at the noise
+        Gamma + (g~ - 1)^2 sigma with the best delta, must reach a dense
+        scan of 20,001 gains with g~ - eps in e^{-2r} [-10, 10] plus
+        2,001 uniform gains, less 1e-13. The search on a gain grid
+        uniform in g fell 1.4e-13 short at r = 8 (Buridan). best_value
+        is the public average, still on the 60-node rule, so the
+        objective is formed here."""
+        x = 0.3
+        noise, prior = NoiseParams(tau=x, n_th=x, r2=x), AlphabetPrior(10.0)
+        T, eps = noise.transmissivity, math.exp(-x / 2)
+
+        def objective(gt):
+            gt = np.reshape(gt, (-1, 1))
+            form = _fidelity_form(family, r, 0.0, gt, gamma_cov(noise, gt / T)
+                                  + (gt - 1) * (gt - 1) * prior.sigma, x, 0j)
+            return optimize._best_delta(family, r, form)[1]
+
+        opt = optimize_gain_average(family, r, noise, prior)
+        dense = max(float(np.max(objective(gt))) for gt in (
+            eps + math.exp(-2 * r) * np.linspace(-10.0, 10.0, 20001),
+            np.linspace(2 / 101, 2.0, 2001)))
+        found = float(objective(opt.gain.effective(noise))[0, 0])
+        assert found >= dense - 1e-13
 
 
 @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell", "buridan",
@@ -525,6 +555,67 @@ def test_column_best_delta_is_the_rows_best_delta(family):
             assert col_delta is None
         else:
             assert np.broadcast_to(col_delta, gt.shape)[k, 0] == delta
+
+
+PRESET_AXIS = [float(x) for x in np.linspace(0.0, 2.0, 81)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("sigma", [None, 10.0])
+@pytest.mark.parametrize("axis", ["r", "tau"])
+def test_column_is_each_points_own_optimization(family, sigma, axis):
+    """A column call searches its points in lockstep, and each row must
+    be the point's own optimization, to the bit: best value, parameters,
+    route and evaluations (repr shows every float exactly). The columns
+    are preset 3-II's 81 r at tau = 0.3 and preset 6-I's 81 tau at
+    r = 0.8, R^2 = 0.05; the column's evaluations are the rows'."""
+    if axis == "r":
+        rs, noises = PRESET_AXIS, [NoiseParams(tau=0.3)] * 81
+        column = rs, noises[0]
+    else:
+        rs = [0.8] * 81
+        noises = [NoiseParams(tau=t, r2=0.05) for t in PRESET_AXIS]
+        column = 0.8, noises
+    prior = None if sigma is None else AlphabetPrior(sigma)
+
+    def run(r, noise):
+        return (optimize_beta_independent(family, r, noise) if prior is None
+                else optimize_gain_average(family, r, noise, prior))
+
+    opts = run(*column)
+    assert isinstance(opts, optimize.Optima) and len(opts) == 81
+    assert type(opts.evaluations) is int
+    assert opts.evaluations == sum(opt.evaluations for opt in opts)
+    for opt, r, noise in zip(opts, rs, noises):
+        assert repr(opt) == repr(run(r, noise))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("sigma", [None, 10.0])
+def test_column_form_calls(family, sigma, form_calls):
+    """81 points in one column take the form calls of one point, except
+    the averaged cat's (gain, gamma) grid, one call per row: 10 for the
+    beta-independent cat, 12 for an averaged Bell-type family (20 for
+    Buridan's two branches) and 81 + 20 for the averaged cat. No call
+    holds more than 25,000 points, the averaged cat's 81 x 17 x 17 zoom
+    mesh being the largest, so the column costs little peak memory."""
+    noise = NoiseParams(tau=0.3)
+    if sigma is None:
+        optimize_beta_independent(family, PRESET_AXIS, noise)
+        bound = 10 if family == "squeezed-cat" else 1
+    else:
+        optimize_gain_average(family, PRESET_AXIS, noise,
+                              AlphabetPrior(sigma))
+        bound = {"squeezed-cat": 81 + 20, "buridan": 20}.get(family, 12)
+    assert len(form_calls) <= bound
+    assert max(np.broadcast(*(x for x in args if isinstance(x, np.ndarray)))
+               .size for args in form_calls) <= 25000
+
+
+def test_column_rejects_mismatched_lengths():
+    with pytest.raises(ParameterError):
+        optimize_beta_independent("twin-beam", [0.1, 0.2],
+                                  [NONIDEAL, NONIDEAL, NONIDEAL])
 
 
 class TestOneShot:
