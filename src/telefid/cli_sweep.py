@@ -8,14 +8,15 @@ in input order, so identical invocations produce identical bytes.
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
-                       fidelity_quadrature)
+from .fidelity import (AlphabetPrior, FidelityReport, average_fidelity,
+                       fidelity_closed, fidelity_quadrature)
 from .optimize import (fidelity_at_optimum, optimize_beta_independent,
                        optimize_gain_average)
 from .phase_space import FAMILIES, CoherentInput, ResourceSpec
@@ -24,8 +25,10 @@ from .protocol import GainSetting, NoiseParams
 CSV_HEADER = ("resource", "r", "tau", "nth", "r2", "gain", "delta_opt",
               "gamma_opt", "sigma", "beta_re", "beta_im", "method",
               "fidelity")
-SWEEP_AXES = ("r", "tau", "nth", "r2", "gain", "sigma", "beta_re",
-              "beta_im", "delta", "gamma")
+# each sweep axis, and the row input (spec, noise, gain, at) it enters
+AXIS_INPUT = {"r": 0, "tau": 1, "nth": 1, "r2": 1, "gain": 2, "sigma": 3,
+              "beta_re": 3, "beta_im": 3, "delta": 0, "gamma": 0}
+SWEEP_AXES = tuple(AXIS_INPUT)
 FIGURE_TAGS = ("3-I", "3-II", "4", "5-I", "5-II", "6-I", "6-II")
 
 AXIS_STEPS = 81
@@ -38,6 +41,8 @@ FIG4_RESOURCES = FIG3_RESOURCES + ("photon-subtracted",)
 FIG56_RESOURCES = ("squeezed-bell", "squeezed-cat", "twin-beam")
 
 FIDELITY_SLACK = 1e-9
+# a sweep holds all its rows in memory before it writes them
+MAX_STEPS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,13 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ParameterError(f"unknown sweep axis {self.axis!r}")
-        if self.steps < 2:
-            raise ParameterError(f"need at least 2 steps, got {self.steps}")
-        if not self.start < self.stop:
-            raise ParameterError(
-                f"empty sweep range [{self.start}, {self.stop}]")
+        if not 2 <= self.steps <= MAX_STEPS:
+            raise ParameterError(f"need 2-{MAX_STEPS} steps, got {self.steps}")
+        # a finite span needs finite ends
+        if not (self.start < self.stop
+                and math.isfinite(self.stop - self.start)):
+            raise ParameterError(f"sweep range [{self.start}, {self.stop}] "
+                                 "must be non-empty with a finite span")
 
     @property
     def values(self):
@@ -165,71 +172,76 @@ def parse_cli(argv):
     return ns
 
 
-def _point_row(ns, axis=None, value=None):
-    """One fidelity evaluation with an optional axis override."""
-    over = {} if axis is None else {axis: value}
-
-    def pick(name, default):
-        if name in over:
-            return over[name]
-        flag = getattr(ns, name)
+def _point_inputs(ns, over, last=None):
+    """The checked (spec, noise, gain, beta or AlphabetPrior) of one
+    evaluation, the flags overridden by over, built noise first; given
+    last, a sweep's previous row, only the input over's axis enters."""
+    def pick(name, default=None):
+        flag = over[name] if name in over else getattr(ns, name)
         return default if flag is None else flag
 
-    r = pick("r", None)
-    tau, nth, r2 = pick("tau", 0.0), pick("nth", 0.0), pick("r2", 0.0)
-    noise = NoiseParams(tau=tau, n_th=nth, r2=r2)
-    gain = GainSetting(pick("gain", None))
     # the flags that were given; ResourceSpec.of rejects a foreign one
-    core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta", None),
+    core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
             "gamma_mod": over.get("gamma", ns.gamma_mod)}
-    spec = ResourceSpec.of(ns.resource, r, **{
-        k: v for k, v in core.items() if v is not None})
-    sigma = pick("sigma", None)
-    if sigma is not None:
-        rep = average_fidelity(spec, noise, gain, AlphabetPrior(sigma))
-        return ResultRow(resource=ns.resource, r=r, tau=tau, nth=nth,
-                         r2=r2, gain=gain.gain(noise), sigma=sigma,
-                         method=rep.method, fidelity=rep.value)
-    beta_re, beta_im = pick("beta_re", 0.0), pick("beta_im", 0.0)
-    beta = complex(beta_re, beta_im)
-    if ns.method == "quadrature":
-        rep = fidelity_quadrature(CoherentInput(beta), spec, noise, gain)
-    else:
-        rep = fidelity_closed(spec, noise, gain, beta)
-    return ResultRow(resource=ns.resource, r=r, tau=tau, nth=nth, r2=r2,
-                     gain=gain.gain(noise), beta_re=beta_re,
-                     beta_im=beta_im, method=rep.method,
-                     fidelity=rep.value)
+    make = (lambda: ResourceSpec.of(ns.resource, pick("r"), **{
+                k: v for k, v in core.items() if v is not None}),
+            lambda: NoiseParams(pick("tau", 0.0), pick("nth", 0.0),
+                                pick("r2", 0.0)),
+            lambda: GainSetting(pick("gain")),
+            lambda: complex(pick("beta_re", 0.0), pick("beta_im", 0.0))
+            if pick("sigma") is None else AlphabetPrior(pick("sigma")))
+    if last is not None:
+        k = AXIS_INPUT[next(iter(over))]
+        return last[:k] + (make[k](),) + last[k + 1:]
+    noise, gain = make[1](), make[2]()
+    return make[0](), noise, gain, make[3]()
 
 
-def _opt_row(family, r, noise, opt, prior=None, beta=None):
-    """Row for an optimum, or for the fidelity at input amplitude beta
-    with the optimal parameters of an averaged one."""
-    fidelity, method = opt.best_value, opt.method
-    if beta is not None:
-        rep = fidelity_at_optimum(opt, noise, prior, beta)
-        fidelity, method = rep.value, rep.method
-    return ResultRow(resource=family, r=r, tau=noise.tau, nth=noise.n_th,
-                     r2=noise.r2, gain=opt.gain.gain(noise),
-                     delta_opt=opt.delta_opt, gamma_opt=opt.gamma_opt,
-                     sigma=None if prior is None else prior.sigma,
+def _report_row(resource, rep, **cells):
+    """The row of a FidelityReport, plus cells."""
+    beta, noise = rep.beta, rep.noise
+    return ResultRow(resource=resource, r=rep.spec.r, tau=noise.tau,
+                     nth=noise.n_th, r2=noise.r2, gain=rep.gain.gain(noise),
+                     sigma=rep.sigma,
                      beta_re=None if beta is None else beta.real,
                      beta_im=None if beta is None else beta.imag,
-                     method=method, fidelity=fidelity)
+                     method=rep.method, fidelity=rep.value, **cells)
+
+
+def _evaluate(ns, points):
+    """Rows of _point_inputs points, the closed ones in one kernel call."""
+    specs, noises, gains, ats = map(list, zip(*points))
+    if isinstance(ats[0], AlphabetPrior):
+        reps = average_fidelity(specs, noises, gains, ats)
+    elif ns.method == "quadrature":
+        reps = map(fidelity_quadrature, map(CoherentInput, ats), specs,
+                   noises, gains)
+    else:
+        reps = fidelity_closed(specs, noises, gains, ats)
+    return [_report_row(ns.resource, rep) for rep in reps]
+
+
+def _opt_row(family, noise, opt, prior=None, rep=None):
+    """Row for an optimum, or for rep, the fidelity at an input amplitude
+    with the optimal parameters of an averaged one."""
+    rep = rep or FidelityReport(opt.best_value, opt.method, opt.spec, noise,
+                                opt.gain, sigma=prior and prior.sigma)
+    return _report_row(family, rep, delta_opt=opt.delta_opt,
+                       gamma_opt=opt.gamma_opt)
 
 
 def _optimize_row(ns):
     noise = NoiseParams(tau=ns.tau, n_th=ns.nth, r2=ns.r2)
-    family, r = ns.resource, ns.r
     if ns.sigma is None:
-        opt = optimize_beta_independent(family, r, noise)
-        return _opt_row(family, r, noise, opt)
+        return _opt_row(ns.resource, noise, optimize_beta_independent(
+            ns.resource, ns.r, noise))
     prior = AlphabetPrior(ns.sigma)
-    opt = optimize_gain_average(family, r, noise, prior)
-    beta = None
+    opt = optimize_gain_average(ns.resource, ns.r, noise, prior)
+    rep = None
     if ns.beta_re is not None or ns.beta_im is not None:
-        beta = complex(ns.beta_re or 0.0, ns.beta_im or 0.0)
-    return _opt_row(family, r, noise, opt, prior, beta)
+        rep = fidelity_at_optimum(opt, noise, prior, complex(
+            ns.beta_re or 0.0, ns.beta_im or 0.0))
+    return _opt_row(ns.resource, noise, opt, prior, rep)
 
 
 def run_figure_preset(tag):
@@ -253,10 +265,9 @@ def run_figure_preset(tag):
             resources = FIG4_RESOURCES
             noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)]
         # one lockstep optimization per (family, noise) over the r axis
-        return [_opt_row(res, r, noise, opt)
+        return [_opt_row(res, noise, opt)
                 for res in resources for noise in noises
-                for r, opt in zip(axis, optimize_beta_independent(
-                    res, axis, noise))]
+                for opt in optimize_beta_independent(res, axis, noise)]
 
     if tag.endswith("-I"):
         sigma, betas = 10.0, (1.0, 2.0, 3.0)
@@ -264,18 +275,19 @@ def run_figure_preset(tag):
         sigma, betas = 100.0, (3.0, 5.0, 10.0)
     prior = AlphabetPrior(sigma)
     if tag.startswith("5"):
-        points = [(r, NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2))
-                  for r in axis]
+        rs = axis
+        noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)] * len(axis)
     else:
-        points = [(0.8, NoiseParams(tau=t, n_th=0.0, r2=FIG_R2))
-                  for t in axis]
+        rs = [0.8] * len(axis)
+        noises = [NoiseParams(tau=t, n_th=0.0, r2=FIG_R2) for t in axis]
     rows = []
     for res in FIG56_RESOURCES:
-        # one lockstep optimization over the axis, reused for every beta
-        opts = optimize_gain_average(res, [r for r, _ in points],
-                                     [noise for _, noise in points], prior)
-        rows += [_opt_row(res, r, noise, opt, prior, complex(beta, 0.0))
-                 for beta in betas for (r, noise), opt in zip(points, opts)]
+        # one lockstep optimization, and one kernel call for every beta
+        opts = optimize_gain_average(res, rs, noises, prior) * len(betas)
+        reps = fidelity_at_optimum(opts, noises * len(betas), prior, [
+            complex(b) for b in betas for _ in rs])
+        rows += [_opt_row(res, rep.noise, opt, prior, rep)
+                 for opt, rep in zip(opts, reps)]
     return rows
 
 
@@ -305,25 +317,34 @@ def emit_csv(rows, path=None):
 
 
 def _run_sweep(ns):
+    """A sweep's rows: each row's inputs built and checked in order, then
+    evaluated, the closed rows in one kernel call."""
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
                       steps=ns.steps)
-    return [_point_row(ns, sweep.axis, float(v)) for v in sweep.values]
+    points = []
+    try:
+        for value in sweep.values.tolist():
+            points.append(_point_inputs(ns, {sweep.axis: value},
+                                        points[-1] if points else None))
+    except ParameterError:
+        if points:  # a fault of a row before the bad one comes first
+            _evaluate(ns, points)
+        raise
+    return _evaluate(ns, points)
 
 
 def _dispatch(ns):
     if ns.command == "fidelity":
-        row = _point_row(ns)
-        if ns.output:
-            emit_csv([row], ns.output)
-        else:
-            print(_format_cell(row.fidelity))
+        rows = _evaluate(ns, [_point_inputs(ns, {})])
+        if not ns.output:
+            print(_format_cell(rows[0].fidelity))
+            return 0
     elif ns.command == "optimize":
-        row = _optimize_row(ns)
-        emit_csv([row], ns.output or None)
-    elif ns.command == "sweep":
-        emit_csv(_run_sweep(ns), ns.output or None)
+        rows = [_optimize_row(ns)]
     else:
-        emit_csv(run_figure_preset(ns.figure), ns.output or None)
+        rows = (_run_sweep(ns) if ns.command == "sweep"
+                else run_figure_preset(ns.figure))
+    emit_csv(rows, ns.output or None)
     return 0
 
 

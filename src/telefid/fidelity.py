@@ -7,14 +7,17 @@ universal quadrature overlap. Those phases are not always optimal: a
 cat can do better at complex gamma and theta != 0. Each family's
 closed form is written once, as a FidelityForm: a ratio of quadratic
 forms in (cos delta, sin delta) whose input dependence enters through a
-few scalar factors. Point values, prior averages and the optimizers all
-read it, and the best delta is a 2x2 eigenvalue. The cat's prior
-average is exactly its beta = 0 form at _shifted_noise; the Bell-type
-forms still average theirs on GH_ORDER Gauss-Hermite nodes.
+few factors. Point values, prior averages and the optimizers all read
+it, and the best delta is a 2x2 eigenvalue. The cat's prior average is
+exactly its beta = 0 form at _shifted_noise; the Bell-type forms still
+average theirs on GH_ORDER Gauss-Hermite nodes. The kernel is numpy
+alone, which rounds a number as any element of an array, so a column of
+points in one call gives each point its own value, to the bit.
 """
 
 import cmath
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -26,13 +29,13 @@ from .errors import (NumericalError, ParameterError,
                      PhaseSpecializationError, QuadratureError)
 from .phase_space import (CoherentInput, ResourceSpec, _chi_input_arrays,
                           _require_finite)
-from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
+from .protocol import (GainSetting, NoiseParams, _chi_out_arrays, gamma_cov,
+                       gaussian_pipeline)
 from .quadrature import CONV_ABS_TOL, integrate_adaptive
 
 GH_ORDER = 60
 # |angle mod 2pi| below this counts as the specialized phase
 PHASE_TOL = 1e-12
-LOG_DBL_MAX = math.log(sys.float_info.max)
 # relative rounding bound of a closed form's cancelling terms
 CANCEL_EPS = 16 * sys.float_info.epsilon
 
@@ -78,13 +81,12 @@ class FidelityForm(NamedTuple):
 
     with c = cos delta, s = sin delta. The numerator and denominator are
     quadratic forms in (c, s), shifted by the delta = 0 value a (the twin
-    beam, except for Buridan's core |01>). The denominator is the cat core norm 1 + n sin 2 delta with
-    n = e^{-gamma^2} and h = 1 - n, and 1 (n = 0, h = 1) for the other
-    families. For the cat, b, e and h vanish like gamma^2 and are formed
-    without cancellation, so small gamma loses no digits.
-
-    Fields may be arrays over points, gains and gamma. delta is a
-    scalar, or an array against them.
+    beam, except for Buridan's core |01>). The denominator is the cat
+    core norm 1 + n sin 2 delta with n = e^{-gamma^2} and h = 1 - n, and
+    1 (n = 0, h = 1) for the other families. For the cat, b, e and h
+    vanish like gamma^2 and are formed without cancellation, so small
+    gamma loses no digits. Fields and delta are numbers or arrays,
+    broadcast against each other (points, gains and gamma).
     """
 
     a: object
@@ -94,8 +96,7 @@ class FidelityForm(NamedTuple):
     h: object = 1.0
 
     def value(self, delta):
-        xp = np if isinstance(delta, np.ndarray) else math
-        c, s = xp.cos(delta), xp.sin(delta)
+        c, s = np.cos(delta), np.sin(delta)
         den = self.h + self.n * (c + s) ** 2
         val = self.a + (2 * self.b * s * c + self.e * s * s) / den
         # a value below 0 by less than the rounding of terms that cancel
@@ -103,127 +104,83 @@ class FidelityForm(NamedTuple):
         zero = (val < 0) & (-val <= CANCEL_EPS * (
             abs(self.a) + (abs(2 * self.b * s * c) + abs(self.e * s * s))
             / den))
-        return (np.where(zero, 0.0, val) if isinstance(val, np.ndarray)
-                else 0.0 if zero else val)
+        return np.where(zero, 0.0, val)
 
     def top(self):
-        """(max over delta of F, its argmax in [-pi/2, pi/2]): a plus the
-        top generalized eigenvalue of the shifted numerator and
-        denominator forms."""
-        a, b, e, n, h = self
+        """The top generalized eigenvalue lam of the shifted numerator
+        and denominator forms: a + lam is the max over delta of F."""
+        _, b, e, n, h = self
         w = h * (1 + n)
         x = e / 2 - b * n
         root = np.sqrt((b - n * e / 2) ** 2 + w * e * e / 4)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.where(x >= 0, (x + root) / w, b * b / (root - x))
         # gamma = 0: every delta gives the twin beam
-        lam = np.where(w > 0, lam, 0.0)
-        return a + lam, np.arctan2(b - lam * n, -e / 2) / 2
+        return np.where(w > 0, lam, 0.0)
 
 
-def _math(f, x):
-    """math's f at a number, or at each element of an array: numpy's
-    exp and log round differently from math's in the last bit, so column
-    paths take math's, to keep each row the scalar path's."""
-    if isinstance(x, np.ndarray):
-        return np.reshape(np.fromiter(map(f, x.ravel().tolist()), float,
-                                      x.size), x.shape)
-    return f(x)
+def _delta_terms(r, gt, e, gam):
+    """Delta_phi = (e^{-r}|g~ - e|)^2 + (e^{r}|g~ + e|)^2 + 2(1 + g~^2 +
+    2 Gamma) at e = e^{i phi - tau/2} and its terms over Delta_phi,
+    summing to 1: at e = -eps, the closed forms' scale Delta (see
+    fidelity_closed). e^{r}|g~ + e| is one exponential and squares are
+    products, so no term overflows before Delta; where Delta is inf,
+    4/Delta = 0 makes every form 0."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        hi = np.exp(r + np.log(np.abs(gt + e)))
+        lo = np.exp(-r) * np.abs(gt - e)
+        d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
+        D = d0 + d1 + z
+        inf = D == math.inf
+        return D, (np.where(inf, 0.0, d0 / D), np.where(inf, 0.0, d1 / D),
+                   np.where(inf, 1.0, z / D))
 
 
-def _delta_parts(r, gt, e, gam):
-    """e^{r}|g~ + e|, e^{-r}|g~ - e| and 2(1 + g~^2 + 2 Gamma), whose
-    squares and last term sum to Delta_phi at e = e^{i phi - tau/2}:
-    Delta at phi = pi. e may be real or complex. e^{r}|g~ + e| is one
-    exponential, so it overflows only where its square would."""
-    s = abs(gt + e)
-    log_hi = r + math.log(s) if s else -math.inf
-    hi = math.exp(log_hi) if log_hi < LOG_DBL_MAX else math.inf
-    return hi, math.exp(-r) * abs(gt - e), 2 * (1 + gt * gt + 2 * gam)
-
-
-def _delta_terms(r, gt, tau, gam):
-    """Delta, the scale of all closed forms (see fidelity_closed), and
-    its terms over Delta, summing to 1. e^{r} |g~ - eps| is one
-    exponential and squares are products, so no term overflows before
-    Delta; where Delta is inf, 4/Delta = 0 makes every form 0. A column
-    of g~ gives columns, against numbers or columns of r, tau and Gamma
-    (rows first), each row bit-identical to the scalar path: its log
-    and exp are math's, taken over the elements."""
-    if isinstance(gt, np.ndarray):
-        e = -_math(math.exp, -tau / 2)
-        # e^{r}|g~ + e| as _delta_parts forms it
-        s = np.abs(gt + e)
-        log_hi = np.where(s != 0, r + _math(math.log, np.where(s != 0, s, 1)),
-                          -math.inf)
-        fin = log_hi < LOG_DBL_MAX
-        hi = np.where(fin, _math(math.exp, np.where(fin, log_hi, 0.0)),
-                      math.inf)
-        lo = _math(math.exp, -r) * np.abs(gt - e)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d0, d1, z = lo * lo, hi * hi, 2 * (1 + gt * gt + 2 * gam)
-            D = d0 + d1 + z
-            inf = D == math.inf
-            return D, (np.where(inf, 0.0, d0 / D), np.where(inf, 0.0, d1 / D),
-                       np.where(inf, 1.0, z / D))
-    hi, lo, z = _delta_parts(r, gt, -math.exp(-tau / 2), gam)
-    d0, d1 = lo * lo, hi * hi
-    D = d0 + d1 + z
-    if D == math.inf:
-        return D, (0.0, 0.0, 1.0)
-    return D, (d0 / D, d1 / D, z / D)
-
-
-def _bell_factors(gt, D, at):
+def _bell_factors(gt, D, beta, sigma=None):
     """e^{-4v} times 1, v, v^2 and 2 (x^2 - y^2), x + i y = (g~ - 1)
     beta/sqrt(Delta) and v = x^2 + y^2 = u/Delta, all 0 where e^{-4v} is:
-    at one beta, or averaged over an AlphabetPrior as products of 1-D
-    Gauss-Hermite sums in Re beta and Im beta. Taken over Delta first, v
-    neither overflows where u^2 would nor is inf/inf. At beta = 0 they
-    are 1, 0, 0 and 0, also for a column of Delta."""
-    if isinstance(at, AlphabetPrior):
-        t, w = _gh_nodes()
-        q = (gt - 1) * (gt - 1) * at.sigma / D
-        if not q < 1e150:
-            # every weight e^{-4 q t^2} has underflowed, and q^2 times
-            # their sums would be inf * 0; q is NaN (inf/inf) only where
-            # Delta is inf and the form 0
-            return 0.0, 0.0, 0.0, 0.0
-        ew = w * np.exp(-4 * q * t * t)
-        s0 = float(np.sum(ew))
-        s1 = q * float(np.sum(ew * t * t))
-        s2 = q * q * float(np.sum(ew * t ** 4))
-        # x^2 - y^2 has zero mean under the isotropic prior
-        return s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1), 0.0
-    if not at:
-        return 1.0, 0.0, 0.0, 0.0
-    scale = (gt - 1) / math.sqrt(D)
-    x, y = scale * at.real, scale * at.imag
-    v = x * x + y * y
-    e0 = math.exp(-4 * v)
-    if not e0:
-        return 0.0, 0.0, 0.0, 0.0
-    return e0, v * e0, v * v * e0, 2 * (x * x - y * y) * e0
+    at amplitudes beta or, given sigma, averaged over an AlphabetPrior of
+    variance sigma as products of 1-D Gauss-Hermite sums in Re beta and
+    Im beta. Taken over Delta first, v neither overflows where u^2 would
+    nor is inf/inf. At beta = 0 they are 1, 0, 0 and 0."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if sigma is not None:
+            t, w = _gh_nodes()
+            q = (gt - 1) * (gt - 1) * sigma / D
+            # from q = 1e150 every weight e^{-4 q t^2} has underflowed,
+            # and q^2 times their sums would be inf * 0; q is NaN
+            # (inf/inf) only where Delta is inf and the form 0
+            live = q < 1e150
+            q = np.where(live, q, 0.0)
+            ew = w * np.exp(-4 * q[..., None] * t * t)
+            s0 = np.sum(ew, axis=-1)
+            s1 = q * np.sum(ew * t * t, axis=-1)
+            s2 = q * q * np.sum(ew * t ** 4, axis=-1)
+            # x^2 - y^2 has zero mean under the isotropic prior
+            return tuple(np.where(live, f, 0.0) for f in (
+                s0 * s0, 2 * s1 * s0, 2 * (s2 * s0 + s1 * s1))) + (0.0,)
+        scale = (gt - 1) / np.sqrt(D)
+        x, y = scale * np.real(beta), scale * np.imag(beta)
+        v = x * x + y * y
+        e0 = np.exp(-4 * v)
+        return tuple(np.where(e0 > 0, f, 0.0) for f in (
+            e0, v * e0, v * v * e0, 2 * (x * x - y * y) * e0))
 
 
-def _bell_form(family, gt, tau, D, terms, factors):
+def _bell_form(family, gt, eps, D, terms, factors):
     """Squeezed-Bell (twin beam at delta = 0) or Buridan FidelityForm,
     in the Delta terms over Delta (pm + mm + z = 1) and _bell_factors:
-    all O(1) times 4/Delta, so large r neither overflows nor cancels.
-    g~, tau and the terms may be columns."""
+    all O(1) times 4/Delta, so large r neither overflows nor cancels."""
     e0, e1, e2, eb = factors
     pm, mm, z = terms
     k = 4 / D
     if family == "buridan":
         # 2 (g~^2 - e^{-tau}) / Delta = 2 sgn(g~ - eps) sqrt(pm mm), as
         # (g~ + eps)|g~ - eps| = sqrt(d0 d1)
-        xp = np if isinstance(pm, np.ndarray) else math
-        c2 = (2 * xp.copysign(xp.sqrt(pm * mm),
-                                  gt - _math(math.exp, -tau / 2))
-              * (e0 - 4 * e1))
+        c2 = 2 * np.copysign(np.sqrt(pm * mm), gt - eps) * (e0 - 4 * e1)
         # a, the |01> core's fidelity, is >= 0, but e0 z and c2 cancel as
-        # g~, Gamma and tau go to 0; (a + |a|)/2 is max(a, 0) on scalars
-        # and arrays alike, so rounding below 0 is 0
+        # g~, Gamma and tau go to 0; (a + |a|)/2 = max(a, 0), so rounding
+        # below 0 is 0
         a = k * (e0 * z + 4 * (pm + mm) * e1 + c2)
         return FidelityForm((a + abs(a)) / 2,
                             -2 * k * eb * (pm - mm),
@@ -238,21 +195,16 @@ def _exp_expm1(lo, ex):
     """e^lo (e^ex - 1) for lo <= 0 and lo + ex <= 0, as
     -e^{lo + ex} expm1(-ex) when ex > 0: no cancellation at small ex
     and no overflow at large ex."""
-    if isinstance(ex, np.ndarray):
-        return (-np.sign(ex) * np.exp(lo + np.maximum(ex, 0.0))
-                * np.expm1(-np.abs(ex)))
-    if ex > 0:
-        return -math.exp(lo + ex) * math.expm1(-ex)
-    return math.exp(lo) * math.expm1(ex)
+    return (-np.sign(ex) * np.exp(lo + np.maximum(ex, 0.0))
+            * np.expm1(-np.abs(ex)))
 
 
-def _cat_form(gamma, gt, tau, D, terms, beta):
-    """Squeezed-cat FidelityForm for real, signed gamma (scalar or
-    array) at one amplitude beta, in Delta's terms over Delta, as
-    _bell_form; g~, tau and Delta's terms may be columns against gamma.
+def _cat_form(gamma, gt, eps, D, terms, beta):
+    """Squeezed-cat FidelityForm for real, signed gamma at amplitudes
+    beta, in Delta's terms over Delta, as _bell_form.
     The Gaussian overlap with Bogoliubov coefficients
     k1 = cosh(r) g~ - sinh(r) eps, k2 = cosh(r) eps - sinh(r) g~,
-    eps = e^{-tau/2}, has the exponents
+    has the exponents
     U = 2 e^{r}(g~ - eps) gamma/sqrt(Delta) = 2 gamma sgn(g~ - eps) sqrt(mm)
     and V = 2 e^{-r}(g~ + eps) gamma/sqrt(Delta) = 2 gamma sqrt(pm). With
     a + i b = 2 (g~ - 1) beta/sqrt(Delta) and t1 = e^{-a^2 - b^2} the
@@ -261,32 +213,32 @@ def _cat_form(gamma, gt, tau, D, terms, beta):
     where Delta is inf, 4/Delta = 0 times bounded terms is 0.
     Where gamma^2 overflows, the form is the limit: n = 0, h = 1, no
     cross term and a cat term of -t1, or of 0 where mm = 0 (U = 0).
+    Where t1 underflows, the cross term, at most sqrt(t1 (t1 + cat)), is
+    lost beside cat s^2, and the cat term is its completed square, which
+    overflows only to e^{-inf} = 0.
     """
     pm, mm, _ = terms
-    if not isinstance(gamma, np.ndarray) and gamma * gamma == math.inf:
-        t1 = _cat_form(0.0, gt, tau, D, terms, beta).a
-        return FidelityForm(t1, 0.0, -t1 if mm else 0.0)
-    xp = np if np.ndarray in (type(gamma), type(D)) else math
-    U = 2 * xp.copysign(xp.sqrt(mm), gt - _math(math.exp, -tau / 2)) * gamma
-    V = 2 * xp.sqrt(pm) * gamma
-    ex = gamma * gamma * (pm - mm)
-    n, h = xp.exp(-gamma * gamma), -xp.expm1(-gamma * gamma)
-    scale = 2 / xp.sqrt(D) * (gt - 1)
-    a, b = scale * beta.real, scale * beta.imag
-    lo = -a * a - b * b
-    t1 = xp.exp(lo)
-    # a column of t1 comes from the beta = 0 search, where it is 1
-    if isinstance(t1, np.ndarray) or t1:
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = gamma * gamma == math.inf
+        gamma = np.where(limit, 0.0, gamma)
+        U = 2 * np.copysign(np.sqrt(mm), gt - eps) * gamma
+        V = 2 * np.sqrt(pm) * gamma
+        ex = gamma * gamma * (pm - mm)
+        n, h = np.exp(-gamma * gamma), -np.expm1(-gamma * gamma)
+        scale = 2 / np.sqrt(D) * (gt - 1)
+        a, b = scale * np.real(beta), scale * np.imag(beta)
+        lo = -a * a - b * b
+        t1 = np.exp(lo)
         ph = b * V
-        cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * xp.cos(ph)
-                 - 2 * n * t1 * xp.sin(ph / 2) ** 2)
-        cat = _exp_expm1(lo, 2 * a * U - U * U)
-    else:
-        # the cross term, at most sqrt(t1 (t1 + cat)), is lost beside
-        # cat s^2; the completed square overflows only to e^{-inf} = 0
-        cross, cat = 0.0, math.exp(-(a - U) * (a - U) - b * b)
-    k = 4 / D
-    return FidelityForm(k * t1, k * cross, k * cat, n, h)
+        cross = (_exp_expm1(lo - gamma * gamma, a * U + ex) * np.cos(ph)
+                 - 2 * n * t1 * np.sin(ph / 2) ** 2)
+        cat = np.where(t1 > 0, _exp_expm1(lo, 2 * a * U - U * U),
+                       np.exp(-(a - U) * (a - U) - b * b))
+        k = 4 / D
+        return FidelityForm(
+            k * t1, np.where(limit | (t1 == 0), 0.0, k * cross),
+            np.where(limit, np.where(mm > 0, -k * t1, 0.0), k * cat),
+            np.where(limit, 0.0, n), np.where(limit, 1.0, h))
 
 
 def _shifted_noise(gt, gam, sigma):
@@ -294,20 +246,24 @@ def _shifted_noise(gt, gam, sigma):
     fidelity is the average over an AlphabetPrior of variance sigma. A
     product: a huge gain overflows to inf, a fidelity of 0, where a
     square would raise."""
-    return gam + (gt - 1) * (gt - 1) * sigma
+    with np.errstate(over="ignore"):
+        return gam + (gt - 1) * (gt - 1) * sigma
 
 
-def _fidelity_form(family, r, gamma, gt, gam, tau, at):
+def _fidelity_form(family, r, gamma, gt, gam, tau, beta, sigma=None):
     """The family's FidelityForm at effective gain g~ and noise Gamma, at
-    one amplitude beta or averaged over an AlphabetPrior: the cat's
-    average is its beta = 0 form at _shifted_noise. At beta = 0, r, g~,
-    Gamma and tau may be arrays, with a row per point first."""
+    amplitudes beta or, given sigma, averaged over an AlphabetPrior of
+    variance sigma: the cat's average is its beta = 0 form at
+    _shifted_noise. Every input is a number or an array, broadcast
+    against the others; eps = e^{-tau/2}."""
+    if family == "squeezed-cat" and sigma is not None:
+        gam, beta = _shifted_noise(gt, gam, sigma), 0j
+    eps = np.exp(-tau / 2)
+    D, terms = _delta_terms(r, gt, -eps, gam)
     if family == "squeezed-cat":
-        if isinstance(at, AlphabetPrior):
-            gam, at = _shifted_noise(gt, gam, at.sigma), 0j
-        return _cat_form(gamma, gt, tau, *_delta_terms(r, gt, tau, gam), at)
-    D, terms = _delta_terms(r, gt, tau, gam)
-    return _bell_form(family, gt, tau, D, terms, _bell_factors(gt, D, at))
+        return _cat_form(gamma, gt, eps, D, terms, beta)
+    return _bell_form(family, gt, eps, D, terms,
+                      _bell_factors(gt, D, beta, sigma))
 
 
 def _is_multiple(angle, period):
@@ -334,28 +290,56 @@ def _specialized_params(spec):
     return spec.family, spec.r, spec.delta, gamma
 
 
-def _closed_value(spec, noise, gain, at):
-    """Closed-form fidelity at one amplitude beta or averaged over an
-    AlphabetPrior."""
-    family, r, delta, gamma = _specialized_params(spec)
-    form = _fidelity_form(family, r, gamma, gain.effective(noise),
-                          gamma_cov(noise, gain), noise.tau, at)
-    val = float(form.value(delta))
-    if not math.isfinite(val):
-        raise NumericalError(f"{family} closed form is {val} at r = {r}")
-    return val
+def _column(*args):
+    """(column, lists): each (value, kind) arg, one of kind or a sequence,
+    as a list of the common length; column: whether any is a sequence."""
+    lists = [[v] if isinstance(v, kind) else list(v) for v, kind in args]
+    n = max(map(len, lists))
+    if not n or {len(x) for x in lists} - {1, n}:
+        raise ParameterError(f"columns of lengths {[len(x) for x in lists]}"
+                             " are empty or do not match")
+    column = not all(isinstance(v, kind) for v, kind in args)
+    return column, [x if len(x) == n else x * n for x in lists]
+
+
+def _closed_reports(specs, noises, gains, ats):
+    """Closed-form reports of a column of points of one family in one
+    kernel call, at amplitudes or AlphabetPriors ats. A NumericalError
+    names the first point whose value is not finite."""
+    family, r, delta, gamma = zip(*map(_specialized_params, specs))
+    if len(set(family)) > 1:
+        raise ParameterError(f"a column takes one family, got {set(family)}")
+    averaged = isinstance(ats[0], AlphabetPrior)
+    form = _fidelity_form(
+        family[0], np.array(r), np.array(gamma),
+        np.array([g.effective(nz) for g, nz in zip(gains, noises)]),
+        np.array([gamma_cov(nz, g) for g, nz in zip(gains, noises)]),
+        np.array([nz.tau for nz in noises]), 0j if averaged else np.array(ats),
+        np.array([p.sigma for p in ats]) if averaged else None)
+    vals = form.value(np.array(delta)).tolist()
+    for val, x in zip(vals, r):
+        if not math.isfinite(val):
+            raise NumericalError(
+                f"{family[0]} closed form is {val} at r = {x}")
+    extra = [(None, p.sigma) for p in ats] if averaged else zip(ats)
+    return tuple(FidelityReport(v, "closed", *row, *x) for v, *row, x in zip(
+        vals, specs, noises, gains, extra))
 
 
 def fidelity_closed(spec, noise, gain, beta=0j):
-    """Closed-form fidelity at the specialized phases.
+    """Closed-form fidelity at the specialized phases: a report, or with
+    any argument a sequence (all of one length) a tuple of reports of a
+    column of points, each its point's own to the bit.
 
     Internally g~ = g T and, with eps = e^{-tau/2}, the scale
     Delta = (e^{-r}(g~ + eps))^2 + (e^{r}(g~ - eps))^2 + 2(1 + g~^2 + 2 Gamma)
     set the overall 4/Delta prefactor and every exponent.
     """
-    beta = complex(beta)
-    return FidelityReport(_closed_value(spec, noise, gain, beta), "closed",
-                          spec, noise, gain, beta=beta)
+    column, (specs, noises, gains, betas) = _column(
+        (spec, ResourceSpec), (noise, NoiseParams), (gain, GainSetting),
+        (beta, numbers.Number))
+    reports = _closed_reports(specs, noises, gains, list(map(complex, betas)))
+    return reports if column else reports[0]
 
 
 def _overlap(inp, spec, noise, gain, spread=0.0):
@@ -364,7 +348,7 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
     e^{-c (x^2+p^2)}, c = Delta_phi/8 + spread, with eps = e^{-tau/2} and
     Delta_phi = e^{2r}|g~ + e^{i phi} eps|^2 + e^{-2r}|g~ - e^{i phi} eps|^2
     + 2(1 + g~^2 + 2 Gamma), the closed forms' Delta at phi = pi, from
-    _delta_parts with squares taken as products, so c overflows only to
+    _delta_terms with squares taken as products, so c overflows only to
     inf; there the fidelity is 0, as the integrand is bounded and
     vanishes off the origin. A negative value within the quadrature's
     tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
@@ -374,10 +358,10 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
                * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
         return val * np.exp(-spread * (x * x + p * p)) if spread else val
 
-    hi, lo, z = _delta_parts(spec.r, gain.effective(noise),
-                             cmath.exp(1j * spec.phi - noise.tau / 2),
-                             gamma_cov(noise, gain))
-    rate = (hi * hi + lo * lo + z) / 8 + spread
+    D, _ = _delta_terms(spec.r, gain.effective(noise),
+                        cmath.exp(1j * spec.phi - noise.tau / 2),
+                        gamma_cov(noise, gain))
+    rate = float(D / 8 + spread)
     if rate == math.inf:
         return 0.0
     val = float((integrate_adaptive(integrand, rate) / (2 * math.pi)).real)
@@ -394,7 +378,9 @@ def fidelity_quadrature(inp, spec, noise, gain):
 
 
 def average_fidelity(spec, noise, gain, prior):
-    """Fidelity averaged over the Gaussian alphabet prior.
+    """Fidelity averaged over the Gaussian alphabet prior: a report, or
+    with any argument a sequence (all of one length) a tuple of reports
+    of a column of points, each its point's own to the bit.
 
     beta enters the overlap integrand only as a plane wave,
     e^{i sqrt2 (1 - g~)(p Re beta - x Im beta)}, which the prior averages
@@ -402,17 +388,21 @@ def average_fidelity(spec, noise, gain, prior):
     _shifted_noise. The cat's closed form takes it exactly, at beta = 0;
     the Bell-type forms factorize a Gauss-Hermite rule of order GH_ORDER
     in Re beta and Im beta into 1-D node sums; off the closed phases it
-    is one quadrature.
+    is one quadrature per point.
     """
+    column, rows = _column((spec, ResourceSpec), (noise, NoiseParams),
+                           (gain, GainSetting), (prior, AlphabetPrior))
     try:
-        val = _closed_value(spec, noise, gain, prior)
-        method = "closed"
+        reports = _closed_reports(*rows)
     except PhaseSpecializationError:
+        if column:  # each point on its own route
+            return tuple(map(average_fidelity, *rows))
         gap = 1 - gain.effective(noise)
-        spread = gap * gap * prior.sigma / 2
-        val = _overlap(CoherentInput(0j), spec, noise, gain, spread)
-        method = "quadrature"
-    return FidelityReport(val, method, spec, noise, gain, sigma=prior.sigma)
+        return FidelityReport(
+            _overlap(CoherentInput(0j), spec, noise, gain,
+                     gap * gap * prior.sigma / 2),
+            "quadrature", spec, noise, gain, sigma=prior.sigma)
+    return reports if column else reports[0]
 
 
 def fidelity_gaussian_oracle(inp, r, noise, gain):

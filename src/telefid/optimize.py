@@ -1,42 +1,36 @@
 """Fidelity maximization over resource parameters and gain, and the
 affinity of a resource to the two-mode squeezed vacuum.
 
-At fixed r, noise, gain and cat amplitude gamma, every family's fidelity
-is a ratio of quadratic forms in (cos delta, sin delta)
-(fidelity.FidelityForm), so the best Bell angle delta is the top
-eigenvalue of a 2x2 pair and takes no search. Both optimizers are one
-core, _optimize, at beta = 0 on the unity gain or averaged over the prior
-with the gain free; the search reads the prior average exactly as the
-beta = 0 form at the noise Gamma + (g~ - 1)^2 sigma.
-
-Each optimizer takes a point (r, noise) or a column of them, searched
-in lockstep; one point is the one-row case. Every search left is a grid
-refined by _zoom_max, a mesh of ZOOM_POINTS per axis around each row's
-best point per step, each grid and mesh one form call with a row per
-point. The steps shrink on a fixed schedule, so each row ends where the
-point alone would, to the bit. It refines the cat's gamma, the averaged
-gain, the averaged cat's (gain, gamma) and the affinity's r'. The
-averaged gain peaks within a few e^{-2r} of g~ = e^{-tau/2}, so it is
-searched on an axis stretched around that ridge. The averaged cat's
-(gain, gamma) grid, 102 x 51 points a row, is taken row by row: a
-column's at once would cost tens of megabytes of peak memory, where no
-other form call of a preset's 81 rows holds 25,000 points. The subcase
-points (delta = 0, the photon-subtraction angle, gamma = 0 and the
-unity-gain rule g = 1/T) stay in as a floor, so the subcase-domination
-inequalities hold exactly rather than to rounding. Each optimum's spec
-comes from ResourceSpec.of, so a photon-subtracted one is stored as its
-squeezed-Bell state.
+Every family's fidelity is a ratio of quadratic forms in (cos delta,
+sin delta), fidelity.FidelityForm, so the best Bell angle delta is the
+top eigenvalue of a 2x2 pair and takes no search. Both optimizers are
+one core, _optimize, at beta = 0 on the unity gain or averaged over the
+prior with the gain free, the average read exactly as the beta = 0 form
+at the noise Gamma + (g~ - 1)^2 sigma. It takes a point (r, noise) or a
+column of them, searched in lockstep: every search is a grid refined by
+_zoom_max, meshes of ZOOM_POINTS per axis shrinking on a fixed schedule,
+each grid and mesh one call of the one-path numpy kernel with a row per
+point, so each row ends where the point alone would, to the bit. That
+refines the cat's gamma, the averaged gain, on an axis stretched around
+its ridge at g~ = e^{-tau/2}, the averaged cat's (gain, gamma), whose
+102 x 51 grid is taken row by row to hold peak memory, and the
+affinity's r'. The subcase points (delta = 0, the photon-subtraction
+angle, gamma = 0 and the unity gain g = 1/T) stay in as a floor, so the
+subcase-domination inequalities hold exactly rather than to rounding.
+Each optimum's spec comes from ResourceSpec.of, so a photon-subtracted
+one is stored as its squeezed-Bell state.
 """
 
 import cmath
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParameterError
-from .fidelity import (FidelityReport, _fidelity_form, _math,
-                       _shifted_noise, average_fidelity, fidelity_closed)
+from .fidelity import (_column, _fidelity_form, _shifted_noise,
+                       average_fidelity, fidelity_closed)
 from .phase_space import (CORE_PARAMS, FAMILIES, ResourceSpec, _core_terms,
                           photon_subtraction_angle)
 from .protocol import GainSetting, NoiseParams, gamma_cov
@@ -111,17 +105,13 @@ def _mesh(axes):
 def _zoom_max(fun, start, value, steps, box):
     """Maximize f on a box from starts of known value: start and steps
     (rows, d), value (rows,), box d (lo, hi) bounds, numbers or a row
-    each; one point, start of shape (d,), is the one-row case. Each step
+    each. Each step
     takes a mesh of ZOOM_POINTS per axis, spanning +-steps around each
     row's best point and clipped to the box, in one call
     fun(*_mesh(axes)). A row moves to its highest mesh point only if
     that is strictly higher, then shrinks its steps to the mesh spacing;
     once they are below PARAM_XTOL it stops, as it would alone. Returns
     (point, value, evaluations), a row each."""
-    if np.ndim(start) == 1:
-        (point,), (value,), (nfev,) = _zoom_max(fun, [start], [value],
-                                                [steps], box)
-        return tuple(point.tolist()), float(value), int(nfev)
     point, value = np.array(start, dtype=float), np.array(value, dtype=float)
     n, d = point.shape
     steps = np.array(np.broadcast_to(steps, (n, d)), dtype=float)
@@ -191,11 +181,12 @@ def _best_delta(family, r, form):
     eigenvector."""
     if family == "twin-beam":
         return None, form.a
-    pss = _math(photon_subtraction_angle, r)
+    pss = photon_subtraction_angle(r)
     if family == "photon-subtracted":
         return pss, form.value(pss)
     floor = (0.0, pss) if family == "squeezed-bell" else (0.0,)
-    deltas = floor + (form.top()[1],)
+    lam = form.top()
+    deltas = floor + (np.arctan2(form.b - lam * form.n, -form.e / 2) / 2,)
     vals = [form.value(d) for d in deltas]
     i = np.argmax(vals, axis=0)
     return np.choose(i, deltas), np.choose(i, vals)
@@ -222,14 +213,8 @@ def _optimize(family, r, noise, prior=None):
     the column's."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
-    column = np.ndim(r) > 0 or not isinstance(noise, NoiseParams)
-    rs = np.ravel(np.asarray(r, dtype=float))
-    noises = [noise] if isinstance(noise, NoiseParams) else list(noise)
-    n = max(len(rs), len(noises))
-    if not n or {len(rs), len(noises)} - {1, n}:
-        raise ParameterError(f"r and noise columns of lengths {len(rs)} "
-                             f"and {len(noises)} do not match")
-    rs, noises = np.broadcast_to(rs, n), noises * (n // len(noises))
+    column, (rs, noises) = _column((r, numbers.Real), (noise, NoiseParams))
+    rs, n = np.array(rs, dtype=float), len(rs)
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
     T = np.array([nz.transmissivity for nz in noises])
     tau = np.array([nz.tau for nz in noises])
@@ -252,7 +237,7 @@ def _optimize(family, r, noise, prior=None):
             # F = a + e sin^2 delta at beta = 0 (b = 0): max(a, a + e)
             # kinks where e changes sign, so each side is its own branch
             return np.stack((f.a, f.a + f.e), axis=-1)
-        return (f.top()[0] if cat
+        return (f.a + f.top() if cat
                 else _best_delta(family, _rowwise(rs[at], g), f)[1])
 
     g_opt, gamma, searched, nfev = g_unity, None, [], np.ones(n, dtype=int)
@@ -267,9 +252,8 @@ def _optimize(family, r, noise, prior=None):
         # as w, g~ = eps + c sinh w, c = e^{-2r} (no finer than eps's
         # rounding, nor 0), uniform in w with the ridge w = 0, or the end
         # nearest it, as one more grid point
-        eps = _math(math.exp, -tau / 2)
-        c = np.array([max(math.exp(-2 * x), 1e-16 * e, 1e-300)
-                      for x, e in zip(rs.tolist(), eps.tolist())])
+        eps = np.exp(-tau / 2)
+        c = np.maximum(np.maximum(np.exp(-2 * rs), 1e-16 * eps), 1e-300)
 
         def stretched(w):
             # the gains g at w, a row per point
@@ -305,20 +289,21 @@ def _optimize(family, r, noise, prior=None):
     delta, best = _best_delta(family, rs, form(g_opt, gamma))
     route = "+".join((["eigen"] if "delta" in free else []) + searched)
     optima = []
-    for i, (x, nz) in enumerate(zip(rs.tolist(), noises)):
+    for i, x in enumerate(rs.tolist()):
         d = None if delta is None else float(delta[i])
         # delta = 0 is the twin beam at every gamma
         gm = None if gamma is None else float(gamma[i]) if d else 0.0
         spec = ResourceSpec.of(family, x, **{k: v for k, v in (
             ("delta", d), ("gamma_mod", gm)) if k in free})
         g = float(g_opt[i])
-        gain = GainSetting(None if g == g_unity[i] else g)
         optima.append(OptimizationResult(
-            float(best[i]) if prior is None
-            else average_fidelity(spec, nz, gain, prior).value,
-            delta_opt=d, gamma_opt=gm, g_opt=None if prior is None else g,
-            evaluations=int(nfev[i]), method=route or "closed", spec=spec,
-            gain=gain))
+            float(best[i]), d, gm, None if prior is None else g,
+            int(nfev[i]), route or "closed", spec,
+            GainSetting(None if g == g_unity[i] else g)))
+    if prior is not None:  # the value is the public average, one call
+        optima = [replace(o, best_value=rep.value) for o, rep in zip(
+            optima, average_fidelity([o.spec for o in optima], noises,
+                                     [o.gain for o in optima], prior))]
     return Optima(optima) if column else optima[0]
 
 
@@ -339,17 +324,20 @@ def optimize_gain_average(family, r, noise, prior):
 
 def fidelity_at_optimum(opt, noise, prior, beta):
     """Fidelity at input amplitude beta with the parameters of an
-    averaged optimum opt, taken at this noise and prior. beta must lie in
-    the prior's numerical support, |beta|^2 <= 700 sigma."""
-    beta = complex(beta)
-    size = math.hypot(beta.real, beta.imag)  # abs(beta) ** 2 overflows
-    if size > math.sqrt(700 * prior.sigma):
-        raise ParameterError(
-            f"|beta| = {size:.3g} lies outside the numerical support, "
-            f"|beta|^2 <= 700 sigma, of the sigma = {prior.sigma} prior")
-    rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
-    return FidelityReport(rep.value, rep.method, opt.spec, noise, opt.gain,
-                          beta=beta, sigma=prior.sigma)
+    averaged optimum opt, taken at this noise and prior, or a tuple of
+    them with any argument but prior a sequence, as fidelity_closed. Each
+    beta must lie in the prior's support, |beta|^2 <= 700 sigma."""
+    column, (opts, noises, betas) = _column(
+        (opt, OptimizationResult), (noise, NoiseParams),
+        (beta, numbers.Number))
+    for size in (abs(complex(b)) for b in betas):  # |beta|^2 overflows
+        if size > math.sqrt(700 * prior.sigma):
+            raise ParameterError(
+                f"|beta| = {size:.3g} lies outside the numerical support, "
+                f"|beta|^2 <= 700 sigma, of the sigma = {prior.sigma} prior")
+    reports = tuple(replace(rep, sigma=prior.sigma) for rep in fidelity_closed(
+        [o.spec for o in opts], noises, [o.gain for o in opts], betas))
+    return reports if column else reports[0]
 
 
 def one_shot_fidelity(family, r, noise, prior, beta):

@@ -46,8 +46,9 @@ def _require_finite(name, *values):
 
 
 def photon_subtraction_angle(r):
-    """Bell angle delta = arctan(tanh r) of a1 a2 S(zeta)|00>."""
-    return math.atan(math.tanh(r))
+    """Bell angle delta = arctan(tanh r) of a1 a2 S(zeta)|00>, at a
+    number or an array."""
+    return np.arctan(np.tanh(r))
 
 
 @dataclass(frozen=True)
@@ -126,7 +127,7 @@ class ResourceSpec:
         if family != "photon-subtracted":
             return cls(family, r, phi, **core)
         _require_finite("resource parameters", phi)
-        return cls("squeezed-bell", r, phi, photon_subtraction_angle(r),
+        return cls("squeezed-bell", r, phi, float(photon_subtraction_angle(r)),
                    math.remainder(phi + math.pi, 2 * math.pi))
 
     @classmethod

@@ -34,3 +34,19 @@ def test_traced_figures_run_ends_in_strict_json_with_every_layer_metric():
     for name, metric in metrics.items():
         value = metric["value"]
         assert isinstance(value, (int, float)) and math.isfinite(value), name
+
+
+def test_untraced_closed_sweep_run_fails_only_its_known_faults():
+    """The untraced closed-sweep run ends in one strict JSON result whose
+    failures are exactly its two known-fault sweeps of every eleven: the
+    gain sweeps whose 60-node Gauss-Hermite prior average the bench's
+    exact reference rejects."""
+    done = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "closed-sweep",
+         "--seed", "5", "--seconds", "1", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600, check=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1],
+                        parse_constant=_no_constant)
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["attempted"] % 11 == 0
+    assert result["failed"] * 11 == result["attempted"] * 2

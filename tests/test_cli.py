@@ -10,15 +10,18 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import telefid
 import telefid.cli_sweep as cli
-from telefid import FAMILIES, NumericalError, ParameterError, QuadratureError
-from telefid.cli_sweep import (CSV_HEADER, ResultRow, SweepSpec, emit_csv,
-                               main, parse_cli)
+import telefid.fidelity as fidelity
+from telefid import (FAMILIES, AlphabetPrior, NumericalError, ParameterError,
+                     QuadratureError, average_fidelity, fidelity_closed)
+from telefid.cli_sweep import (CSV_HEADER, SWEEP_AXES, ResultRow, SweepSpec,
+                               emit_csv, main, parse_cli)
 
 IDEAL_ROW = "twin-beam,1,0,0,0,1,,,,0,0,closed,0.880797077978"
 
@@ -113,10 +116,31 @@ class TestSweepSpec:
         dict(axis="r", start=0.0, stop=1.0, steps=1),
         dict(axis="r", start=1.0, stop=1.0, steps=5),
         dict(axis="r", start=2.0, stop=1.0, steps=5),
+        # non-finite ends, or a span that overflows, gave NaN axis values
+        dict(axis="r", start=0.0, stop=math.inf, steps=5),
+        dict(axis="r", start=-math.inf, stop=0.0, steps=5),
+        dict(axis="r", start=math.nan, stop=1.0, steps=5),
+        dict(axis="beta_re", start=-1e308, stop=1e308, steps=5),
+        # more rows than a sweep holds; numpy refused 1e19 and 2^63
+        dict(axis="r", start=0.0, stop=1.0, steps=cli.MAX_STEPS + 1),
+        dict(axis="r", start=0.0, stop=1.0, steps=2 ** 63),
     ])
     def test_invariants(self, kwargs):
         with pytest.raises(ParameterError):
             SweepSpec(**kwargs)
+
+    @pytest.mark.parametrize("bounds", [
+        ["--steps", "10000000000000000000"], ["--steps", "9223372036854775808"],
+        ["--from", "0", "--to", "inf"], ["--from=-1e308", "--to", "1e308"]],
+        ids=["steps-1e19", "steps-2^63", "to-inf", "span-overflows"])
+    def test_bad_sweep_bounds_exit_2(self, bounds):
+        """These printed a numpy traceback (exit 1), or RuntimeWarnings
+        and "closed form is nan" (exit 4)."""
+        argv = ["sweep", "--resource", "twin-beam", "--r", "1", "--vary",
+                "beta_re", "--from", "0", "--to", "1", "--steps", "5"]
+        code, out, err = _run(argv + bounds)
+        assert (code, out) == (2, "")
+        assert err.startswith("telefid: ") and "Traceback" not in err
 
 
 class TestMainExitCodes:
@@ -446,6 +470,86 @@ class TestMainExitCodes:
                      "--gain", "1"])
         assert code == 4
         assert "node ladder" in capsys.readouterr().err
+
+
+# a sweep range per axis: the cat's gamma crosses gamma^2 = inf at 1.3e154
+# and |beta| past about 115 takes its t1 = 0 branch
+SWEEP_RANGES = {"r": (0.0, 3.0), "tau": (0.0, 2.0), "nth": (0.0, 1.0),
+                "r2": (0.0, 0.5), "gain": (0.05, 3.0), "sigma": (0.1, 1e4),
+                "beta_re": (-400.0, 400.0), "beta_im": (-400.0, 400.0),
+                "delta": (-3.0, 3.0), "gamma": (1e153, 1e155)}
+SWEEP_CASES = [(family, axis, averaged) for family in FAMILIES
+               for axis in SWEEP_AXES for averaged in (False, True)
+               if not (averaged and axis in ("sigma", "beta_re", "beta_im"))]
+
+
+class TestClosedSweepColumn:
+    """A sweep evaluates its closed rows in one kernel call: each row
+    must be its one-point fidelity_closed or average_fidelity, to the
+    bit, and the sweep must fail as row by row would."""
+
+    @pytest.mark.parametrize("family,axis,averaged", SWEEP_CASES)
+    def test_rows_are_one_point_calls(self, family, axis, averaged):
+        start, stop = SWEEP_RANGES[axis]
+        flags = {"r": 0.8, "tau": 0.3, "nth": 0.1, "r2": 0.05, "gain": 1.3}
+        if family in ("squeezed-bell", "buridan", "squeezed-cat"):
+            flags["delta"] = 0.4
+        if family == "squeezed-cat":
+            flags["gamma-mod"] = 1.1
+        if averaged:
+            flags["sigma"] = 10.0
+        elif axis != "sigma":
+            flags.update({"beta-re": 0.7, "beta-im": -0.4})
+        argv = ["sweep", "--resource", family, "--vary", axis,
+                f"--from={start!r}", f"--to={stop!r}", "--steps", "101"]
+        ns = parse_cli(argv + [f"--{k}={v!r}" for k, v in flags.items()])
+        if (axis == "delta" and "delta" not in flags
+                or axis == "gamma" and family != "squeezed-cat"):
+            with pytest.raises(ParameterError, match="does not apply"):
+                cli._run_sweep(ns)
+            return
+        rows = cli._run_sweep(ns)
+        values = SweepSpec(axis, start, stop, 101).values.tolist()
+        assert len(rows) == len(values)
+        for row, value in zip(rows, values):
+            spec, noise, gain, at = cli._point_inputs(ns, {axis: value})
+            rep = (average_fidelity(spec, noise, gain, at)
+                   if isinstance(at, AlphabetPrior)
+                   else fidelity_closed(spec, noise, gain, at))
+            assert (row.fidelity, row.method) == (rep.value, "closed")
+
+    def test_first_failing_row_sets_the_exit(self, tmp_path, capsys):
+        """R^2 = 1, the last row, is bad input: exit 2 with its message,
+        and no CSV."""
+        path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--resource", "twin-beam", "--r", "0.8",
+                     "--vary", "r2", "--from", "0", "--to", "1", "--steps",
+                     "5", "--output", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "telefid: reflectivity R^2 must lie in [0, 1), got 1.0\n")
+        assert not path.exists()
+
+    def test_first_failing_row_is_a_numerical_fault(
+            self, tmp_path, capsys, monkeypatch):
+        """A kernel fault of a row before a bad input exits 4, as row by
+        row: here rows 2 and 3 are NaN, g~ = 2 sqrt(1 - R^2) < 1.5, and
+        row 4, R^2 = 1, is bad input."""
+        real = fidelity._bell_form
+
+        def form(family, gt, *args):
+            f = real(family, gt, *args)
+            return f._replace(a=np.where(gt < 1.5, math.nan, f.a))
+
+        monkeypatch.setattr(fidelity, "_bell_form", form)
+        path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--resource", "twin-beam", "--r", "0.8",
+                     "--gain", "2", "--vary", "r2", "--from", "0", "--to",
+                     "1", "--steps", "5", "--output", str(path)])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "telefid: twin-beam closed form is nan at r = 0.8\n")
+        assert not path.exists()
 
 
 class TestCsvSchema:

@@ -294,6 +294,56 @@ class TestAveraged:
         assert rep.value == pytest.approx(0.00987794723, abs=1e-11)
 
 
+class TestColumns:
+    """fidelity_closed and average_fidelity take a column of points in
+    one kernel call; each report must be the point's own, to the bit."""
+
+    SPECS = [ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=g)
+             for r, d, g in ((0.0, 0.3, 0.5), (0.8, -1.2, 1e200),
+                             (2.5, 0.7, 4.0), (1.1, 1.5, 0.0))]
+    NOISES = [IDEAL, NoiseParams(tau=0.3, n_th=0.1, r2=0.05),
+              NoiseParams(tau=2.0), NoiseParams(r2=0.5)]
+    GAINS = [UNITY, GainSetting.fixed(1.7), GainSetting.unity_over_t(),
+             GainSetting.fixed(0.2)]
+    BETAS = [0j, 0.7 - 0.4j, 300.0, -2.0 + 1e300j]
+
+    def test_closed_rows_are_points(self):
+        reps = fidelity_closed(self.SPECS, self.NOISES, self.GAINS,
+                               self.BETAS)
+        assert isinstance(reps, tuple) and len(reps) == 4
+        for rep, *point in zip(reps, self.SPECS, self.NOISES, self.GAINS,
+                               self.BETAS):
+            assert rep == fidelity_closed(*point)
+
+    def test_average_rows_are_points(self):
+        """An off-phase row takes its own quadrature, the others one
+        closed call."""
+        specs = self.SPECS[:3] + [ResourceSpec.squeezed_cat(
+            0.5, delta=0.3, theta=0.4, gamma_mod=0.5)]
+        priors = [AlphabetPrior(s) for s in (0.1, 10.0, 1e4, 3.0)]
+        reps = average_fidelity(specs, self.NOISES, self.GAINS, priors)
+        assert [rep.method for rep in reps] == ["closed"] * 3 + [
+            "quadrature"]
+        for rep, *point in zip(reps, specs, self.NOISES, self.GAINS,
+                               priors):
+            assert rep == average_fidelity(*point)
+
+    def test_one_item_repeats(self):
+        reps = fidelity_closed(self.SPECS[1], IDEAL, UNITY, self.BETAS)
+        assert [rep.value for rep in reps] == [
+            fidelity_closed(self.SPECS[1], IDEAL, UNITY, b).value
+            for b in self.BETAS]
+
+    def test_bad_columns(self):
+        with pytest.raises(ParameterError, match="empty"):
+            fidelity_closed([], [], [], [])
+        with pytest.raises(ParameterError, match="do not match"):
+            fidelity_closed(self.SPECS, self.NOISES[:2], UNITY)
+        with pytest.raises(ParameterError, match="one family"):
+            fidelity_closed([ResourceSpec.twin_beam(1.0),
+                             ResourceSpec.buridan_donkey(1.0)], IDEAL, UNITY)
+
+
 class TestLargeSqueezing:
     """The squeezed-Bell and Buridan forms at r = 300, where e^{4r} and
     Delta^4 overflow a double, against the published form written out
@@ -517,7 +567,7 @@ class TestDeltaTerms:
 
     @staticmethod
     def reference(r, gt, tau, gam):
-        eps = math.exp(-tau / 2)
+        eps = float(np.exp(-tau / 2))
         with mpmath.workdps(50):
             r, gt, gam, eps = map(mpmath.mpf, (r, gt, gam, eps))
             d0 = (mpmath.exp(-r) * (gt + eps)) ** 2
@@ -527,12 +577,12 @@ class TestDeltaTerms:
             return D, (d0 / D, d1 / D, z / D)
 
     def check(self, r, gt, tau, gam):
-        D, terms = _delta_terms(r, gt, tau, gam)
+        D, terms = _delta_terms(r, gt, -np.exp(-tau / 2), gam)
         want, want_terms = self.reference(r, gt, tau, gam)
         if want > sys.float_info.max:
             assert (D, terms) == (math.inf, (0.0, 0.0, 1.0))
             return
-        gap = abs(gt - math.exp(-tau / 2))
+        gap = abs(gt - float(np.exp(-tau / 2)))
         x = r + math.log(gap) if gap else 0.0
         tol = sys.float_info.epsilon * (4 + 2 * abs(x))
         assert abs(D - want) <= tol * want
