@@ -330,7 +330,8 @@ def fidelity_at_optimum(opt, noise, prior, beta):
     column, (opts, noises, betas) = _column(
         (opt, OptimizationResult), (noise, NoiseParams),
         (beta, numbers.Number))
-    for size in (abs(complex(b)) for b in betas):  # |beta|^2 overflows
+    for b in map(complex, betas):  # |beta|^2, and abs(beta), overflow
+        size = math.hypot(b.real, b.imag)
         if size > math.sqrt(700 * prior.sigma):
             raise ParameterError(
                 f"|beta| = {size:.3g} lies outside the numerical support, "

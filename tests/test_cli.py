@@ -756,6 +756,8 @@ def test_fidelity_command_over_the_domain(family, r, delta, gamma, g,
 )
 @example(family="twin-beam", r=0.5, tau=0.0, sigma=3.0, beta_re=1e308,
          beta_im=0.0)
+@example(family="twin-beam", r=0.0, tau=0.0, sigma=1.0,
+         beta_re=1.2711610061536462e+308, beta_im=1.2711610061536464e+308)
 def test_one_shot_command_over_any_amplitude(family, r, tau, sigma,
                                              beta_re, beta_im):
     """The one-shot value at a prior-averaged optimum exits 0 with a
