@@ -25,10 +25,8 @@ from .protocol import GainSetting, NoiseParams
 CSV_HEADER = ("resource", "r", "tau", "nth", "r2", "gain", "delta_opt",
               "gamma_opt", "sigma", "beta_re", "beta_im", "method",
               "fidelity")
-# each sweep axis, and the row input (spec, noise, gain, at) it enters
-AXIS_INPUT = {"r": 0, "tau": 1, "nth": 1, "r2": 1, "gain": 2, "sigma": 3,
-              "beta_re": 3, "beta_im": 3, "delta": 0, "gamma": 0}
-SWEEP_AXES = tuple(AXIS_INPUT)
+SWEEP_AXES = ("r", "tau", "nth", "r2", "gain", "sigma", "beta_re",
+              "beta_im", "delta", "gamma")
 FIGURE_TAGS = ("3-I", "3-II", "4", "5-I", "5-II", "6-I", "6-II")
 
 AXIS_STEPS = 81
@@ -41,8 +39,10 @@ FIG4_RESOURCES = FIG3_RESOURCES + ("photon-subtracted",)
 FIG56_RESOURCES = ("squeezed-bell", "squeezed-cat", "twin-beam")
 
 FIDELITY_SLACK = 1e-9
-# a sweep holds all its rows in memory before it writes them
+# a sweep holds all its rows in memory before it writes them, and
+# evaluates them SWEEP_BLOCK at a time
 MAX_STEPS = 10 ** 6
+SWEEP_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -172,29 +172,24 @@ def parse_cli(argv):
     return ns
 
 
-def _point_inputs(ns, over, last=None):
+def _point_inputs(ns, over):
     """The checked (spec, noise, gain, beta or AlphabetPrior) of one
-    evaluation, the flags overridden by over, built noise first; given
-    last, a sweep's previous row, only the input over's axis enters."""
+    evaluation, the flags overridden by over, built noise first."""
     def pick(name, default=None):
         flag = over[name] if name in over else getattr(ns, name)
         return default if flag is None else flag
 
+    noise = NoiseParams(pick("tau", 0.0), pick("nth", 0.0), pick("r2", 0.0))
+    gain = GainSetting(pick("gain"))
     # the flags that were given; ResourceSpec.of rejects a foreign one
     core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
             "gamma_mod": over.get("gamma", ns.gamma_mod)}
-    make = (lambda: ResourceSpec.of(ns.resource, pick("r"), **{
-                k: v for k, v in core.items() if v is not None}),
-            lambda: NoiseParams(pick("tau", 0.0), pick("nth", 0.0),
-                                pick("r2", 0.0)),
-            lambda: GainSetting(pick("gain")),
-            lambda: complex(pick("beta_re", 0.0), pick("beta_im", 0.0))
-            if pick("sigma") is None else AlphabetPrior(pick("sigma")))
-    if last is not None:
-        k = AXIS_INPUT[next(iter(over))]
-        return last[:k] + (make[k](),) + last[k + 1:]
-    noise, gain = make[1](), make[2]()
-    return make[0](), noise, gain, make[3]()
+    spec = ResourceSpec.of(ns.resource, pick("r"), **{
+        k: v for k, v in core.items() if v is not None})
+    sigma = pick("sigma")
+    return spec, noise, gain, (
+        complex(pick("beta_re", 0.0), pick("beta_im", 0.0)) if sigma is None
+        else AlphabetPrior(sigma))
 
 
 def _report_row(resource, rep, **cells):
@@ -317,20 +312,23 @@ def emit_csv(rows, path=None):
 
 
 def _run_sweep(ns):
-    """A sweep's rows: each row's inputs built and checked in order, then
-    evaluated, the closed rows in one kernel call."""
+    """A sweep's rows: each row's inputs built and checked in order and
+    evaluated in blocks of SWEEP_BLOCK rows, the closed ones of a block in
+    one kernel call."""
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
                       steps=ns.steps)
-    points = []
-    try:
-        for value in sweep.values.tolist():
-            points.append(_point_inputs(ns, {sweep.axis: value},
-                                        points[-1] if points else None))
-    except ParameterError:
-        if points:  # a fault of a row before the bad one comes first
-            _evaluate(ns, points)
-        raise
-    return _evaluate(ns, points)
+    values, rows = sweep.values, []
+    for at in range(0, len(values), SWEEP_BLOCK):
+        points = []
+        try:
+            for value in values[at:at + SWEEP_BLOCK].tolist():
+                points.append(_point_inputs(ns, {sweep.axis: value}))
+        except ParameterError:
+            if points:  # a fault of a row before the bad one comes first
+                _evaluate(ns, points)
+            raise
+        rows += _evaluate(ns, points)
+    return rows
 
 
 def _dispatch(ns):

@@ -291,15 +291,16 @@ def _specialized_params(spec):
 
 
 def _column(*args):
-    """(column, lists): each (value, kind) arg, one of kind or a sequence,
+    """(column, lists): each (value, kind) arg, of kind, 0-d or a sequence,
     as a list of the common length; column: whether any is a sequence."""
-    lists = [[v] if isinstance(v, kind) else list(v) for v, kind in args]
+    point = [isinstance(v, kind) or getattr(v, "ndim", 1) == 0
+             for v, kind in args]
+    lists = [[v] if p else list(v) for p, (v, _) in zip(point, args)]
     n = max(map(len, lists))
     if not n or {len(x) for x in lists} - {1, n}:
         raise ParameterError(f"columns of lengths {[len(x) for x in lists]}"
                              " are empty or do not match")
-    column = not all(isinstance(v, kind) for v, kind in args)
-    return column, [x if len(x) == n else x * n for x in lists]
+    return not all(point), [x if len(x) == n else x * n for x in lists]
 
 
 def _closed_reports(specs, noises, gains, ats):

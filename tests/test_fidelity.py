@@ -334,6 +334,10 @@ class TestColumns:
             fidelity_closed(self.SPECS[1], IDEAL, UNITY, b).value
             for b in self.BETAS]
 
+    def test_zero_d_arrays_are_points(self):
+        rep = fidelity_closed(self.SPECS[1], IDEAL, UNITY, np.array(0.5))
+        assert rep == fidelity_closed(self.SPECS[1], IDEAL, UNITY, 0.5)
+
     def test_bad_columns(self):
         with pytest.raises(ParameterError, match="empty"):
             fidelity_closed([], [], [], [])

@@ -620,6 +620,15 @@ def test_column_form_calls(family, sigma, form_calls):
                .size for args in form_calls) <= 25000
 
 
+def test_zero_d_arrays_are_points():
+    opt = optimize_beta_independent("squeezed-cat", np.array(0.8), NONIDEAL)
+    assert opt == optimize_beta_independent("squeezed-cat", 0.8, NONIDEAL)
+    prior = AlphabetPrior(10.0)
+    avg = optimize_gain_average("twin-beam", 0.8, NONIDEAL, prior)
+    assert (fidelity_at_optimum(avg, NONIDEAL, prior, np.array(1.5 - 1j))
+            == fidelity_at_optimum(avg, NONIDEAL, prior, 1.5 - 1j))
+
+
 def test_column_rejects_mismatched_lengths():
     with pytest.raises(ParameterError):
         optimize_beta_independent("twin-beam", [0.1, 0.2],
