@@ -416,5 +416,5 @@ def fidelity_gaussian_oracle(inp, r, noise, gain):
 
 def classical_benchmark(prior):
     """Best classical fidelity for the Gaussian alphabet:
-    (sigma + 1)/(2 sigma + 1)."""
-    return (prior.sigma + 1.0) / (2.0 * prior.sigma + 1.0)
+    (sigma + 1)/(2 sigma + 1), its terms halved so that none overflows."""
+    return (0.5 * prior.sigma + 0.5) / (prior.sigma + 0.5)

@@ -7,23 +7,22 @@ top eigenvalue of a 2x2 pair and takes no search. Both optimizers are
 one core, _optimize, at beta = 0 on the unity gain or averaged over the
 prior with the gain free, the average read exactly as the beta = 0 form
 at the noise Gamma + (g~ - 1)^2 sigma. It takes a point (r, noise) or a
-column of them, searched in lockstep: every search is a grid refined by
-_zoom_max, meshes of ZOOM_POINTS per axis shrinking on a fixed schedule,
-each grid and mesh one call of the one-path numpy kernel with a row per
-point, so each row ends where the point alone would, to the bit. That
-refines the cat's gamma, the averaged gain, on an axis stretched around
-its ridge at g~ = e^{-tau/2}, the averaged cat's (gain, gamma), whose
-102 x 51 grid is taken row by row to hold peak memory, and the
-affinity's r'. The subcase points (delta = 0, the photon-subtraction
-angle, gamma = 0 and the unity gain g = 1/T) stay in as a floor, so the
-subcase-domination inequalities hold exactly rather than to rounding.
-Each optimum's spec comes from ResourceSpec.of, so a photon-subtracted
-one is stored as its squeezed-Bell state.
+column of them, searched in lockstep: _grid_then_zoom maximizes one
+objective over the searched axes (the averaged gain as w, stretched
+around its ridge at g~ = e^{-tau/2}, then the cat's gamma), as it does
+the affinity's overlap in r', on a grid refined by _zoom_max's meshes.
+Each grid and mesh is one kernel call with a row per point, so each row
+ends where the point alone would, to the bit. The subcase points
+(delta = 0, the photon-subtraction angle, gamma = 0 and the unity gain
+g = 1/T) stay in as a floor, so the subcase-domination inequalities
+hold exactly rather than to rounding. Each optimum's spec comes from
+ResourceSpec.of: a photon-subtracted one is its squeezed-Bell state.
 """
 
 import cmath
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,56 +61,25 @@ class OptimizationResult:
     gain: GainSetting | None = None
 
 
-def golden_section_max(fun, lo, hi):
-    """Maximize a unimodal function on [lo, hi] to PARAM_XTOL.
-
-    Returns (x_opt, f_opt, evaluations). Plain golden-section search;
-    deterministic evaluation count for reproducible optimizer metadata.
-    """
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd, nfev = fun(c), fun(d), 2
-    for _ in range(200):
-        if b - a < PARAM_XTOL:
-            break
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = fun(d)
-        nfev += 1
-    return (c, fc, nfev) if fc > fd else (d, fd, nfev)
-
-
-def _rowwise(x, like):
-    """x, one value per row, shaped to broadcast against an array like
-    whose first axis is the rows."""
-    return np.reshape(x, (-1,) + (1,) * (np.ndim(like) - 1))
-
-
-def _mesh(axes):
-    """Per-row axes, each (rows, points) with one row or a row per point,
-    as np.ix_ would mesh each row's: axis i keeps its points on axis
-    i + 1."""
-    return [np.reshape(a, (len(a),) + tuple(
-        a.shape[1] if j == i else 1 for j in range(len(axes))))
+def _mesh(rows, axes):
+    """Row indices rows and per-row axes, each (rows, points) with one
+    row or a row per point, meshed as np.ix_ would each row's: the indices
+    on axis 0 and axis i's points on axis i + 1."""
+    return [np.reshape(rows, (-1,) + (1,) * len(axes))] + [
+        np.reshape(a, (len(a),) + tuple(
+            a.shape[1] if j == i else 1 for j in range(len(axes))))
         for i, a in enumerate(axes)]
 
 
 def _zoom_max(fun, start, value, steps, box):
     """Maximize f on a box from starts of known value: start and steps
     (rows, d), value (rows,), box d (lo, hi) bounds, numbers or a row
-    each. Each step
-    takes a mesh of ZOOM_POINTS per axis, spanning +-steps around each
-    row's best point and clipped to the box, in one call
-    fun(*_mesh(axes)). A row moves to its highest mesh point only if
-    that is strictly higher, then shrinks its steps to the mesh spacing;
-    once they are below PARAM_XTOL it stops, as it would alone. Returns
-    (point, value, evaluations), a row each."""
+    each. Each step takes a mesh of ZOOM_POINTS per axis, spanning +-steps
+    around each row's best point and clipped to the box, in one call
+    fun(i, *axes) of _mesh, the row index first. A row moves to its
+    highest mesh point only if that is strictly higher, then shrinks its
+    steps to the mesh spacing; once they are below PARAM_XTOL it stops,
+    as it would alone. Returns (point, value, evaluations), a row each."""
     point, value = np.array(start, dtype=float), np.array(value, dtype=float)
     n, d = point.shape
     steps = np.array(np.broadcast_to(steps, (n, d)), dtype=float)
@@ -124,7 +92,8 @@ def _zoom_max(fun, start, value, steps, box):
         if not live.any():
             return point, value, nfev
         axes = np.clip(point[..., None] + steps[..., None] * mesh, lo, hi)
-        vals = np.reshape(fun(*_mesh(list(axes.swapaxes(0, 1)))), (n, -1))
+        vals = np.reshape(fun(*_mesh(rows, list(axes.swapaxes(0, 1)))),
+                          (n, -1))
         k = np.argmax(vals, axis=1)
         up = live & (vals[rows, k] > value)
         value = np.where(up, vals[rows, k], value)
@@ -135,31 +104,31 @@ def _zoom_max(fun, start, value, steps, box):
         nfev += live * vals.shape[1]
 
 
-def _grid_then_zoom(fun, *grids, values=None):
+def _grid_then_zoom(fun, *grids):
     """Maximize fun over the span of a grid: each row's best grid point,
     refined by _zoom_max within its neighbours. Each grid is one sorted
-    axis, shared by the rows (1-D) or one per row (rows, points). fun
-    takes the grid in one call, unless values gives it as blocks of rows
-    (each reduced to its best points as it comes), and the meshes; a
-    last axis of smooth branches is refined branch by branch. Returns
-    (point, value, evaluations), a row each, of the highest branch, the
-    first on a tie."""
+    axis per row, (rows, points), or of one row, 1-D. fun takes the row
+    index first, then the meshed grid, as _zoom_max's does: all rows in
+    one call on a grid of one axis, one row a call on more (the averaged
+    cat's 102 x 51), each reduced to its best points as it comes, to hold
+    peak memory. A last axis of smooth branches is refined branch by
+    branch. Returns (point, value, evaluations), a row each, of the
+    highest branch, the first on a tie."""
     grids = [np.atleast_2d(g) for g in grids]
-    shape = tuple(g.shape[1] for g in grids)
-    picks = []
-    for block in [fun(*_mesh(grids))] if values is None else values:
-        flat = np.reshape(block, (len(block), math.prod(shape), -1))
+    n, shape = len(grids[0]), tuple(g.shape[1] for g in grids)
+    rows, picks = np.arange(n), []
+    for at in np.split(rows, n if len(grids) > 1 else 1):
+        flat = np.reshape(fun(*_mesh(at, [g[at] for g in grids])),
+                          (len(at), math.prod(shape), -1))
         k = np.argmax(flat, axis=1)
         picks.append((k, np.take_along_axis(flat, k[:, None], axis=1)[:, 0]))
     k, best = (np.concatenate(x) for x in zip(*picks))
-    n, rows = len(k), np.arange(len(k))
-    steps = np.stack([np.broadcast_to(np.max(np.diff(g, axis=1), axis=1), n)
-                      for g in grids], axis=1)
+    steps = np.stack([np.max(np.diff(g, axis=1), axis=1) for g in grids],
+                     axis=1)
     found, nfev = [], math.prod(shape)
     for j in range(k.shape[1]):
-        start = np.stack([np.broadcast_to(g, (n, len(g[0])))[rows, i] for g, i
-                          in zip(grids, np.unravel_index(k[:, j], shape))],
-                         axis=1)
+        start = np.stack([g[rows, i] for g, i in zip(
+            grids, np.unravel_index(k[:, j], shape))], axis=1)
         point, fx, m = _zoom_max(
             lambda *xs: np.reshape(fun(*xs), (n,) + (ZOOM_POINTS,) * len(shape)
                                    + (-1,))[..., j],
@@ -214,80 +183,72 @@ def _optimize(family, r, noise, prior=None):
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
     column, (rs, noises) = _column((r, numbers.Real), (noise, NoiseParams))
-    rs, n = np.array(rs, dtype=float), len(rs)
+    rs, n, rows = np.array(rs, dtype=float), len(rs), np.arange(len(rs))
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
-    T = np.array([nz.transmissivity for nz in noises])
-    tau = np.array([nz.tau for nz in noises])
+    # a row each: Gamma = thermal + g^2 R^2 at bare gain g
+    T, tau, thermal, r2 = map(np.array, zip(*[(
+        nz.transmissivity, nz.tau, gamma_cov(nz, 0.0), nz.r2)
+        for nz in noises]))
     g_top, g_unity = 2.0 / T, 1.0 / T
     sigma = 0.0 if prior is None else prior.sigma
+    # the gain peak at g~ = eps is about e^{-2r} wide: search the gain as
+    # w, g~ = eps + c sinh w, c = e^{-2r} (no finer than eps's rounding,
+    # nor 0), uniform in w with the ridge w = 0, or the end nearest it, as
+    # one more grid point
+    eps = np.exp(-tau / 2)
+    c = np.maximum(np.maximum(np.exp(-2 * rs), 1e-16 * eps), 1e-300)
 
-    def form(g, gamma=None, at=slice(None)):
-        # gains g with the rows at first; the unity rule keeps g~ = 1
-        gt = np.where(g == _rowwise(g_unity[at], g), 1.0,
-                      g * _rowwise(T[at], g))
-        return _fidelity_form(
-            family, _rowwise(rs[at], g), 0.0 if gamma is None else gamma, gt,
-            _shifted_noise(gt, gamma_cov(noises[at], g), sigma),
-            _rowwise(tau[at], g), 0j)
+    def form(i, g, gamma):
+        # at rows i and bare gains g; the unity rule keeps g~ = 1
+        gt = np.where(g == g_unity[i], 1.0, g * T[i])
+        return _fidelity_form(family, rs[i], gamma, gt, _shifted_noise(
+            gt, thermal[i] + g * g * r2[i], sigma), tau[i], 0j)
 
-    def score(g, gamma=None, at=slice(None)):
-        # the cat's eigenvalue or the best delta, over gains (and gamma)
-        f = form(g, gamma, at)
+    def score(i, g, gamma):
+        # the cat's eigenvalue or the best delta
+        f = form(i, g, gamma)
         if family == "buridan":
             # F = a + e sin^2 delta at beta = 0 (b = 0): max(a, a + e)
             # kinks where e changes sign, so each side is its own branch
             return np.stack((f.a, f.a + f.e), axis=-1)
-        return (f.a + f.top() if cat
-                else _best_delta(family, _rowwise(rs[at], g), f)[1])
+        return f.a + f.top() if cat else _best_delta(family, rs[i], f)[1]
 
-    g_opt, gamma, searched, nfev = g_unity, None, [], np.ones(n, dtype=int)
-    if prior is None and cat:
-        point, _, m = _grid_then_zoom(
-            lambda c: score(g_unity[:, None], c),
-            np.linspace(0.0, GAMMA_MAX, GAMMA_POINTS))
-        gamma, searched, nfev = point[:, 0], ["zoom"], nfev + m
-    elif prior is not None:
-        base = _optimize(family, rs, noises)
-        # the gain peak at g~ = eps is about e^{-2r} wide: search the gain
-        # as w, g~ = eps + c sinh w, c = e^{-2r} (no finer than eps's
-        # rounding, nor 0), uniform in w with the ridge w = 0, or the end
-        # nearest it, as one more grid point
-        eps = np.exp(-tau / 2)
-        c = np.maximum(np.maximum(np.exp(-2 * rs), 1e-16 * eps), 1e-300)
+    def gain(i, w):
+        return (eps[i] + c[i] * np.sinh(w)) / T[i]
 
-        def stretched(w):
-            # the gains g at w, a row per point
-            return ((_rowwise(eps, w) + _rowwise(c, w) * np.sinh(w))
-                    / _rowwise(T, w))
+    def objective(i, *x):
+        # the searched axes: the stretched gain w if averaged, then gamma
+        return score(i, g_unity[i] if prior is None else gain(i, x[0]),
+                     x[-1] if cat else 0.0)
 
+    axes = []
+    if prior is not None:
         lo, hi = np.arcsinh((np.stack((g_top / AVG_GAIN_POINTS, g_top)) * T
                              - eps) / c)
-        ws = np.sort(np.append(np.linspace(lo, hi, AVG_GAIN_POINTS, axis=1),
-                               np.clip(0.0, lo, hi)[:, None], axis=1), axis=1)
-        if cat:
-            # the (gain, gamma) grid row by row (see the module docstring)
-            gammas = np.linspace(0.0, GAMMA_MAX, AVG_GAMMA_POINTS)
-            gains = stretched(ws)
-            point, value, m = _grid_then_zoom(
-                lambda w, gm: score(stretched(w), gm), ws, gammas, values=(
-                    score(gains[at, :, None], gammas, at)
-                    for at in (slice(i, i + 1) for i in range(n))))
-            found = stretched(point[:, 0]), point[:, 1]
-        else:
-            point, value, m = _grid_then_zoom(
-                lambda w: score(stretched(w)), ws)
-            found = stretched(point[:, 0]), None
-        unity = g_unity, (np.array([b.gamma_opt for b in base]) if cat
-                          else None)
+        axes.append(np.sort(np.append(
+            np.linspace(lo, hi, AVG_GAIN_POINTS, axis=1),
+            np.clip(0.0, lo, hi)[:, None], axis=1), axis=1))
+    if cat:
+        axes.append(np.tile(np.linspace(0.0, GAMMA_MAX, (
+            GAMMA_POINTS if prior is None else AVG_GAMMA_POINTS)), (n, 1)))
+    g_opt, gamma, nfev = g_unity, None, np.ones(n, dtype=int)
+    if axes:
+        point, value, m = _grid_then_zoom(objective, *axes)
+        gamma, nfev = point[:, -1] if cat else None, nfev + m
+    if prior is not None:
+        base = _optimize(family, rs, noises)
+        unity = np.array([b.gamma_opt for b in base]) if cat else 0.0
         # the first of the highest candidates
-        take = np.max(np.reshape(score(*unity), (n, -1)), axis=1) > value
-        g_opt = np.where(take, unity[0], found[0])
-        gamma = np.where(take, unity[1], found[1]) if cat else None
-        # the searches, the unity candidate and the public average
-        searched = ["zoom"]
-        nfev = nfev + [b.evaluations for b in base] + m + 2
-    delta, best = _best_delta(family, rs, form(g_opt, gamma))
-    route = "+".join((["eigen"] if "delta" in free else []) + searched)
+        take = np.max(np.reshape(score(rows, g_unity, unity), (n, -1)),
+                      axis=1) > value
+        g_opt = np.where(take, g_unity, gain(rows, point[:, 0]))
+        gamma = np.where(take, unity, gamma) if cat else None
+        # the unity candidate and the public average
+        nfev = nfev + [b.evaluations for b in base] + 2
+    delta, best = _best_delta(family, rs, form(
+        rows, g_opt, 0.0 if gamma is None else gamma))
+    route = "+".join((["eigen"] if "delta" in free else [])
+                     + (["zoom"] if axes else []))
     optima = []
     for i, x in enumerate(rs.tolist()):
         d = None if delta is None else float(delta[i])
@@ -354,9 +315,11 @@ def r_max(tau):
     NoiseParams(tau=tau)  # tau must be finite and >= 0
     if tau == 0:
         return None
-    # (1/4) log((cosh(tau/2) + 1)/(cosh(tau/2) - 1)), without the
-    # cancellation in cosh(tau/2) - 1 at small tau
-    return -0.5 * math.log(math.tanh(tau / 4))
+    # atanh(e^{-tau/2}) with no cancellation at either end; below twice
+    # the smallest normal tau/2 loses bits, and (1/2) log(4/tau) holds
+    if tau < 2 * sys.float_info.min:
+        return 0.5 * (math.log(4.0) - math.log(tau))
+    return 0.5 * math.log1p(2 * math.exp(-tau / 2) / -math.expm1(-tau / 2))
 
 
 def affinity(spec):
@@ -379,7 +342,7 @@ def affinity(spec):
     q = math.exp(-2 * r)
     norm, terms = _core_terms(spec)
 
-    def overlap_sq(rp):
+    def overlap_sq(_, rp):
         if eps == 0:
             scale, A, B = 1.0, np.cosh(r - rp), np.sinh(rp - r)
         else:

@@ -212,9 +212,13 @@ def fock_displacement_element(m, n, alpha):
     if m < n:
         return np.conj(fock_displacement_element(n, m, -np.asarray(alpha)))
     alpha = np.asarray(alpha, dtype=complex)
-    a2 = (alpha * alpha.conj()).real
     ratio = math.sqrt(math.factorial(n) / math.factorial(m))
-    val = ratio * alpha ** (m - n) * np.exp(-a2 / 2) * laguerre(n, m - n, a2)
+    # 0 where the Gaussian underflows, also past |alpha|^2's overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = (alpha * alpha.conj()).real
+        gauss = np.exp(-a2 / 2)
+        val = np.where(gauss == 0, 0j, ratio * alpha ** (m - n) * gauss
+                       * laguerre(n, m - n, a2))
     return val if val.ndim else complex(val)
 
 
@@ -225,15 +229,22 @@ def coherent_displacement_overlap(g1, xi, g2):
     and the coherent-coherent overlap, as exp(-|g1 - g2 - xi|^2/2 +
     i Im(xi conj(g1 + g2) + conj(g1) g2)): no |g|^2 is formed, and
     Im(conj(g1) g2) is 0 at g1 = g2 with no product. Where the phase
-    overflows the value is NaN, which no quadrature converges on.
+    overflows the value is NaN, which no quadrature converges on, unless
+    the modulus underflows: then it is 0.
     """
     xi = np.asarray(xi, dtype=complex)
     d = (g1 - g2) - xi
     with np.errstate(over="ignore", invalid="ignore"):
         cross = 0.0 if g1 == g2 else (np.conj(g1) * g2).imag
-        val = np.exp(-(d.real * d.real + d.imag * d.imag) / 2
-                     + 1j * ((xi * np.conj(g1 + g2)).imag + cross))
+        val = _exp_or_zero(-(d.real * d.real + d.imag * d.imag) / 2,
+                           (xi * np.conj(g1 + g2)).imag + cross)
     return val if val.ndim else complex(val)
+
+
+def _exp_or_zero(re, im):
+    """e^{re + i im}, and 0 where e^{re} underflows, also where im is not
+    finite (overflowed)."""
+    return np.where(np.exp(re) == 0, 0j, np.exp(re + 1j * im))
 
 
 def _cosh_sinh(r):
@@ -249,15 +260,15 @@ def bogoliubov_args(zeta, alpha1, alpha2):
     """Displacement arguments after conjugation by the squeezer.
 
     S+(zeta) D1(a1) D2(a2) S(zeta) = D1(xi1) D2(xi2) with
-    xi_i = cosh(r) a_i + e^{i phi} sinh(r) conj(a_j), i != j.
+    xi_i = cosh(r) (a_i + e^{i phi} tanh(r) conj(a_j)), i != j: a sum of
+    size |a| times cosh r, which overflows to inf, never to inf - inf.
     """
     r = abs(zeta)
-    ph = cmath.phase(zeta) if r else 0.0
-    ch, sh = _cosh_sinh(r)
-    phase = cmath.exp(1j * ph)
-    xi1 = ch * np.asarray(alpha1, dtype=complex) + phase * sh * np.conj(alpha2)
-    xi2 = ch * np.asarray(alpha2, dtype=complex) + phase * sh * np.conj(alpha1)
-    return xi1, xi2
+    ch, _ = _cosh_sinh(r)
+    t = math.tanh(r) * cmath.exp(1j * cmath.phase(zeta))
+    a1, a2 = (np.asarray(a, dtype=complex) for a in (alpha1, alpha2))
+    with np.errstate(over="ignore"):
+        return ch * (a1 + t * np.conj(a2)), ch * (a2 + t * np.conj(a1))
 
 
 def _core_terms(spec):
@@ -306,9 +317,11 @@ def _chi_core_arrays(spec, xi1, xi2):
 
 
 def _chi_input_arrays(beta, x, p):
-    """Coherent-input chi on quadrature arrays."""
-    return np.exp(-(x * x + p * p) / 4
-                  + 1j * SQRT2 * (p * beta.real - x * beta.imag))
+    """Coherent-input chi on quadrature arrays; 0 where its Gaussian
+    underflows, also past the overflow of a square or the phase."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _exp_or_zero(-(x * x + p * p) / 4,
+                            SQRT2 * (p * beta.real - x * beta.imag))
 
 
 def chi_input_coherent(inp, pt):

@@ -103,13 +103,7 @@ class BellOutcome:
 def gamma_cov(noise, gain):
     """Thermal renormalized covariance Gamma of the output Gaussian
     noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2, at a GainSetting
-    or at bare gains g, a number or an array. At a sequence of noises, g
-    is an array of bare gains whose first axis runs over the noises."""
-    if not isinstance(noise, NoiseParams):
-        shape = (-1,) + (1,) * (np.ndim(gain) - 1)
-        thermal, r2 = (np.reshape(x, shape) for x in zip(
-            *[(gamma_cov(n, 0.0), n.r2) for n in noise]))
-        return thermal + gain * gain * r2
+    or at bare gains g, a number or an array."""
     g = gain.gain(noise) if isinstance(gain, GainSetting) else gain
     # R^2 = 0 adds nothing, also where g^2 overflows
     return ((1.0 - math.exp(-noise.tau)) * (0.5 + noise.n_th)
@@ -319,7 +313,7 @@ def gaussian_pipeline(inp, r, noise, gain):
     m[0], m[1] = SQRT2 * inp.beta.real, SQRT2 * inp.beta.imag
     V = 0.5 * np.eye(10)
     # phi = pi convention: x anticorrelated, p correlated
-    c2, s2 = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+    c2, s2 = (x / 2 for x in _cosh_sinh(2 * r))
     V[2:6, 2:6] = np.array([[c2, 0, -s2, 0],
                             [0, c2, 0, s2],
                             [-s2, 0, c2, 0],

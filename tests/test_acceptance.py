@@ -11,14 +11,15 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 import telefid.cli_sweep as cli
 from telefid import (AlphabetPrior, CoherentInput, GainSetting, NoiseParams,
                      PhasePoint, ResourceSpec, classical_benchmark,
                      fidelity_closed, fidelity_gaussian_oracle,
                      fidelity_quadrature)
-from telefid.optimize import (golden_section_max, one_shot_fidelity,
-                              optimize_beta_independent, r_max)
+from telefid.optimize import (one_shot_fidelity, optimize_beta_independent,
+                              r_max)
 from telefid.phase_space import _chi_input_arrays
 from telefid.protocol import (chi_out, chi_out_via_measurement_average,
                               propagate_lossy)
@@ -179,7 +180,8 @@ def test_06_optimal_squeezing_with_loss():
             return fidelity_closed(ResourceSpec.twin_beam(r), noise,
                                    gain).value
 
-        x, _, _ = golden_section_max(f, 0.05, 3.0)
+        x = minimize_scalar(lambda r, f=f: -f(r), bounds=(0.05, 3.0),
+                            method="bounded", options={"xatol": 1e-8}).x
         rs = r_max(tau)
         worst_arg = max(worst_arg, abs(x - rs))
         twb = optimize_beta_independent("twin-beam", rs, noise).best_value

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 import telefid.fidelity as fidelity_module
 from telefid import (FAMILIES, AlphabetPrior, CoherentInput, GainSetting,
-                     NoiseParams, ParameterError, PhaseSpecializationError,
-                     QuadratureError, ResourceSpec, average_fidelity,
+                     NoiseParams, NumericalError, ParameterError,
+                     PhaseSpecializationError, QuadratureError,
+                     ResourceSpec, average_fidelity,
                      classical_benchmark, fidelity_closed,
                      fidelity_gaussian_oracle, fidelity_quadrature,
                      gamma_cov)
@@ -44,6 +45,12 @@ class TestAlphabetPrior:
         assert classical_benchmark(AlphabetPrior(100.0)) == 101.0 / 201.0
         assert abs(classical_benchmark(AlphabetPrior(10.0)) - 0.523) < 1e-3
         assert abs(classical_benchmark(AlphabetPrior(100.0)) - 0.502) < 1e-3
+
+    @pytest.mark.parametrize("sigma", [1e308, 1.7e308])
+    def test_classical_benchmark_at_huge_sigma(self, sigma):
+        """2 sigma + 1 overflowed from sigma ~ 9e307, and the benchmark
+        read 0; its limit is 1/2."""
+        assert classical_benchmark(AlphabetPrior(sigma)) == 0.5
 
 
 class TestIdealTwinBeam:
@@ -703,6 +710,44 @@ def test_closed_fidelity_over_any_channel(family, r, delta, gamma, g, tau,
     val = fidelity_closed(spec, NoiseParams(tau=tau, n_th=n_th, r2=r2),
                           GainSetting.fixed(g), beta).value
     assert 0.0 <= val <= 1.0 + 1e-9
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    family=st.sampled_from(FAMILIES),
+    r=st.floats(0.0, 3.0),
+    phi=st.floats(-math.pi, 3 * math.pi),
+    delta=st.floats(-math.pi, math.pi),
+    theta=st.floats(-math.pi, math.pi),
+    gamma=st.floats(0.0, 5.0),
+    tau=st.floats(0.0, 1.0),
+    n_th=st.floats(0.0, 1.0),
+    r2=st.floats(0.0, 0.5),
+    g=st.floats(1e-3, 2.0),
+    beta=st.complex_numbers(max_magnitude=1e3),
+)
+def test_quadrature_fidelity_at_large_amplitudes(family, r, phi, delta, theta,
+                                                 gamma, tau, n_th, r2, g,
+                                                 beta):
+    """fidelity_quadrature called directly, at any phase and |beta| up to
+    1e3: a finite value in [0, 1], or a QuadratureError or
+    NumericalError. By hand, beta = 200 gave 6e-16 and beta = 1e200
+    raised QuadratureError."""
+    core = {k: v for k, v in (("delta", delta), ("theta", theta),
+                              ("gamma_mod", gamma))
+            if k in CORE_PARAMS.get(family, ())}
+    try:
+        spec = ResourceSpec.of(family, r, phi, **core)
+    except ParameterError:
+        return  # a degenerate cat core
+    try:
+        val = fidelity_quadrature(
+            CoherentInput(beta), spec, NoiseParams(tau=tau, n_th=n_th, r2=r2),
+            GainSetting.fixed(g)).value
+    except (QuadratureError, NumericalError):
+        return
+    assert 0.0 <= val <= 1.0
+
 
 def test_gaussian_oracle_report():
     noise = NoiseParams(tau=0.15, n_th=0.05, r2=0.06)

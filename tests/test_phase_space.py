@@ -102,6 +102,13 @@ class TestFockDisplacement:
         rhs = np.conj(fock_displacement_element(5, 2, -alpha))
         assert lhs == pytest.approx(rhs, abs=1e-14)
 
+    def test_past_the_square_overflow_is_0(self):
+        """Where |alpha|^2 overflows, e^{-|alpha|^2/2} L_n(|alpha|^2) took
+        0 * inf, a NaN; the Gaussian wins, and the element is 0."""
+        for m, n in ((1, 1), (0, 1), (2, 0), (3, 3)):
+            for alpha in (1e160, 1e300 - 1e300j, 40.0):
+                assert fock_displacement_element(m, n, alpha) == 0
+
     def test_column_norm(self):
         # D is unitary; truncation tail is negligible for small alpha
         alpha = 0.8 + 0.3j
@@ -186,6 +193,14 @@ class TestChiInput:
                           * (-1.1 * beta.real - 0.7 * beta.imag))
         assert chi_input_coherent(CoherentInput(beta), pt) == pytest.approx(
             complex(expected), abs=1e-15)
+
+    def test_huge_amplitude_and_point_give_0(self):
+        """Past the overflow of x^2 and of the phase the Gaussian
+        underflows: the value is 0, where exp(-inf + i inf) was NaN."""
+        for beta, pt in ((1e300, PhasePoint(1e300, 1e300)),
+                         (1e300j, PhasePoint(1e100, -1e100)),
+                         (0.5, PhasePoint(1e200, 0.0))):
+            assert chi_input_coherent(CoherentInput(beta), pt) == 0
 
     def test_matches_fock_oracle(self):
         beta = 0.5 + 0.4j

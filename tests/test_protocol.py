@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from telefid import (FAMILIES, CoherentInput, GainSetting, NoiseParams,
                      NumericalError, ParameterError, PhasePoint,
-                     QuadratureError, ResourceSpec, fidelity_closed,
+                     QuadratureError, ResourceSpec, TwoModePhasePoint,
+                     chi_resource, fidelity_closed, fidelity_gaussian_oracle,
                      protocol)
 from telefid.phase_space import CORE_PARAMS, _chi_input_arrays
 from telefid.protocol import (BellOutcome, chi_bell_conditioned, chi_out,
@@ -145,6 +148,27 @@ class TestChiOut:
         noise = NoiseParams(tau=0.3, n_th=0.1, r2=0.05)
         assert chi_out_ideal(inp, spec, pt) == 0
         assert chi_out(inp, spec, noise, GainSetting(), pt) == 0
+
+    @given(st.sampled_from(FAMILIES), st.floats(0, 700),
+           st.lists(st.floats(-1e300, 1e300), min_size=6, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_up_to_r_700(self, family, r, xs):
+        """chi_resource and chi_out of every family, at r <= 700 and
+        |alpha|, |beta| up to about 1e300, are finite with |chi| <= 1,
+        with no RuntimeWarning (an error under this suite's settings).
+        Squeezed-Bell and Buridan were NaN from r ~ 355: |xi|^2 overflowed
+        and the Fock element took 0 * inf; a cancelling cosh r and sinh r
+        term gave NaN for every family."""
+        core = {"delta": 0.4, "gamma_mod": 0.9} if family == "squeezed-cat" \
+            else {"delta": 0.4} if "delta" in CORE_PARAMS.get(family, ()) \
+            else {}
+        spec = ResourceSpec.of(family, r, **core)
+        pt = TwoModePhasePoint(PhasePoint(*xs[:2]), PhasePoint(*xs[2:4]))
+        inp, noise = CoherentInput(complex(*xs[4:])), NoiseParams(tau=0.3,
+                                                                   r2=0.05)
+        for val in (chi_resource(spec, pt),
+                    chi_out(inp, spec, noise, GainSetting(), pt.m1)):
+            assert cmath.isfinite(val) and abs(val) <= 1 + 1e-12
 
     def test_origin_is_one(self):
         inp = CoherentInput(1.5 + 1j)
@@ -473,6 +497,14 @@ class TestMeasurementAverage:
 
 class TestGaussianPipeline:
     """Covariance algebra against the closed-form twin-beam fidelity."""
+
+    def test_cosh_overflow_is_a_numerical_error(self):
+        """cosh 2r overflows from r ~ 355: a NumericalError, as every
+        other function of r raises, where it was a bare OverflowError."""
+        inp, noise = CoherentInput(0.5), NoiseParams(tau=0.3, r2=0.05)
+        for run in (gaussian_pipeline, fidelity_gaussian_oracle):
+            with pytest.raises(NumericalError):
+                run(inp, 400.0, noise, GainSetting())
 
     def test_ideal_anchor(self):
         out = gaussian_pipeline(CoherentInput(0j), 0.8, NoiseParams(),
