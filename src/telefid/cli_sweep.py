@@ -1,9 +1,11 @@
 """Command-line front end: point evaluations, optimizations, parameter
 sweeps, figure presets, CSV emission.
 
-Output rows use one frozen schema regardless of subcommand; columns
-that do not apply to a given row are left empty. Points are evaluated
-in input order, so identical invocations produce identical bytes.
+Every subcommand outputs one table of columns keyed by the frozen
+CSV_HEADER, each one value for every row or a list of one per row, and
+empty where it does not apply. A sweep reuses the inputs its axis does
+not enter, so their columns are constants, formatted once. Points are
+evaluated in input order: identical invocations give identical bytes.
 """
 
 import argparse
@@ -11,12 +13,15 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import repeat
+from operator import attrgetter
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .fidelity import (AlphabetPrior, FidelityReport, average_fidelity,
-                       fidelity_closed, fidelity_quadrature)
+from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
+                       fidelity_quadrature)
 from .optimize import (fidelity_at_optimum, optimize_beta_independent,
                        optimize_gain_average)
 from .phase_space import FAMILIES, CoherentInput, ResourceSpec
@@ -25,8 +30,12 @@ from .protocol import GainSetting, NoiseParams
 CSV_HEADER = ("resource", "r", "tau", "nth", "r2", "gain", "delta_opt",
               "gamma_opt", "sigma", "beta_re", "beta_im", "method",
               "fidelity")
-SWEEP_AXES = ("r", "tau", "nth", "r2", "gain", "sigma", "beta_re",
-              "beta_im", "delta", "gamma")
+# an evaluation's inputs (at: amplitude or prior); the one each axis enters
+INPUTS = ("spec", "noise", "gain", "at")
+AXIS_INPUT = {"r": "spec", "tau": "noise", "nth": "noise", "r2": "noise",
+              "gain": "gain", "sigma": "at", "beta_re": "at",
+              "beta_im": "at", "delta": "spec", "gamma": "spec"}
+SWEEP_AXES = tuple(AXIS_INPUT)
 FIGURE_TAGS = ("3-I", "3-II", "4", "5-I", "5-II", "6-I", "6-II")
 
 AXIS_STEPS = 81
@@ -43,29 +52,6 @@ FIDELITY_SLACK = 1e-9
 # evaluates them SWEEP_BLOCK at a time
 MAX_STEPS = 10 ** 6
 SWEEP_BLOCK = 2048
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    resource: str
-    r: float | None = None
-    tau: float | None = None
-    nth: float | None = None
-    r2: float | None = None
-    gain: float | None = None
-    delta_opt: float | None = None
-    gamma_opt: float | None = None
-    sigma: float | None = None
-    beta_re: float | None = None
-    beta_im: float | None = None
-    method: str = ""
-    fidelity: float = 0.0
-
-    def __post_init__(self):
-        # a computed value, so out of range (or NaN) is a numerical fault
-        if not 0.0 <= self.fidelity <= 1.0 + FIDELITY_SLACK:
-            raise NumericalError(
-                f"fidelity {self.fidelity} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -91,11 +77,9 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-def parse_cli(argv):
-    """Parse argv (without the program name) into a command namespace.
-
-    Usage problems exit with code 2 through argparse.
-    """
+@lru_cache(maxsize=1)
+def _parser():
+    """The argument parser, built once per process on first use."""
     parser = argparse.ArgumentParser(
         prog="telefid",
         description="Teleportation fidelity of coherent states over "
@@ -147,7 +131,13 @@ def parse_cli(argv):
     sp = sub.add_parser("figure", help="reproduce a figure's curves")
     sp.add_argument("--figure", choices=FIGURE_TAGS, required=True)
     sp.add_argument("--output")
+    return parser
 
+
+def parse_cli(argv):
+    """Parse argv (without the program name) into a command namespace;
+    usage problems exit with code 2 through argparse."""
+    parser = _parser()
     ns = parser.parse_args(argv)
     if ns.command in ("fidelity", "optimize") and ns.r is None:
         parser.error("--r is required")
@@ -172,75 +162,123 @@ def parse_cli(argv):
     return ns
 
 
+def _input(ns, over, name):
+    """The checked input name, one of INPUTS, of one evaluation, the
+    flags overridden by over."""
+    def pick(flag, default=None):
+        value = over.get(flag, getattr(ns, flag))
+        return default if value is None else value
+
+    if name == "noise":
+        return NoiseParams(pick("tau"), pick("nth"), pick("r2"))
+    if name == "gain":
+        return GainSetting(pick("gain"))
+    if name == "spec":
+        # the flags that were given; ResourceSpec.of rejects a foreign one
+        core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
+                "gamma_mod": over.get("gamma", ns.gamma_mod)}
+        return ResourceSpec.of(ns.resource, pick("r"), **{
+            k: v for k, v in core.items() if v is not None})
+    sigma = pick("sigma")
+    return (complex(pick("beta_re", 0.0), pick("beta_im", 0.0))
+            if sigma is None else AlphabetPrior(sigma))
+
+
 def _point_inputs(ns, over):
     """The checked (spec, noise, gain, beta or AlphabetPrior) of one
     evaluation, the flags overridden by over, built noise first."""
-    def pick(name, default=None):
-        flag = over[name] if name in over else getattr(ns, name)
-        return default if flag is None else flag
-
-    noise = NoiseParams(pick("tau", 0.0), pick("nth", 0.0), pick("r2", 0.0))
-    gain = GainSetting(pick("gain"))
-    # the flags that were given; ResourceSpec.of rejects a foreign one
-    core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
-            "gamma_mod": over.get("gamma", ns.gamma_mod)}
-    spec = ResourceSpec.of(ns.resource, pick("r"), **{
-        k: v for k, v in core.items() if v is not None})
-    sigma = pick("sigma")
-    return spec, noise, gain, (
-        complex(pick("beta_re", 0.0), pick("beta_im", 0.0)) if sigma is None
-        else AlphabetPrior(sigma))
+    noise, gain = _input(ns, over, "noise"), _input(ns, over, "gain")
+    return _input(ns, over, "spec"), noise, gain, _input(ns, over, "at")
 
 
-def _report_row(resource, rep, **cells):
-    """The row of a FidelityReport, plus cells."""
-    beta, noise = rep.beta, rep.noise
-    return ResultRow(resource=resource, r=rep.spec.r, tau=noise.tau,
-                     nth=noise.n_th, r2=noise.r2, gain=rep.gain.gain(noise),
-                     sigma=rep.sigma,
-                     beta_re=None if beta is None else beta.real,
-                     beta_im=None if beta is None else beta.imag,
-                     method=rep.method, fidelity=rep.value, **cells)
+def _check_fidelity(values):
+    """The fidelities values as a list, each checked as it comes: they are
+    computed, so one out of range (or NaN) is a numerical fault."""
+    column = []
+    for value in values:
+        if not 0.0 <= value <= 1.0 + FIDELITY_SLACK:
+            raise NumericalError(f"fidelity {value} outside [0, 1]")
+        column.append(value)
+    return column
 
 
-def _evaluate(ns, points):
-    """Rows of _point_inputs points, the closed ones in one kernel call."""
-    specs, noises, gains, ats = map(list, zip(*points))
+def _evaluate(ns, inputs):
+    """(method, checked fidelity column) of rows at inputs (spec, noise,
+    gain, at), each a column; the closed rows in one kernel call."""
+    n = max(len(x) if isinstance(x, list) else 1 for x in inputs)
+    specs, noises, gains, ats = (x if isinstance(x, list) else [x] * n
+                                 for x in inputs)
     if isinstance(ats[0], AlphabetPrior):
         reps = average_fidelity(specs, noises, gains, ats)
-    elif ns.method == "quadrature":
-        reps = map(fidelity_quadrature, map(CoherentInput, ats), specs,
-                   noises, gains)
+    elif ns.method == "quadrature":  # each row checked before the next
+        return "quadrature", _check_fidelity(rep.value for rep in map(
+            fidelity_quadrature, map(CoherentInput, ats), specs, noises,
+            gains))
     else:
         reps = fidelity_closed(specs, noises, gains, ats)
-    return [_report_row(ns.resource, rep) for rep in reps]
+    return reps[0].method, _check_fidelity(rep.value for rep in reps)
 
 
-def _opt_row(family, noise, opt, prior=None, rep=None):
-    """Row for an optimum, or for rep, the fidelity at an input amplitude
-    with the optimal parameters of an averaged one."""
-    rep = rep or FidelityReport(opt.best_value, opt.method, opt.spec, noise,
-                                opt.gain, sigma=prior and prior.sigma)
-    return _report_row(family, rep, delta_opt=opt.delta_opt,
-                       gamma_opt=opt.gamma_opt)
+def _cells(cell, *args):
+    """The column of cell(*args), args each a column."""
+    if not any(isinstance(a, list) for a in args):
+        return cell(*args)
+    return list(map(cell, *(a if isinstance(a, list) else repeat(a)
+                            for a in args)))
 
 
-def _optimize_row(ns):
+def _table(resource, method, fidelity, spec, noise, gain, beta, prior,
+           **cells):
+    """The table of the rows of the list fidelity; the other arguments
+    are columns. A beta that is not an amplitude (None or a prior) and a
+    prior that is not an AlphabetPrior leave their cells empty."""
+    return {"resource": resource, "r": _cells(attrgetter("r"), spec),
+            "tau": _cells(attrgetter("tau"), noise),
+            "nth": _cells(attrgetter("n_th"), noise),
+            "r2": _cells(attrgetter("r2"), noise),
+            "gain": _cells(GainSetting.gain, gain, noise),
+            "sigma": _cells(lambda p: getattr(p, "sigma", None), prior),
+            "beta_re": _cells(lambda b: getattr(b, "real", None), beta),
+            "beta_im": _cells(lambda b: getattr(b, "imag", None), beta),
+            "method": method, "fidelity": fidelity, **cells}
+
+
+def _opt_table(family, noise, opts, prior=None, reps=None):
+    """The table of the optima opts of family at noise and prior, or with
+    reports reps, of the fidelities at input amplitudes with the optima's
+    parameters."""
+    spec, gain, delta_opt, gamma_opt = map(list, zip(*map(attrgetter(
+        "spec", "gain", "delta_opt", "gamma_opt"), opts)))
+    method, value = map(list, zip(*map(attrgetter(
+        "method", "value" if reps else "best_value"), reps or opts)))
+    beta = reps and [rep.beta for rep in reps]
+    return _table(family, method, _check_fidelity(value), spec, noise, gain,
+                  beta, prior, delta_opt=delta_opt, gamma_opt=gamma_opt)
+
+
+def _concat(tables):
+    """The table of the rows of tables, in order."""
+    return {name: [cell for t in tables for cell in (
+        t[name] if isinstance(t.get(name), list)
+        else repeat(t.get(name), len(t["fidelity"])))] for name in CSV_HEADER}
+
+
+def _optimize_table(ns):
     noise = NoiseParams(tau=ns.tau, n_th=ns.nth, r2=ns.r2)
     if ns.sigma is None:
-        return _opt_row(ns.resource, noise, optimize_beta_independent(
-            ns.resource, ns.r, noise))
+        return _opt_table(ns.resource, noise, [optimize_beta_independent(
+            ns.resource, ns.r, noise)])
     prior = AlphabetPrior(ns.sigma)
     opt = optimize_gain_average(ns.resource, ns.r, noise, prior)
     rep = None
     if ns.beta_re is not None or ns.beta_im is not None:
         rep = fidelity_at_optimum(opt, noise, prior, complex(
             ns.beta_re or 0.0, ns.beta_im or 0.0))
-    return _opt_row(ns.resource, noise, opt, prior, rep)
+    return _opt_table(ns.resource, noise, [opt], prior, rep and [rep])
 
 
 def run_figure_preset(tag):
-    """Rows for one preset: beta-independent optimal fidelities
+    """The table of one preset: beta-independent optimal fidelities
     (presets 3 and 4) or one-shot fidelities at prior-averaged optimal
     parameters (presets 5 and 6), swept over r or tau on [0, 2]."""
     if tag not in FIGURE_TAGS:
@@ -248,101 +286,97 @@ def run_figure_preset(tag):
     axis = [float(x) for x in np.linspace(0.0, AXIS_STOP, AXIS_STEPS)]
 
     if tag in ("3-I", "3-II", "4"):
-        if tag == "3-I":
-            resources = FIG3_RESOURCES
-            noises = [NoiseParams(tau=0.0, n_th=0.0, r2=r2)
-                      for r2 in (0.0, 0.05, 0.1, 0.15)]
-        elif tag == "3-II":
-            resources = FIG3_RESOURCES
-            noises = [NoiseParams(tau=tau, n_th=0.0, r2=0.0)
-                      for tau in (0.0, 0.1, 0.2, 0.3)]
-        else:
-            resources = FIG4_RESOURCES
-            noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)]
+        resources = FIG4_RESOURCES if tag == "4" else FIG3_RESOURCES
+        noises = {"3-I": [NoiseParams(r2=x) for x in (0.0, 0.05, 0.1, 0.15)],
+                  "3-II": [NoiseParams(tau=x) for x in (0.0, 0.1, 0.2, 0.3)],
+                  "4": [NoiseParams(tau=FIG_TAU, r2=FIG_R2)]}[tag]
         # one lockstep optimization per (family, noise) over the r axis
-        return [_opt_row(res, noise, opt)
-                for res in resources for noise in noises
-                for opt in optimize_beta_independent(res, axis, noise)]
+        return _concat([_opt_table(res, noise, optimize_beta_independent(
+            res, axis, noise)) for res in resources for noise in noises])
 
-    if tag.endswith("-I"):
-        sigma, betas = 10.0, (1.0, 2.0, 3.0)
-    else:
-        sigma, betas = 100.0, (3.0, 5.0, 10.0)
+    sigma, betas = ((10.0, (1.0, 2.0, 3.0)) if tag.endswith("-I")
+                    else (100.0, (3.0, 5.0, 10.0)))
     prior = AlphabetPrior(sigma)
-    if tag.startswith("5"):
-        rs = axis
-        noises = [NoiseParams(tau=FIG_TAU, n_th=0.0, r2=FIG_R2)] * len(axis)
-    else:
+    if tag.startswith("5"):  # over r
+        rs, noises = axis, [NoiseParams(FIG_TAU, r2=FIG_R2)] * len(axis)
+    else:  # over tau
         rs = [0.8] * len(axis)
-        noises = [NoiseParams(tau=t, n_th=0.0, r2=FIG_R2) for t in axis]
-    rows = []
+        noises = [NoiseParams(t, r2=FIG_R2) for t in axis]
+    tables = []
     for res in FIG56_RESOURCES:
         # one lockstep optimization, and one kernel call for every beta
         opts = optimize_gain_average(res, rs, noises, prior) * len(betas)
         reps = fidelity_at_optimum(opts, noises * len(betas), prior, [
             complex(b) for b in betas for _ in rs])
-        rows += [_opt_row(res, rep.noise, opt, prior, rep)
-                 for opt, rep in zip(opts, reps)]
-    return rows
+        tables.append(_opt_table(res, noises * len(betas), opts, prior, reps))
+    return _concat(tables)
 
 
 def _format_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return "%.12g" % value
+    return ("" if value is None else value if isinstance(value, str)
+            else "%.12g" % value)
 
 
-def _write_rows(handle, rows):
+def _write_table(handle, table):
+    """The table under the frozen header, each constant column formatted
+    once, as many rows as fidelities; a column the table lacks is empty."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for row in rows:
-        writer.writerow([_format_cell(getattr(row, name))
-                         for name in CSV_HEADER])
+    writer.writerows(zip(*(
+        map(_format_cell, column) if isinstance(column, list)
+        else repeat(_format_cell(column))
+        for column in map(table.get, CSV_HEADER))))
 
 
-def emit_csv(rows, path=None):
-    """Write rows under the frozen header; path None writes stdout."""
+def emit_csv(table, path=None):
+    """Write a table under the frozen header; path None writes stdout."""
     if path is None:
-        _write_rows(sys.stdout, rows)
-        return
+        return _write_table(sys.stdout, table)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_rows(handle, rows)
+        _write_table(handle, table)
+
+
+def _run_points(ns, axis, values):
+    """The table of ns with the flag axis at each of values: the first
+    point's inputs built in full, then only each later point's input the
+    axis enters, in order; evaluated SWEEP_BLOCK points at a time."""
+    name = AXIS_INPUT[axis]
+    inputs = list(_point_inputs(ns, {axis: values[0]}))
+    k, swept, fidelity = INPUTS.index(name), [], []
+    for at in range(0, len(values), SWEEP_BLOCK):
+        inputs[k] = block = []
+        try:
+            for value in values[at:at + SWEEP_BLOCK]:
+                block.append(_input(ns, {axis: value}, name))
+        except ParameterError:
+            if block:  # a fault of a row before the bad one comes first
+                _evaluate(ns, inputs)
+            raise
+        method, column = _evaluate(ns, inputs)
+        swept += block
+        fidelity += column
+    inputs[k] = swept  # at, the last, is the amplitude or the prior
+    return _table(ns.resource, method, fidelity, *inputs, inputs[3])
 
 
 def _run_sweep(ns):
-    """A sweep's rows: each row's inputs built and checked in order and
-    evaluated in blocks of SWEEP_BLOCK rows, the closed ones of a block in
-    one kernel call."""
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
                       steps=ns.steps)
-    values, rows = sweep.values, []
-    for at in range(0, len(values), SWEEP_BLOCK):
-        points = []
-        try:
-            for value in values[at:at + SWEEP_BLOCK].tolist():
-                points.append(_point_inputs(ns, {sweep.axis: value}))
-        except ParameterError:
-            if points:  # a fault of a row before the bad one comes first
-                _evaluate(ns, points)
-            raise
-        rows += _evaluate(ns, points)
-    return rows
+    return _run_points(ns, sweep.axis, sweep.values.tolist())
 
 
 def _dispatch(ns):
     if ns.command == "fidelity":
-        rows = _evaluate(ns, [_point_inputs(ns, {})])
+        table = _run_points(ns, "r", [ns.r])  # a sweep of one point
         if not ns.output:
-            print(_format_cell(rows[0].fidelity))
+            print(_format_cell(table["fidelity"][0]))
             return 0
     elif ns.command == "optimize":
-        rows = [_optimize_row(ns)]
+        table = _optimize_table(ns)
     else:
-        rows = (_run_sweep(ns) if ns.command == "sweep"
-                else run_figure_preset(ns.figure))
-    emit_csv(rows, ns.output or None)
+        table = (_run_sweep(ns) if ns.command == "sweep"
+                 else run_figure_preset(ns.figure))
+    emit_csv(table, ns.output or None)
     return 0
 
 
@@ -350,19 +384,13 @@ def main(argv=None):
     try:
         ns = parse_cli(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else 2
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return _dispatch(ns)
-    except ParameterError as exc:
+    except (ParameterError, OSError, NumericalError) as exc:
         print(f"telefid: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"telefid: {exc}", file=sys.stderr)
-        return 3
-    except NumericalError as exc:
-        print(f"telefid: {exc}", file=sys.stderr)
-        return 4
+        return (2 if isinstance(exc, ParameterError)
+                else 3 if isinstance(exc, OSError) else 4)
 
 
 if __name__ == "__main__":

@@ -248,10 +248,10 @@ def test_08_classical_benchmark_values():
 def test_09_lossy_optima_stay_below_strong_transfer():
     """With tau = 0.3 and R^2 = 0.05 no resource reaches fidelity 0.8
     at any squeezing, even after optimization."""
-    rows = cli.run_figure_preset("4")
-    top = max(row.fidelity for row in rows)
+    fids = cli.run_figure_preset("4")["fidelity"]
+    top = max(fids)
     _report("lossy optima stay below 0.8", top < 0.8,
-            f"max over {len(rows)} optimized points = {top:.6f}")
+            f"max over {len(fids)} optimized points = {top:.6f}")
 
 
 def test_10_one_shot_beats_thresholds():
@@ -307,7 +307,7 @@ def test_12_figure_presets_deterministic_within_budget():
 
     def render(tag):
         buf = io.StringIO()
-        cli._write_rows(buf, cli.run_figure_preset(tag))
+        cli._write_table(buf, cli.run_figure_preset(tag))
         return buf.getvalue()
 
     budget = 5.0

@@ -19,12 +19,45 @@ from hypothesis import strategies as st
 import telefid
 import telefid.cli_sweep as cli
 import telefid.fidelity as fidelity
-from telefid import (FAMILIES, AlphabetPrior, NumericalError, ParameterError,
-                     QuadratureError, average_fidelity, fidelity_closed)
-from telefid.cli_sweep import (CSV_HEADER, SWEEP_AXES, ResultRow, SweepSpec,
-                               emit_csv, main, parse_cli)
+from telefid import (FAMILIES, AlphabetPrior, CoherentInput, NumericalError,
+                     ParameterError, QuadratureError, average_fidelity,
+                     fidelity_closed)
+from telefid.cli_sweep import (CSV_HEADER, SWEEP_AXES, SweepSpec, emit_csv,
+                               main, parse_cli)
 
 IDEAL_ROW = "twin-beam,1,0,0,0,1,,,,0,0,closed,0.880797077978"
+USAGE_ERRORS = [
+    ["fidelity", "--resource", "twin-beam"],           # missing --r
+    ["fidelity", "--r", "1"],                          # missing resource
+    ["fidelity", "--resource", "laser", "--r", "1"],   # unknown family
+    ["sweep", "--resource", "twin-beam", "--vary", "r",
+     "--from", "0", "--to", "2"],                      # missing steps
+    ["sweep", "--resource", "twin-beam", "--vary", "beta_re",
+     "--from", "0", "--to", "2", "--steps", "5",
+     "--r", "1", "--sigma", "10"],                     # beta axis + prior
+    ["fidelity", "--resource", "twin-beam", "--r", "one"],  # not a number
+    ["figure", "--figure", "7"],                       # unknown preset
+    ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "tau",
+     "--from", "0", "--to", "0.3", "--steps", "2", "--sigma", "10",
+     "--method", "quadrature"],                        # prior + quadrature
+    ["fidelity", "--resource", "twin-beam", "--r", "1",
+     "--sigma", "10", "--beta-re", "2"],               # prior + beta
+    ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "sigma",
+     "--from", "1", "--to", "10", "--steps", "2",
+     "--beta-im", "1"],                                # prior axis + beta
+    ["optimize", "--resource", "twin-beam", "--r", "1",
+     "--gain", "5"],                                   # optimize: gain
+    ["optimize", "--resource", "squeezed-bell", "--r", "1",
+     "--delta", "0.3"],                                # optimize: delta
+    ["optimize", "--resource", "squeezed-bell", "--r", "1",
+     "--theta", "0.3"],                                # optimize: theta
+    ["optimize", "--resource", "twin-beam", "--r", "1",
+     "--phi", "3"],                                    # optimize: phi
+    ["optimize", "--resource", "squeezed-cat", "--r", "1",
+     "--gamma-mod", "0.5"],                            # optimize: gamma
+    ["optimize", "--resource", "twin-beam", "--r", "1",
+     "--beta-re", "2"],                                # beta, no prior
+]
 
 
 class TestParseCli:
@@ -46,64 +79,52 @@ class TestParseCli:
         assert ns.vary == "r" and ns.start == 0.0 and ns.stop == 2.0
         assert ns.steps == 81
 
-    @pytest.mark.parametrize("argv", [
-        ["fidelity", "--resource", "twin-beam"],           # missing --r
-        ["fidelity", "--r", "1"],                          # missing resource
-        ["fidelity", "--resource", "laser", "--r", "1"],   # unknown family
-        ["sweep", "--resource", "twin-beam", "--vary", "r",
-         "--from", "0", "--to", "2"],                      # missing steps
-        ["sweep", "--resource", "twin-beam", "--vary", "beta_re",
-         "--from", "0", "--to", "2", "--steps", "5",
-         "--r", "1", "--sigma", "10"],                     # beta axis + prior
-        ["fidelity", "--resource", "twin-beam", "--r", "one"],  # not a number
-        ["figure", "--figure", "7"],                       # unknown preset
-        ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "tau",
-         "--from", "0", "--to", "0.3", "--steps", "2", "--sigma", "10",
-         "--method", "quadrature"],                        # prior + quadrature
-        ["fidelity", "--resource", "twin-beam", "--r", "1",
-         "--sigma", "10", "--beta-re", "2"],               # prior + beta
-        ["sweep", "--resource", "twin-beam", "--r", "1", "--vary", "sigma",
-         "--from", "1", "--to", "10", "--steps", "2",
-         "--beta-im", "1"],                                # prior axis + beta
-        ["optimize", "--resource", "twin-beam", "--r", "1",
-         "--gain", "5"],                                   # optimize: gain
-        ["optimize", "--resource", "squeezed-bell", "--r", "1",
-         "--delta", "0.3"],                                # optimize: delta
-        ["optimize", "--resource", "squeezed-bell", "--r", "1",
-         "--theta", "0.3"],                                # optimize: theta
-        ["optimize", "--resource", "twin-beam", "--r", "1",
-         "--phi", "3"],                                    # optimize: phi
-        ["optimize", "--resource", "squeezed-cat", "--r", "1",
-         "--gamma-mod", "0.5"],                            # optimize: gamma
-        ["optimize", "--resource", "twin-beam", "--r", "1",
-         "--beta-re", "2"],                                # beta, no prior
-    ])
+    @pytest.mark.parametrize("argv", USAGE_ERRORS)
     def test_usage_errors_exit_2(self, argv, capsys):
         with pytest.raises(SystemExit):
             parse_cli(argv)
         assert main(argv) == 2
         capsys.readouterr()
 
+    def test_shared_parser_keeps_no_state(self, capsys):
+        """The parser is built once per process: after a successful sweep
+        every usage error still exits 2, and an argv parses to the same
+        namespace before and after other commands."""
+        argvs = [["fidelity", "--resource", "squeezed-bell", "--r", "0.8",
+                  "--delta", "0.4"],
+                 ["sweep", "--resource", "twin-beam", "--vary", "r",
+                  "--from", "0", "--to", "2", "--steps", "81"]]
+        before = [parse_cli(argv) for argv in argvs]
+        assert main(["sweep", "--resource", "twin-beam", "--r", "1",
+                     "--vary", "tau", "--from", "0", "--to", "0.3",
+                     "--steps", "3", "--sigma", "10", "--gain", "2"]) == 0
+        for argv in USAGE_ERRORS:
+            assert main(argv) == 2
+        assert [parse_cli(argv) for argv in argvs] == before
+        assert cli._parser() is cli._parser()
+        capsys.readouterr()
+
 
 class TestResultRow:
+    """A result row's fidelity is checked over the fidelity column."""
 
     def test_rejects_out_of_range_fidelity(self):
         # a computed value out of range is a numerical fault, not bad input
         for bad in (-0.5, 1.5):
             with pytest.raises(NumericalError):
-                ResultRow(resource="twin-beam", fidelity=bad)
+                cli._check_fidelity([bad])
 
     def test_accepts_underflow_to_zero(self):
-        assert ResultRow(resource="twin-beam", fidelity=0.0).fidelity == 0.0
+        assert cli._check_fidelity([0.0]) == [0.0]
 
     def test_non_finite_is_a_numerical_error(self):
         for bad in (math.nan, math.inf):
             with pytest.raises(NumericalError):
-                ResultRow(resource="twin-beam", fidelity=bad)
+                cli._check_fidelity([bad])
 
     def test_accepts_rounding_slack(self):
-        row = ResultRow(resource="twin-beam", fidelity=1.0 + 1e-10)
-        assert row.fidelity > 1.0
+        column = cli._check_fidelity([1.0 + 1e-10])
+        assert column[0] > 1.0
 
 
 class TestSweepSpec:
@@ -484,6 +505,28 @@ SWEEP_CASES = [(family, axis, averaged) for family in FAMILIES
                if not (averaged and axis in ("sigma", "beta_re", "beta_im"))]
 
 
+def _sweep_case(family, axis, averaged):
+    """The namespace of a SWEEP_CASES sweep of 101 rows, and its values;
+    values None where the axis does not apply to the family."""
+    start, stop = SWEEP_RANGES[axis]
+    flags = {"r": 0.8, "tau": 0.3, "nth": 0.1, "r2": 0.05, "gain": 1.3}
+    if family in ("squeezed-bell", "buridan", "squeezed-cat"):
+        flags["delta"] = 0.4
+    if family == "squeezed-cat":
+        flags["gamma-mod"] = 1.1
+    if averaged:
+        flags["sigma"] = 10.0
+    elif axis != "sigma":
+        flags.update({"beta-re": 0.7, "beta-im": -0.4})
+    argv = ["sweep", "--resource", family, "--vary", axis,
+            f"--from={start!r}", f"--to={stop!r}", "--steps", "101"]
+    ns = parse_cli(argv + [f"--{k}={v!r}" for k, v in flags.items()])
+    if (axis == "delta" and "delta" not in flags
+            or axis == "gamma" and family != "squeezed-cat"):
+        return ns, None
+    return ns, SweepSpec(axis, start, stop, 101).values.tolist()
+
+
 class TestClosedSweepColumn:
     """A sweep evaluates its closed rows in one kernel call: each row
     must be its one-point fidelity_closed or average_fidelity, to the
@@ -491,33 +534,19 @@ class TestClosedSweepColumn:
 
     @pytest.mark.parametrize("family,axis,averaged", SWEEP_CASES)
     def test_rows_are_one_point_calls(self, family, axis, averaged):
-        start, stop = SWEEP_RANGES[axis]
-        flags = {"r": 0.8, "tau": 0.3, "nth": 0.1, "r2": 0.05, "gain": 1.3}
-        if family in ("squeezed-bell", "buridan", "squeezed-cat"):
-            flags["delta"] = 0.4
-        if family == "squeezed-cat":
-            flags["gamma-mod"] = 1.1
-        if averaged:
-            flags["sigma"] = 10.0
-        elif axis != "sigma":
-            flags.update({"beta-re": 0.7, "beta-im": -0.4})
-        argv = ["sweep", "--resource", family, "--vary", axis,
-                f"--from={start!r}", f"--to={stop!r}", "--steps", "101"]
-        ns = parse_cli(argv + [f"--{k}={v!r}" for k, v in flags.items()])
-        if (axis == "delta" and "delta" not in flags
-                or axis == "gamma" and family != "squeezed-cat"):
+        ns, values = _sweep_case(family, axis, averaged)
+        if values is None:
             with pytest.raises(ParameterError, match="does not apply"):
                 cli._run_sweep(ns)
             return
-        rows = cli._run_sweep(ns)
-        values = SweepSpec(axis, start, stop, 101).values.tolist()
-        assert len(rows) == len(values)
-        for row, value in zip(rows, values):
+        table = cli._run_sweep(ns)
+        assert len(table["fidelity"]) == len(values)
+        for fid, value in zip(table["fidelity"], values):
             spec, noise, gain, at = cli._point_inputs(ns, {axis: value})
             rep = (average_fidelity(spec, noise, gain, at)
                    if isinstance(at, AlphabetPrior)
                    else fidelity_closed(spec, noise, gain, at))
-            assert (row.fidelity, row.method) == (rep.value, "closed")
+            assert (fid, table["method"]) == (rep.value, "closed")
 
     def test_first_failing_row_sets_the_exit(self, tmp_path, capsys):
         """R^2 = 1, the last row, is bad input: exit 2 with its message,
@@ -529,6 +558,64 @@ class TestClosedSweepColumn:
         assert code == 2
         assert capsys.readouterr().err == (
             "telefid: reflectivity R^2 must lie in [0, 1), got 1.0\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("family,axis,averaged", SWEEP_CASES)
+    def test_reused_inputs_are_fresh_inputs(self, family, axis, averaged,
+                                            monkeypatch):
+        """A sweep rebuilds for each row only the input its axis enters:
+        each row's inputs equal the row's inputs built from scratch, and
+        every other input is one object for all the rows."""
+        ns, values = _sweep_case(family, axis, averaged)
+        if values is None:
+            with pytest.raises(ParameterError, match="does not apply"):
+                cli._run_sweep(ns)
+            return
+        calls = []
+        for name, real in (("fidelity_closed", fidelity_closed),
+                           ("average_fidelity", average_fidelity)):
+            monkeypatch.setattr(cli, name, lambda *a, real=real: (
+                calls.append(a) or real(*a)))
+        cli._run_sweep(ns)
+        (columns,) = calls
+        for row, value in zip(zip(*columns), values):
+            assert row == cli._point_inputs(ns, {axis: value})
+        swept = cli.INPUTS.index(cli.AXIS_INPUT[axis])
+        for k, column in enumerate(columns):
+            assert len(column) == len(values)
+            assert k == swept or all(x is column[0] for x in column)
+
+    def test_quadrature_rows_reuse_inputs(self, monkeypatch):
+        """Off the closed phases each row is one quadrature at its inputs
+        as built from scratch, the unswept ones reused."""
+        ns = parse_cli(["sweep", "--resource", "squeezed-bell", "--r",
+                        "0.6", "--delta", "0.4", "--phi", "3", "--method",
+                        "quadrature", "--vary", "r2", "--from", "0", "--to",
+                        "0.2", "--steps", "3"])
+        calls = []
+        monkeypatch.setattr(cli, "fidelity_quadrature", lambda *a: (
+            calls.append(a) or fidelity.fidelity_quadrature(*a)))
+        table = cli._run_sweep(ns)
+        assert table["method"] == "quadrature" and len(calls) == 3
+        for (inp, *row), value in zip(calls, SweepSpec(
+                "r2", 0.0, 0.2, 3).values.tolist()):
+            spec, noise, gain, at = cli._point_inputs(ns, {"r2": value})
+            assert (inp, *row) == (CoherentInput(at), spec, noise, gain)
+            assert row[0] is calls[0][1] and row[2] is calls[0][3]
+
+    def test_degenerate_cat_row_sets_the_exit(self, tmp_path, capsys):
+        """delta = -pi/4 at gamma 0 leaves the cat's core no norm: the
+        row's spec, the input a delta sweep rebuilds, exits 2 with its
+        message, and no CSV."""
+        path = tmp_path / "sweep.csv"
+        code = main(["sweep", "--resource", "squeezed-cat", "--r", "0.8",
+                     "--gamma-mod", "0", "--vary", "delta",
+                     f"--from={-math.pi / 2!r}", "--to", "0", "--steps",
+                     "3", "--output", str(path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "telefid: squeezed-cat core superposition is degenerate "
+            "(squared norm 0.000e+00)\n")
         assert not path.exists()
 
     def test_first_failing_row_is_a_numerical_fault(
@@ -592,11 +679,11 @@ class TestClosedSweepColumn:
                         "--to", "1.5", "--steps", "8000"])
         tracemalloc.start()
         try:
-            rows = cli._run_sweep(ns)
+            table = cli._run_sweep(ns)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(rows) == 8000
+        assert len(table["fidelity"]) == 8000
         assert peak - held < 8e6
 
 
@@ -667,15 +754,39 @@ class TestCsvSchema:
         assert capfd.readouterr() == ("", "")
 
     def test_emit_csv_stdout(self, capsys):
-        emit_csv([ResultRow(resource="twin-beam", r=1.0, fidelity=0.5)])
+        emit_csv({"resource": "twin-beam", "r": 1.0, "fidelity": [0.5]})
         out = capsys.readouterr().out
         assert out.startswith(",".join(CSV_HEADER) + "\n")
         assert "twin-beam,1,,,,,,,,,,,0.5" in out
 
+    def test_constant_column_keeps_negative_zero(self, capsys):
+        """beta_im, constant, is -0 in every row; the swept beta_re
+        starts at 0."""
+        code = main(["sweep", "--resource", "twin-beam", "--r", "0.8",
+                     "--vary", "beta_re", "--from", "0", "--to", "1",
+                     "--steps", "3", "--beta-im=-0.0"])
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert [row["beta_im"] for row in rows] == ["-0"] * 3
+        assert rows[0]["beta_re"] == "0"
+
+    def test_stdout_is_the_output_file(self, tmp_path, capsys):
+        """Without --output a sweep writes its file's bytes to stdout;
+        here the gain column, 1/T of the swept R^2, is a list."""
+        argv = ["sweep", "--resource", "squeezed-cat", "--r", "0.7",
+                "--delta", "0.3", "--gamma-mod", "0.6", "--beta-re", "0.5",
+                "--vary", "r2", "--from", "0", "--to", "0.4", "--steps", "5"]
+        path = tmp_path / "sweep.csv"
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert main(argv + ["--output", str(path)]) == 0
+        assert path.read_bytes() == out.encode()
+        assert len(set(row.split(",")[5] for row in out.splitlines())) == 6
+
     def test_twelve_significant_digits(self):
         buffer = io.StringIO()
-        cli._write_rows(buffer, [ResultRow(resource="twin-beam",
-                                           fidelity=2.0 / 3.0)])
+        cli._write_table(buffer, {"resource": "twin-beam",
+                                  "fidelity": [2.0 / 3.0]})
         assert "0.666666666667" in buffer.getvalue()
 
 
@@ -714,6 +825,17 @@ def test_package_imports_only_stdlib_and_numpy():
     roots = {name.split(".")[0] for name in out.split()}
     assert "telefid" in roots
     assert roots - set(sys.stdlib_module_names) <= {"numpy", "telefid"}
+
+
+def test_python_m_telefid_runs_the_cli():
+    """python -m telefid runs the command line, with no warning."""
+    src = os.path.dirname(os.path.dirname(telefid.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "telefid", "fidelity", "--resource",
+         "twin-beam", "--r", "1", "--gain", "1"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, IDEAL_ROW.rsplit(",", 1)[1] + "\n", "")
 
 
 def test_package_imports_no_oracle():
