@@ -2,19 +2,18 @@
 sweeps, figure presets, CSV emission.
 
 Every subcommand outputs one table of columns keyed by the frozen
-CSV_HEADER, each one value for every row or a list of one per row, and
-empty where it does not apply. A sweep reuses the inputs its axis does
-not enter, so their columns are constants, formatted once. Points are
-evaluated in input order: identical invocations give identical bytes.
+CSV_HEADER, each one value for every row or an array of one per row,
+and empty where it does not apply. A sweep carries its axis as one float
+array from its values to the written cells, the input it enters a
+column checked in one pass and evaluated in one kernel call per block.
+Identical invocations give identical bytes.
 """
 
 import argparse
-import csv
 import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -24,18 +23,15 @@ from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
                        fidelity_quadrature)
 from .optimize import (fidelity_at_optimum, optimize_beta_independent,
                        optimize_gain_average)
-from .phase_space import FAMILIES, CoherentInput, ResourceSpec
+from .phase_space import (FAMILIES, CoherentInput, ResourceSpec, _require,
+                          _rows, _shape)
 from .protocol import GainSetting, NoiseParams
 
 CSV_HEADER = ("resource", "r", "tau", "nth", "r2", "gain", "delta_opt",
               "gamma_opt", "sigma", "beta_re", "beta_im", "method",
               "fidelity")
-# an evaluation's inputs (at: amplitude or prior); the one each axis enters
-INPUTS = ("spec", "noise", "gain", "at")
-AXIS_INPUT = {"r": "spec", "tau": "noise", "nth": "noise", "r2": "noise",
-              "gain": "gain", "sigma": "at", "beta_re": "at",
-              "beta_im": "at", "delta": "spec", "gamma": "spec"}
-SWEEP_AXES = tuple(AXIS_INPUT)
+SWEEP_AXES = ("r", "tau", "nth", "r2", "gain", "sigma", "beta_re",
+              "beta_im", "delta", "gamma")
 FIGURE_TAGS = ("3-I", "3-II", "4", "5-I", "5-II", "6-I", "6-II")
 
 AXIS_STEPS = 81
@@ -162,119 +158,92 @@ def parse_cli(argv):
     return ns
 
 
-def _input(ns, over, name):
-    """The checked input name, one of INPUTS, of one evaluation, the
-    flags overridden by over."""
+def _point_inputs(ns, over):
+    """The checked (spec, noise, gain, beta or AlphabetPrior) of ns, the
+    flags overridden by over (an array makes its input a column)."""
     def pick(flag, default=None):
         value = over.get(flag, getattr(ns, flag))
         return default if value is None else value
 
-    if name == "noise":
-        return NoiseParams(pick("tau"), pick("nth"), pick("r2"))
-    if name == "gain":
-        return GainSetting(pick("gain"))
-    if name == "spec":
-        # the flags that were given; ResourceSpec.of rejects a foreign one
-        core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
-                "gamma_mod": over.get("gamma", ns.gamma_mod)}
-        return ResourceSpec.of(ns.resource, pick("r"), **{
-            k: v for k, v in core.items() if v is not None})
-    sigma = pick("sigma")
-    return (complex(pick("beta_re", 0.0), pick("beta_im", 0.0))
-            if sigma is None else AlphabetPrior(sigma))
-
-
-def _point_inputs(ns, over):
-    """The checked (spec, noise, gain, beta or AlphabetPrior) of one
-    evaluation, the flags overridden by over, built noise first."""
-    noise, gain = _input(ns, over, "noise"), _input(ns, over, "gain")
-    return _input(ns, over, "spec"), noise, gain, _input(ns, over, "at")
+    noise = NoiseParams(pick("tau"), pick("nth"), pick("r2"))
+    gain = GainSetting(pick("gain"))
+    # the flags that were given; ResourceSpec.of rejects a foreign one
+    core = {"phi": ns.phi, "theta": ns.theta, "delta": pick("delta"),
+            "gamma_mod": over.get("gamma", ns.gamma_mod)}
+    spec = ResourceSpec.of(ns.resource, pick("r"), **{
+        k: v for k, v in core.items() if v is not None})
+    if pick("sigma") is not None:
+        return spec, noise, gain, AlphabetPrior(pick("sigma"))
+    re, im = pick("beta_re", 0.0), pick("beta_im", 0.0)
+    beta = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    beta.real, beta.imag = re, im
+    return spec, noise, gain, beta if beta.ndim else complex(beta)
 
 
 def _check_fidelity(values):
-    """The fidelities values as a list, each checked as it comes: they are
-    computed, so one out of range (or NaN) is a numerical fault."""
-    column = []
-    for value in values:
-        if not 0.0 <= value <= 1.0 + FIDELITY_SLACK:
-            raise NumericalError(f"fidelity {value} outside [0, 1]")
-        column.append(value)
-    return column
+    """The computed fidelities values, a number or an array, as an array:
+    one out of range (or NaN) is a numerical fault, the first one named."""
+    values = np.atleast_1d(values)
+    _require(((values >= 0.0) & (values <= 1.0 + FIDELITY_SLACK),
+              "fidelity {} outside [0, 1]", values), error=NumericalError)
+    return values
 
 
 def _evaluate(ns, inputs):
-    """(method, checked fidelity column) of rows at inputs (spec, noise,
-    gain, at), each a column; the closed rows in one kernel call."""
-    n = max(len(x) if isinstance(x, list) else 1 for x in inputs)
-    specs, noises, gains, ats = (x if isinstance(x, list) else [x] * n
-                                 for x in inputs)
-    if isinstance(ats[0], AlphabetPrior):
-        reps = average_fidelity(specs, noises, gains, ats)
-    elif ns.method == "quadrature":  # each row checked before the next
-        return "quadrature", _check_fidelity(rep.value for rep in map(
-            fidelity_quadrature, map(CoherentInput, ats), specs, noises,
-            gains))
+    """(method, checked fidelity array) at inputs (spec, noise, gain,
+    at): closed rows in one call, quadratures each checked in turn."""
+    if isinstance(inputs[3], AlphabetPrior):
+        rep = average_fidelity(*inputs)
+    elif ns.method == "quadrature":
+        n = _shape(*inputs)[0]
+        spec, noise, gain, at = (_rows(x, n) for x in inputs)
+        return "quadrature", np.concatenate([_check_fidelity(
+            fidelity_quadrature(CoherentInput(b), *row).value)
+            for b, *row in zip(at, spec, noise, gain)])
     else:
-        reps = fidelity_closed(specs, noises, gains, ats)
-    return reps[0].method, _check_fidelity(rep.value for rep in reps)
+        rep = fidelity_closed(*inputs)
+    return rep.method, _check_fidelity(rep.value)
 
 
-def _cells(cell, *args):
-    """The column of cell(*args), args each a column."""
-    if not any(isinstance(a, list) for a in args):
-        return cell(*args)
-    return list(map(cell, *(a if isinstance(a, list) else repeat(a)
-                            for a in args)))
-
-
-def _table(resource, method, fidelity, spec, noise, gain, beta, prior,
-           **cells):
-    """The table of the rows of the list fidelity; the other arguments
-    are columns. A beta that is not an amplitude (None or a prior) and a
-    prior that is not an AlphabetPrior leave their cells empty."""
-    return {"resource": resource, "r": _cells(attrgetter("r"), spec),
-            "tau": _cells(attrgetter("tau"), noise),
-            "nth": _cells(attrgetter("n_th"), noise),
-            "r2": _cells(attrgetter("r2"), noise),
-            "gain": _cells(GainSetting.gain, gain, noise),
-            "sigma": _cells(lambda p: getattr(p, "sigma", None), prior),
-            "beta_re": _cells(lambda b: getattr(b, "real", None), beta),
-            "beta_im": _cells(lambda b: getattr(b, "imag", None), beta),
+def _table(resource, method, fidelity, spec, noise, gain, beta=None,
+           sigma=None, **cells):
+    """The table of the rows of the array fidelity; the other arguments
+    are points or columns, beta and sigma None where they do not apply."""
+    return {"resource": resource, "r": spec.r, "tau": noise.tau,
+            "nth": noise.n_th, "r2": noise.r2, "gain": gain.gain(noise),
+            "sigma": sigma, "beta_re": None if beta is None else np.real(beta),
+            "beta_im": None if beta is None else np.imag(beta),
             "method": method, "fidelity": fidelity, **cells}
 
 
-def _opt_table(family, noise, opts, prior=None, reps=None):
-    """The table of the optima opts of family at noise and prior, or with
-    reports reps, of the fidelities at input amplitudes with the optima's
-    parameters."""
-    spec, gain, delta_opt, gamma_opt = map(list, zip(*map(attrgetter(
-        "spec", "gain", "delta_opt", "gamma_opt"), opts)))
-    method, value = map(list, zip(*map(attrgetter(
-        "method", "value" if reps else "best_value"), reps or opts)))
-    beta = reps and [rep.beta for rep in reps]
-    return _table(family, method, _check_fidelity(value), spec, noise, gain,
-                  beta, prior, delta_opt=delta_opt, gamma_opt=gamma_opt)
+def _opt_table(family, noise, opts, prior=None, rep=None):
+    """The table of the Optima opts of family at noise and prior, or of
+    rep, the fidelities at input amplitudes with the optima's parameters."""
+    delta_opt, gamma_opt, value = (list(map(attrgetter(name), opts)) for name
+                                   in ("delta_opt", "gamma_opt", "best_value"))
+    return _table(family, rep.method if rep else opts[0].method,
+                  _check_fidelity(rep.value if rep else value), opts.spec,
+                  noise, opts.gain, rep and rep.beta, prior and prior.sigma,
+                  delta_opt=delta_opt, gamma_opt=gamma_opt)
 
 
 def _concat(tables):
     """The table of the rows of tables, in order."""
-    return {name: [cell for t in tables for cell in (
-        t[name] if isinstance(t.get(name), list)
-        else repeat(t.get(name), len(t["fidelity"])))] for name in CSV_HEADER}
+    return {name: np.concatenate([np.broadcast_to(np.asarray(t.get(name)), len(
+        t["fidelity"])) for t in tables]) for name in CSV_HEADER}
 
 
 def _optimize_table(ns):
+    """The table of one optimization, a column of one point."""
     noise = NoiseParams(tau=ns.tau, n_th=ns.nth, r2=ns.r2)
     if ns.sigma is None:
-        return _opt_table(ns.resource, noise, [optimize_beta_independent(
-            ns.resource, ns.r, noise)])
+        return _opt_table(ns.resource, noise, optimize_beta_independent(
+            ns.resource, [ns.r], noise))
     prior = AlphabetPrior(ns.sigma)
-    opt = optimize_gain_average(ns.resource, ns.r, noise, prior)
-    rep = None
-    if ns.beta_re is not None or ns.beta_im is not None:
-        rep = fidelity_at_optimum(opt, noise, prior, complex(
-            ns.beta_re or 0.0, ns.beta_im or 0.0))
-    return _opt_table(ns.resource, noise, [opt], prior, rep and [rep])
+    opts = optimize_gain_average(ns.resource, [ns.r], noise, prior)
+    return _opt_table(ns.resource, noise, opts, prior, fidelity_at_optimum(
+        opts, noise, prior, complex(ns.beta_re or 0.0, ns.beta_im or 0.0))
+        if ns.beta_re is not None or ns.beta_im is not None else None)
 
 
 def run_figure_preset(tag):
@@ -283,7 +252,7 @@ def run_figure_preset(tag):
     parameters (presets 5 and 6), swept over r or tau on [0, 2]."""
     if tag not in FIGURE_TAGS:
         raise ParameterError(f"unknown figure tag {tag!r}")
-    axis = [float(x) for x in np.linspace(0.0, AXIS_STOP, AXIS_STEPS)]
+    axis = np.linspace(0.0, AXIS_STOP, AXIS_STEPS)
 
     if tag in ("3-I", "3-II", "4"):
         resources = FIG4_RESOURCES if tag == "4" else FIG3_RESOURCES
@@ -297,18 +266,14 @@ def run_figure_preset(tag):
     sigma, betas = ((10.0, (1.0, 2.0, 3.0)) if tag.endswith("-I")
                     else (100.0, (3.0, 5.0, 10.0)))
     prior = AlphabetPrior(sigma)
-    if tag.startswith("5"):  # over r
-        rs, noises = axis, [NoiseParams(FIG_TAU, r2=FIG_R2)] * len(axis)
-    else:  # over tau
-        rs = [0.8] * len(axis)
-        noises = [NoiseParams(t, r2=FIG_R2) for t in axis]
+    rs, noise = ((axis, NoiseParams(FIG_TAU, r2=FIG_R2)) if tag[0] == "5"
+                 else (0.8, NoiseParams(axis, r2=FIG_R2)))  # over r or tau
     tables = []
     for res in FIG56_RESOURCES:
-        # one lockstep optimization, and one kernel call for every beta
-        opts = optimize_gain_average(res, rs, noises, prior) * len(betas)
-        reps = fidelity_at_optimum(opts, noises * len(betas), prior, [
-            complex(b) for b in betas for _ in rs])
-        tables.append(_opt_table(res, noises * len(betas), opts, prior, reps))
+        # one lockstep optimization, and one kernel call per beta
+        opts = optimize_gain_average(res, rs, noise, prior)
+        tables += [_opt_table(res, noise, opts, prior, fidelity_at_optimum(
+            opts, noise, prior, complex(b))) for b in betas]
     return _concat(tables)
 
 
@@ -318,14 +283,23 @@ def _format_cell(value):
 
 
 def _write_table(handle, table):
-    """The table under the frozen header, each constant column formatted
-    once, as many rows as fidelities; a column the table lacks is empty."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(zip(*(
-        map(_format_cell, column) if isinstance(column, list)
-        else repeat(_format_cell(column))
-        for column in map(table.get, CSV_HEADER))))
+    """The table under the frozen header, as many rows as fidelities, in
+    one row format that holds each constant cell and formats float
+    columns in C; a column the table lacks is empty. No cell (a name, a
+    route or a number) holds a delimiter or a quote to be quoted."""
+    fields, columns = [], []
+    for column in map(table.get, CSV_HEADER):
+        if not np.ndim(column):
+            fields.append(_format_cell(column).replace("%", "%%"))
+            continue
+        column = np.asarray(column)
+        floats = column.dtype.kind == "f"
+        fields.append("%.12g" if floats else "%s")
+        columns.append(column.tolist() if floats
+                       else map(_format_cell, column.tolist()))
+    handle.write(",".join(CSV_HEADER) + "\n")
+    handle.write("".join(map((",".join(fields) + "\n").__mod__,
+                             zip(*columns))))
 
 
 def emit_csv(table, path=None):
@@ -337,37 +311,35 @@ def emit_csv(table, path=None):
 
 
 def _run_points(ns, axis, values):
-    """The table of ns with the flag axis at each of values: the first
-    point's inputs built in full, then only each later point's input the
-    axis enters, in order; evaluated SWEEP_BLOCK points at a time."""
-    name = AXIS_INPUT[axis]
-    inputs = list(_point_inputs(ns, {axis: values[0]}))
-    k, swept, fidelity = INPUTS.index(name), [], []
+    """The table of ns with the flag axis at each of values, a float
+    array, evaluated SWEEP_BLOCK rows a call (one block's inputs are the
+    table's); rows before a bad row are evaluated first, as row by row."""
+    fidelity = []
     for at in range(0, len(values), SWEEP_BLOCK):
-        inputs[k] = block = []
+        block = values[at:at + SWEEP_BLOCK]
         try:
-            for value in values[at:at + SWEEP_BLOCK]:
-                block.append(_input(ns, {axis: value}, name))
-        except ParameterError:
-            if block:  # a fault of a row before the bad one comes first
-                _evaluate(ns, inputs)
+            inputs = _point_inputs(ns, {axis: block})
+        except ParameterError as exc:
+            if getattr(exc, "row", 0):
+                _evaluate(ns, _point_inputs(ns, {axis: block[:exc.row]}))
             raise
         method, column = _evaluate(ns, inputs)
-        swept += block
-        fidelity += column
-    inputs[k] = swept  # at, the last, is the amplitude or the prior
-    return _table(ns.resource, method, fidelity, *inputs, inputs[3])
+        fidelity.append(column)
+    *inputs, at = _point_inputs(ns, {axis: values}) if at else inputs
+    return _table(ns.resource, method, np.concatenate(fidelity), *inputs,
+                  **({"sigma": at.sigma} if isinstance(at, AlphabetPrior)
+                     else {"beta": at}))
 
 
 def _run_sweep(ns):
     sweep = SweepSpec(axis=ns.vary, start=ns.start, stop=ns.stop,
                       steps=ns.steps)
-    return _run_points(ns, sweep.axis, sweep.values.tolist())
+    return _run_points(ns, sweep.axis, sweep.values)
 
 
 def _dispatch(ns):
     if ns.command == "fidelity":
-        table = _run_points(ns, "r", [ns.r])  # a sweep of one point
+        table = _run_points(ns, "r", np.array([ns.r]))  # a sweep of one point
         if not ns.output:
             print(_format_cell(table["fidelity"][0]))
             return 0

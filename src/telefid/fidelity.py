@@ -12,12 +12,12 @@ it, and the best delta is a 2x2 eigenvalue. The cat's prior average is
 exactly its beta = 0 form at _shifted_noise; the Bell-type forms still
 average theirs on GH_ORDER Gauss-Hermite nodes. The kernel is numpy
 alone, which rounds a number as any element of an array, so a column of
-points in one call gives each point its own value, to the bit.
+points (inputs with arrays in fields, one value per row) takes one call
+and gives each row its point's value, to the bit.
 """
 
 import cmath
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
@@ -25,12 +25,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (NumericalError, ParameterError,
-                     PhaseSpecializationError, QuadratureError)
-from .phase_space import (CoherentInput, ResourceSpec, _chi_input_arrays,
-                          _require_finite)
-from .protocol import (GainSetting, NoiseParams, _chi_out_arrays, gamma_cov,
-                       gaussian_pipeline)
+from .errors import (NumericalError, PhaseSpecializationError,
+                     QuadratureError)
+from .phase_space import (CoherentInput, _chi_input_arrays, _finite, _num,
+                          _require, _rows, _shape)
+from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
 from .quadrature import CONV_ABS_TOL, integrate_adaptive
 
 GH_ORDER = 60
@@ -42,25 +41,23 @@ CANCEL_EPS = 16 * sys.float_info.epsilon
 
 @dataclass(frozen=True)
 class AlphabetPrior:
-    """Gaussian prior p(beta) = exp(-|beta|^2 / sigma) / (pi sigma)."""
+    """Gaussian prior p(beta) = exp(-|beta|^2 / sigma) / (pi sigma); a
+    column of priors holds an array of sigma, one per row."""
 
     sigma: float
 
     def __post_init__(self):
-        _require_finite("prior variance", self.sigma)
-        if self.sigma <= 0:
-            raise ParameterError(f"sigma must be > 0, got {self.sigma}")
+        _require(*_finite("prior variance", self.sigma),
+                 (self.sigma > 0, "sigma must be > 0, got {}", self.sigma))
 
 
 @dataclass(frozen=True)
 class FidelityReport:
-    """A fidelity value plus the parameter point it belongs to."""
+    """A fidelity value, the route that gave it, and the amplitude or
+    prior variance it was taken at: of a column, arrays of one per row."""
 
     value: float
     method: str
-    spec: object
-    noise: object
-    gain: object
     beta: complex | None = None
     sigma: float | None = None
 
@@ -271,8 +268,8 @@ def _is_multiple(angle, period):
 
 
 def _specialized_params(spec):
-    """Validate the phase specialization and return (family, r, delta,
-    signed real gamma) of the spec."""
+    """Validate the phase specialization, once for a spec or a column,
+    and return (family, r, delta, signed real gamma) of the spec."""
     if not _is_multiple(spec.phi - math.pi, 2 * math.pi):
         raise PhaseSpecializationError(
             f"closed forms need phi = pi, got {spec.phi}; use quadrature")
@@ -281,66 +278,41 @@ def _specialized_params(spec):
         raise PhaseSpecializationError(
             f"closed forms need theta = 0, got {spec.theta}; use quadrature")
     gamma = 0.0
-    if spec.family == "squeezed-cat" and spec.gamma_mod > 0:
+    if spec.family == "squeezed-cat" and np.any(spec.gamma_mod > 0):
         if not _is_multiple(spec.gamma_phase, math.pi):
             raise PhaseSpecializationError(
                 f"closed forms need real gamma, got phase "
                 f"{spec.gamma_phase}; use quadrature")
-        gamma = math.copysign(spec.gamma_mod, math.cos(spec.gamma_phase))
+        # + 0.0: a gamma_mod of 0 is gamma = +0.0 at any phase
+        gamma = np.copysign(spec.gamma_mod, math.cos(spec.gamma_phase)) + 0.0
     return spec.family, spec.r, spec.delta, gamma
 
 
-def _column(*args):
-    """(column, lists): each (value, kind) arg, of kind, 0-d or a sequence,
-    as a list of the common length; column: whether any is a sequence."""
-    point = [isinstance(v, kind) or getattr(v, "ndim", 1) == 0
-             for v, kind in args]
-    lists = [[v] if p else list(v) for p, (v, _) in zip(point, args)]
-    n = max(map(len, lists))
-    if not n or {len(x) for x in lists} - {1, n}:
-        raise ParameterError(f"columns of lengths {[len(x) for x in lists]}"
-                             " are empty or do not match")
-    return not all(point), [x if len(x) == n else x * n for x in lists]
-
-
-def _closed_reports(specs, noises, gains, ats):
-    """Closed-form reports of a column of points of one family in one
-    kernel call, at amplitudes or AlphabetPriors ats. A NumericalError
-    names the first point whose value is not finite."""
-    family, r, delta, gamma = zip(*map(_specialized_params, specs))
-    if len(set(family)) > 1:
-        raise ParameterError(f"a column takes one family, got {set(family)}")
-    averaged = isinstance(ats[0], AlphabetPrior)
-    form = _fidelity_form(
-        family[0], np.array(r), np.array(gamma),
-        np.array([g.effective(nz) for g, nz in zip(gains, noises)]),
-        np.array([gamma_cov(nz, g) for g, nz in zip(gains, noises)]),
-        np.array([nz.tau for nz in noises]), 0j if averaged else np.array(ats),
-        np.array([p.sigma for p in ats]) if averaged else None)
-    vals = form.value(np.array(delta)).tolist()
-    for val, x in zip(vals, r):
-        if not math.isfinite(val):
-            raise NumericalError(
-                f"{family[0]} closed form is {val} at r = {x}")
-    extra = [(None, p.sigma) for p in ats] if averaged else zip(ats)
-    return tuple(FidelityReport(v, "closed", *row, *x) for v, *row, x in zip(
-        vals, specs, noises, gains, extra))
+def _closed(spec, noise, gain, beta=0j, sigma=None):
+    """The closed-form value at a point or of a column (an array) at
+    amplitudes beta or, given sigma, averaged over an AlphabetPrior of
+    variance sigma; a NumericalError names the first row not finite."""
+    _shape(spec, noise, gain, beta, sigma)
+    family, r, delta, gamma = _specialized_params(spec)
+    value = _fidelity_form(family, r, gamma, gain.effective(noise),
+                           gamma_cov(noise, gain), noise.tau, beta,
+                           sigma).value(delta)
+    _require((np.isfinite(value), f"{family} closed form is {{}} at r = {{}}",
+              value, r), error=NumericalError)
+    return _num(value)
 
 
 def fidelity_closed(spec, noise, gain, beta=0j):
-    """Closed-form fidelity at the specialized phases: a report, or with
-    any argument a sequence (all of one length) a tuple of reports of a
-    column of points, each its point's own to the bit.
+    """Closed-form fidelity at the specialized phases, at a point or, with
+    any input a column (beta an array), of a column of points in one
+    kernel call: a value per row, each its point's own to the bit.
 
     Internally g~ = g T and, with eps = e^{-tau/2}, the scale
     Delta = (e^{-r}(g~ + eps))^2 + (e^{r}(g~ - eps))^2 + 2(1 + g~^2 + 2 Gamma)
     set the overall 4/Delta prefactor and every exponent.
     """
-    column, (specs, noises, gains, betas) = _column(
-        (spec, ResourceSpec), (noise, NoiseParams), (gain, GainSetting),
-        (beta, numbers.Number))
-    reports = _closed_reports(specs, noises, gains, list(map(complex, betas)))
-    return reports if column else reports[0]
+    return FidelityReport(_closed(spec, noise, gain, beta), "closed",
+                          beta=beta if np.ndim(beta) else complex(beta))
 
 
 def _overlap(inp, spec, noise, gain, spread=0.0):
@@ -354,14 +326,15 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
     vanishes off the origin. A negative value within the quadrature's
     tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
     it, QuadratureError."""
+    gt, gam = gain.effective(noise), gamma_cov(noise, gain)
+    chi_out = _chi_out_arrays(inp, spec, noise, gt, gam)
+
     def integrand(x, p):
-        val = (_chi_input_arrays(inp.beta, x, p)
-               * _chi_out_arrays(inp, spec, noise, gain, -x, -p))
+        val = _chi_input_arrays(inp.beta, x, p) * chi_out(-x, -p)
         return val * np.exp(-spread * (x * x + p * p)) if spread else val
 
-    D, _ = _delta_terms(spec.r, gain.effective(noise),
-                        cmath.exp(1j * spec.phi - noise.tau / 2),
-                        gamma_cov(noise, gain))
+    D, _ = _delta_terms(spec.r, gt, cmath.exp(1j * spec.phi - noise.tau / 2),
+                        gam)
     rate = float(D / 8 + spread)
     if rate == math.inf:
         return 0.0
@@ -374,14 +347,13 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
 def fidelity_quadrature(inp, spec, noise, gain):
     """Overlap fidelity (1/2pi) int chi_in(x,p) chi_out(-x,-p) dx dp by
     adaptive quadrature. Universal: any phases, any family."""
-    return FidelityReport(_overlap(inp, spec, noise, gain),
-                          "quadrature", spec, noise, gain, beta=inp.beta)
+    return FidelityReport(_overlap(inp, spec, noise, gain), "quadrature",
+                          beta=inp.beta)
 
 
 def average_fidelity(spec, noise, gain, prior):
-    """Fidelity averaged over the Gaussian alphabet prior: a report, or
-    with any argument a sequence (all of one length) a tuple of reports
-    of a column of points, each its point's own to the bit.
+    """Fidelity averaged over the Gaussian alphabet prior, at a point or,
+    as fidelity_closed, of a column of points.
 
     beta enters the overlap integrand only as a plane wave,
     e^{i sqrt2 (1 - g~)(p Re beta - x Im beta)}, which the prior averages
@@ -389,29 +361,27 @@ def average_fidelity(spec, noise, gain, prior):
     _shifted_noise. The cat's closed form takes it exactly, at beta = 0;
     the Bell-type forms factorize a Gauss-Hermite rule of order GH_ORDER
     in Re beta and Im beta into 1-D node sums; off the closed phases it
-    is one quadrature per point.
+    is one quadrature per point, a column's row by row.
     """
-    column, rows = _column((spec, ResourceSpec), (noise, NoiseParams),
-                           (gain, GainSetting), (prior, AlphabetPrior))
     try:
-        reports = _closed_reports(*rows)
+        return FidelityReport(_closed(spec, noise, gain, sigma=prior.sigma),
+                              "closed", sigma=prior.sigma)
     except PhaseSpecializationError:
-        if column:  # each point on its own route
-            return tuple(map(average_fidelity, *rows))
-        gap = 1 - gain.effective(noise)
-        return FidelityReport(
-            _overlap(CoherentInput(0j), spec, noise, gain,
-                     gap * gap * prior.sigma / 2),
-            "quadrature", spec, noise, gain, sigma=prior.sigma)
-    return reports if column else reports[0]
+        inputs, value = (spec, noise, gain, prior), []
+        shape = _shape(*inputs)
+        for s, nz, g, p in zip(*(_rows(x, math.prod(shape)) for x in inputs)):
+            gap = 1 - g.effective(nz)  # the prior's envelope, folded in
+            value.append(_overlap(CoherentInput(0j), s, nz, g,
+                                  gap * gap * p.sigma / 2))
+        return FidelityReport(_num(np.reshape(value, shape)), "quadrature",
+                              sigma=prior.sigma)
 
 
 def fidelity_gaussian_oracle(inp, r, noise, gain):
     """Fidelity from the covariance-algebra pipeline (twin-beam only)."""
     out = gaussian_pipeline(inp, r, noise, gain)
-    spec = ResourceSpec.twin_beam(r)
-    return FidelityReport(out.fidelity(inp), "gaussian-oracle", spec, noise,
-                          gain, beta=inp.beta)
+    return FidelityReport(out.fidelity(inp), "gaussian-oracle",
+                          beta=inp.beta)
 
 
 def classical_benchmark(prior):

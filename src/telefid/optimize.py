@@ -21,17 +21,16 @@ ResourceSpec.of: a photon-subtracted one is its squeezed-Bell state.
 
 import cmath
 import math
-import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .fidelity import (_column, _fidelity_form, _shifted_noise,
+from .fidelity import (FidelityReport, _fidelity_form, _shifted_noise,
                        average_fidelity, fidelity_closed)
 from .phase_space import (CORE_PARAMS, FAMILIES, ResourceSpec, _core_terms,
-                          photon_subtraction_angle)
+                          _require, _rows, _shape, photon_subtraction_angle)
 from .protocol import GainSetting, NoiseParams, gamma_cov
 
 GAMMA_POINTS = 201
@@ -162,7 +161,7 @@ def _best_delta(family, r, form):
 
 
 class Optima(tuple):
-    """The OptimizationResults of a column of points, in order."""
+    """A column's OptimizationResults, with its spec and gain columns."""
 
     @property
     def evaluations(self):
@@ -171,8 +170,8 @@ class Optima(tuple):
 
 def _optimize(family, r, noise, prior=None):
     """The optimum over the family's free parameters at a point, or an
-    Optima at each of a column of points (r and noise a number and a
-    NoiseParams, or sequences of one length): at beta = 0 on the unity
+    Optima at each of a column of points (r a number or a sequence, noise
+    a point or a column, of one length): at beta = 0 on the unity
     gain, or averaged over the prior with g free on [2/(T N), 2/T],
     N = AVG_GAIN_POINTS. The objective at each searched point takes the
     best delta. The unity gain with the beta-independent optimum is an
@@ -182,13 +181,13 @@ def _optimize(family, r, noise, prior=None):
     the column's."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
-    column, (rs, noises) = _column((r, numbers.Real), (noise, NoiseParams))
-    rs, n, rows = np.array(rs, dtype=float), len(rs), np.arange(len(rs))
+    shape = _shape(r, noise)
+    n = shape[0] if shape else 1
+    rs, rows = np.broadcast_to(np.asarray(r, dtype=float), n), np.arange(n)
     cat, free = family == "squeezed-cat", CORE_PARAMS.get(family, ())
     # a row each: Gamma = thermal + g^2 R^2 at bare gain g
-    T, tau, thermal, r2 = map(np.array, zip(*[(
-        nz.transmissivity, nz.tau, gamma_cov(nz, 0.0), nz.r2)
-        for nz in noises]))
+    T, tau, thermal, r2 = (np.broadcast_to(x, n) for x in (
+        noise.transmissivity, noise.tau, gamma_cov(noise, 0.0), noise.r2))
     g_top, g_unity = 2.0 / T, 1.0 / T
     sigma = 0.0 if prior is None else prior.sigma
     # the gain peak at g~ = eps is about e^{-2r} wide: search the gain as
@@ -236,7 +235,7 @@ def _optimize(family, r, noise, prior=None):
         point, value, m = _grid_then_zoom(objective, *axes)
         gamma, nfev = point[:, -1] if cat else None, nfev + m
     if prior is not None:
-        base = _optimize(family, rs, noises)
+        base = _optimize(family, rs, noise)
         unity = np.array([b.gamma_opt for b in base]) if cat else 0.0
         # the first of the highest candidates
         take = np.max(np.reshape(score(rows, g_unity, unity), (n, -1)),
@@ -249,23 +248,21 @@ def _optimize(family, r, noise, prior=None):
         rows, g_opt, 0.0 if gamma is None else gamma))
     route = "+".join((["eigen"] if "delta" in free else [])
                      + (["zoom"] if axes else []))
-    optima = []
-    for i, x in enumerate(rs.tolist()):
-        d = None if delta is None else float(delta[i])
-        # delta = 0 is the twin beam at every gamma
-        gm = None if gamma is None else float(gamma[i]) if d else 0.0
-        spec = ResourceSpec.of(family, x, **{k: v for k, v in (
-            ("delta", d), ("gamma_mod", gm)) if k in free})
-        g = float(g_opt[i])
-        optima.append(OptimizationResult(
-            float(best[i]), d, gm, None if prior is None else g,
-            int(nfev[i]), route or "closed", spec,
-            GainSetting(None if g == g_unity[i] else g)))
+    # delta = 0 is the twin beam at every gamma
+    gm = None if gamma is None else np.where(delta != 0, gamma, 0.0)
+    spec = ResourceSpec.of(family, rs, **{k: v for k, v in (
+        ("delta", delta), ("gamma_mod", gm)) if k in free})
+    unity = g_opt == g_unity
+    gain = GainSetting(np.where(unity, np.nan, g_opt))
     if prior is not None:  # the value is the public average, one call
-        optima = [replace(o, best_value=rep.value) for o, rep in zip(
-            optima, average_fidelity([o.spec for o in optima], noises,
-                                     [o.gain for o in optima], prior))]
-    return Optima(optima) if column else optima[0]
+        best = average_fidelity(spec, noise, gain, prior).value
+    fields = zip(*([None] * n if x is None else np.broadcast_to(x, n).tolist()
+                   for x in (best, delta, gm, prior and g_opt, nfev)))
+    optima = Optima(OptimizationResult(*f, route or "closed", s, GainSetting(
+        None if u else g)) for f, s, u, g in zip(
+            fields, _rows(spec, n), unity.tolist(), g_opt.tolist()))
+    optima.spec, optima.gain = spec, gain
+    return optima if shape else optima[0]
 
 
 def optimize_beta_independent(family, r, noise):
@@ -285,21 +282,16 @@ def optimize_gain_average(family, r, noise, prior):
 
 def fidelity_at_optimum(opt, noise, prior, beta):
     """Fidelity at input amplitude beta with the parameters of an
-    averaged optimum opt, taken at this noise and prior, or a tuple of
-    them with any argument but prior a sequence, as fidelity_closed. Each
-    beta must lie in the prior's support, |beta|^2 <= 700 sigma."""
-    column, (opts, noises, betas) = _column(
-        (opt, OptimizationResult), (noise, NoiseParams),
-        (beta, numbers.Number))
-    for b in map(complex, betas):  # |beta|^2, and abs(beta), overflow
-        size = math.hypot(b.real, b.imag)
-        if size > math.sqrt(700 * prior.sigma):
-            raise ParameterError(
-                f"|beta| = {size:.3g} lies outside the numerical support, "
-                f"|beta|^2 <= 700 sigma, of the sigma = {prior.sigma} prior")
-    reports = tuple(replace(rep, sigma=prior.sigma) for rep in fidelity_closed(
-        [o.spec for o in opts], noises, [o.gain for o in opts], betas))
-    return reports if column else reports[0]
+    averaged optimum opt, taken at this noise and prior: at a point, or
+    of an Optima, with noise and beta points or columns of its length, a
+    column in one kernel call, as fidelity_closed. Each beta must lie in
+    the prior's support, |beta|^2 <= 700 sigma."""
+    size = np.abs(np.asarray(beta, dtype=complex))  # |beta|^2 overflows
+    _require((~(size > math.sqrt(700 * prior.sigma)),
+              "|beta| = {:.3g} lies outside the numerical support, |beta|^2 "
+              f"<= 700 sigma, of the sigma = {prior.sigma} prior", size))
+    rep = fidelity_closed(opt.spec, noise, opt.gain, beta)
+    return FidelityReport(rep.value, rep.method, rep.beta, prior.sigma)
 
 
 def one_shot_fidelity(family, r, noise, prior, beta):

@@ -15,7 +15,7 @@ resource is stored as the squeezed-Bell state it equals.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 
 import numpy as np
 
@@ -39,10 +39,63 @@ FAMILIES = (*CORE_PARAMS, "photon-subtracted")
 SQRT2 = math.sqrt(2.0)
 
 
-def _require_finite(name, *values):
-    for v in values:
-        if not cmath.isfinite(v):
-            raise ParameterError(f"{name} must be finite, got {v!r}")
+def _num(x):
+    """x, or where 0-d a Python number: it overflows with no warning."""
+    return x if getattr(x, "ndim", 0) else np.asarray(x).item()
+
+
+def _require(*rules, error=ParameterError):
+    """Check a point or a column of points by rules (ok, message,
+    *values) in the order a point checks them, ok a bool or one per row:
+    the first bad row's first broken rule raises its message with the
+    values at that row, as that row alone would, its row attribute set."""
+    rows = [(math.inf if ok.all() else int(np.argmin(ok)))
+            if isinstance(ok, np.ndarray) else math.inf if ok else 0
+            for ok, *_ in rules]
+    row = min(rows, default=math.inf)
+    if row < math.inf:
+        _, message, *values = rules[rows.index(row)]
+        exc = error(message.format(*(
+            v[row].item() if np.ndim(v) else v for v in values)))
+        exc.row = row
+        raise exc
+
+
+def _finite(name, *values):
+    """The rules that values, numbers or columns, are finite."""
+    return [(np.isfinite(v) if isinstance(v, np.ndarray)
+             else cmath.isfinite(v), "{} must be finite, got {!r}", name, v)
+            for v in values]
+
+
+def _exp(x, _math_exp=np.frompyfunc(math.exp, 1, 1)):
+    """e^x, each value rounded as math.exp rounds it (numpy's may not)."""
+    return _num(np.asarray(_math_exp(x), dtype=float))
+
+
+def _shape(*inputs):
+    """The shape of inputs' rows: () for points, (n,) for columns."""
+    shapes = {np.shape(v) for x in inputs for v in (
+        vars(x).values() if is_dataclass(x) else (x,))
+        if isinstance(v, (list, tuple, np.ndarray))} - {()}
+    if len(shapes) > 1 or (0,) in shapes:
+        raise ParameterError(f"columns of shapes {sorted(shapes)} are "
+                             "empty or do not match")
+    return shapes.pop() if shapes else ()
+
+
+def _rows(x, n):
+    """The n points of x, a point or a column of n rows, row by row; a
+    column was checked as a whole, so its rows are not checked again."""
+    if not is_dataclass(x):
+        return np.broadcast_to(x, n).tolist()
+    if not any(isinstance(v, np.ndarray) for v in vars(x).values()):
+        return [x] * n
+    rows = [object.__new__(type(x)) for _ in range(n)]
+    for row, *values in zip(rows, *(np.broadcast_to(v, n).tolist()
+                                    for v in vars(x).values())):
+        row.__dict__.update(zip(vars(x), values))
+    return rows
 
 
 def photon_subtraction_angle(r):
@@ -59,7 +112,7 @@ class PhasePoint:
     p: float
 
     def __post_init__(self):
-        _require_finite("phase-space point", self.x, self.p)
+        _require(*_finite("phase-space point", self.x, self.p))
 
     @property
     def alpha(self):
@@ -79,7 +132,7 @@ class CoherentInput:
     beta: complex
 
     def __post_init__(self):
-        _require_finite("coherent amplitude", self.beta)
+        _require(*_finite("coherent amplitude", self.beta))
 
 
 @dataclass(frozen=True)
@@ -89,7 +142,8 @@ class ResourceSpec:
     Build it with `of` or the named classmethods; `family` is one of
     CORE_PARAMS and selects the core superposition, whose parameters
     are the fields it names. gamma = gamma_mod * exp(i gamma_phase) is
-    the cat amplitude.
+    the cat amplitude. A column holds an array of one value per row in
+    r, delta or gamma_mod; the phases are one per spec.
     """
 
     family: str
@@ -103,17 +157,17 @@ class ResourceSpec:
     def __post_init__(self):
         if self.family not in CORE_PARAMS:
             raise ParameterError(f"not a stored family: {self.family!r}")
-        _require_finite("resource parameters", self.r, self.phi, self.delta,
-                        self.theta, self.gamma_mod, self.gamma_phase)
-        if self.r < 0:
-            raise ParameterError(f"squeezing r must be >= 0, got {self.r}")
-        if self.gamma_mod < 0:
-            raise ParameterError(
-                f"gamma_mod must be >= 0, got {self.gamma_mod}")
-        if self.family == "squeezed-cat" and self.norm_sq < NORM_SQ_FLOOR:
-            raise ParameterError(
-                "squeezed-cat core superposition is degenerate "
-                f"(squared norm {self.norm_sq:.3e})")
+        r, gm = self.r, self.gamma_mod
+        rules = [*_finite("resource parameters", r, self.phi, self.delta,
+                          self.theta, gm, self.gamma_phase),
+                 (r >= 0, "squeezing r must be >= 0, got {}", r),
+                 (gm >= 0, "gamma_mod must be >= 0, got {}", gm)]
+        if self.family == "squeezed-cat":
+            norm = self.norm_sq
+            rules.append((norm >= NORM_SQ_FLOOR, "squeezed-cat core "
+                          "superposition is degenerate (squared norm "
+                          "{:.3e})", norm))
+        _require(*rules)
 
     @classmethod
     def of(cls, family, r, phi=math.pi, **core):
@@ -126,8 +180,8 @@ class ResourceSpec:
                     f"{name} does not apply to resource {family!r}")
         if family != "photon-subtracted":
             return cls(family, r, phi, **core)
-        _require_finite("resource parameters", phi)
-        return cls("squeezed-bell", r, phi, float(photon_subtraction_angle(r)),
+        _require(*_finite("resource parameters", phi))
+        return cls("squeezed-bell", r, phi, _num(photon_subtraction_angle(r)),
                    math.remainder(phi + math.pi, 2 * math.pi))
 
     @classmethod
@@ -163,12 +217,14 @@ class ResourceSpec:
     @property
     def norm_sq(self):
         """Squared norm of the un-normalized core superposition."""
-        if self.family == "squeezed-cat":
-            # sin 2 delta as 2 sin cos: 2 delta overflows past 9e307
-            return 1.0 + (math.exp(-self.gamma_mod * self.gamma_mod) * 2
-                          * math.sin(self.delta) * math.cos(self.delta)
-                          * math.cos(self.theta))
-        return 1.0
+        if self.family != "squeezed-cat":
+            return 1.0
+        # sin 2 delta as 2 sin cos: 2 delta overflows past 9e307; a huge
+        # gamma_mod is a factor of 0, a parameter not finite gives NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            return 1.0 + (_exp(-self.gamma_mod * self.gamma_mod) * 2
+                          * np.sin(self.delta) * np.cos(self.delta)
+                          * np.cos(self.theta))
 
 
 def laguerre(n, k, x):
@@ -286,7 +342,7 @@ def _core_terms(spec):
     if spec.family == "buridan":
         return 1.0, [(c, "fock", 0, 1), (e_th * s, "fock", 1, 0)]
     g = spec.gamma
-    return spec.norm_sq ** -0.5, [(c, "coh", 0.0, 0.0),
+    return float(spec.norm_sq) ** -0.5, [(c, "coh", 0.0, 0.0),
                                   (e_th * s, "coh", g, g)]
 
 

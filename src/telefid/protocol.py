@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, ParameterError, QuadratureError
+from .errors import DegeneracyError, QuadratureError
 from .phase_space import (SQRT2, _chi_core_arrays, _chi_input_arrays,
-                          _chi_resource_arrays, _cosh_sinh, _require_finite,
-                          bogoliubov_args)
+                          _chi_resource_arrays, _cosh_sinh, _exp, _finite,
+                          _num, _require, bogoliubov_args)
 from .quadrature import (CONV_ABS_TOL, _leggauss, box_halfwidth,
                          integrate_adaptive)
 
@@ -36,7 +36,7 @@ class NoiseParams:
     tau is the reduced propagation time of the lossy channel, n_th the
     thermal occupation of its environment, r2 the reflectivity R^2 of
     the fictitious detector beam splitters. R^2 = 1 (T = 0) degenerates
-    the protocol and is rejected.
+    the protocol and is rejected. A column holds arrays, one per row.
     """
 
     tau: float = 0.0
@@ -44,35 +44,35 @@ class NoiseParams:
     r2: float = 0.0
 
     def __post_init__(self):
-        _require_finite("noise parameters", self.tau, self.n_th, self.r2)
-        if self.tau < 0:
-            raise ParameterError(f"tau must be >= 0, got {self.tau}")
-        if self.n_th < 0:
-            raise ParameterError(f"n_th must be >= 0, got {self.n_th}")
-        if not 0 <= self.r2 < 1:
-            raise ParameterError(
-                f"reflectivity R^2 must lie in [0, 1), got {self.r2}")
+        _require(*_finite("noise parameters", self.tau, self.n_th, self.r2),
+                 (self.tau >= 0, "tau must be >= 0, got {}", self.tau),
+                 (self.n_th >= 0, "n_th must be >= 0, got {}", self.n_th),
+                 ((0 <= self.r2) & (self.r2 < 1),
+                  "reflectivity R^2 must lie in [0, 1), got {}", self.r2))
 
     @property
     def transmissivity(self):
         """Detector beam-splitter amplitude transmissivity T."""
-        return math.sqrt(1.0 - self.r2)
+        return _num(np.sqrt(1.0 - self.r2))
 
     @property
     def reflectivity(self):
-        return math.sqrt(self.r2)
+        return _num(np.sqrt(self.r2))
 
 
 @dataclass(frozen=True)
 class GainSetting:
     """Gain rule: a fixed number g > 0, or None for g = 1/T (unity
-    effective gain)."""
+    effective gain); of a column, an array of g, NaN for the unity rule."""
 
     g: float | None = None
 
     def __post_init__(self):
-        if self.g is not None and not (math.isfinite(self.g) and self.g > 0):
-            raise ParameterError(f"fixed gain must be > 0, got {self.g}")
+        g = self.g
+        if g is not None:  # in a column, NaN marks a row on the unity rule
+            _require((((g > 0) & (g < math.inf))
+                      | (isinstance(g, np.ndarray) and np.isnan(g)),
+                      "fixed gain must be > 0, got {}", g))
 
     @classmethod
     def fixed(cls, g):
@@ -84,11 +84,17 @@ class GainSetting:
 
     def gain(self, noise):
         """The bare gain g applied to the communicated outcome."""
-        return 1.0 / noise.transmissivity if self.g is None else self.g
+        return self._rule(1.0 / noise.transmissivity, 1.0)
 
     def effective(self, noise):
         """g~ = g T; exactly 1 under the unity rule."""
-        return 1.0 if self.g is None else self.g * noise.transmissivity
+        return self._rule(1.0, noise.transmissivity)
+
+    def _rule(self, unity, scale):
+        """g scale, or unity under the unity rule: no g, or a NaN row."""
+        g = unity if self.g is None else self.g * scale
+        return (np.where(np.isnan(self.g), unity, g)
+                if isinstance(self.g, np.ndarray) else g)
 
 
 @dataclass(frozen=True)
@@ -97,29 +103,32 @@ class BellOutcome:
     p_tilde: float
 
     def __post_init__(self):
-        _require_finite("Bell outcome", self.x_tilde, self.p_tilde)
+        _require(*_finite("Bell outcome", self.x_tilde, self.p_tilde))
 
 
 def gamma_cov(noise, gain):
     """Thermal renormalized covariance Gamma of the output Gaussian
     noise factor: (1 - e^-tau)(1/2 + n_th) + g^2 R^2, at a GainSetting
-    or at bare gains g, a number or an array."""
+    or at bare gains g, a number or an array, of a point or a column."""
     g = gain.gain(noise) if isinstance(gain, GainSetting) else gain
     # R^2 = 0 adds nothing, also where g^2 overflows
-    return ((1.0 - math.exp(-noise.tau)) * (0.5 + noise.n_th)
-            + (g * g * noise.r2 if noise.r2 else 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _num((1.0 - _exp(-noise.tau)) * (0.5 + noise.n_th)
+                    + np.where(noise.r2 == 0, 0.0, g * g * noise.r2))
 
 
-def _chi_out_arrays(inp, spec, noise, gain, x, p):
-    gt = gain.effective(noise)
+def _chi_out_arrays(inp, spec, noise, gt, gam):
+    """chi_out at effective gain g~ and noise Gamma, on arrays (x, p)."""
     et = math.exp(-noise.tau / 2)
-    gam = gamma_cov(noise, gain)
-    a1 = gt * (x - 1j * p) / SQRT2
-    a2 = et * (x + 1j * p) / SQRT2
-    # no noise is a factor of 1, also where x^2 + p^2 overflows
-    return (_chi_input_arrays(inp.beta, gt * x, gt * p)
-            * _chi_resource_arrays(spec, a1, a2)
-            * (np.exp(-0.5 * gam * (x * x + p * p)) if gam else 1.0))
+
+    def chi(x, p):
+        a1 = gt * (x - 1j * p) / SQRT2
+        a2 = et * (x + 1j * p) / SQRT2
+        # no noise is a factor of 1, also where x^2 + p^2 overflows
+        return (_chi_input_arrays(inp.beta, gt * x, gt * p)
+                * _chi_resource_arrays(spec, a1, a2)
+                * (np.exp(-0.5 * gam * (x * x + p * p)) if gam else 1.0))
+    return chi
 
 
 def chi_out(inp, spec, noise, gain, pt):
@@ -128,9 +137,9 @@ def chi_out(inp, spec, noise, gain, pt):
     exp{-Gamma (x^2+p^2)/2}. Past |x|, |p| ~ 1e154 the squares inside
     overflow to inf, and the value is their limit, 0."""
     with np.errstate(over="ignore"):
-        return complex(_chi_out_arrays(inp, spec, noise, gain,
-                                       np.asarray(float(pt.x)),
-                                       np.asarray(float(pt.p))))
+        return complex(_chi_out_arrays(
+            inp, spec, noise, gain.effective(noise), gamma_cov(noise, gain))(
+                np.asarray(float(pt.x)), np.asarray(float(pt.p))))
 
 
 def chi_out_ideal(inp, spec, pt):

@@ -19,9 +19,11 @@ from hypothesis import strategies as st
 import telefid
 import telefid.cli_sweep as cli
 import telefid.fidelity as fidelity
-from telefid import (FAMILIES, AlphabetPrior, CoherentInput, NumericalError,
-                     ParameterError, QuadratureError, average_fidelity,
+from telefid import (FAMILIES, AlphabetPrior, CoherentInput, FidelityReport,
+                     GainSetting, NoiseParams, NumericalError, ParameterError,
+                     QuadratureError, ResourceSpec, average_fidelity,
                      fidelity_closed)
+from telefid.phase_space import _rows
 from telefid.cli_sweep import (CSV_HEADER, SWEEP_AXES, SweepSpec, emit_csv,
                                main, parse_cli)
 
@@ -527,6 +529,31 @@ def _sweep_case(family, axis, averaged):
     return ns, SweepSpec(axis, start, stop, 101).values.tolist()
 
 
+# (family, axis, flags, good value, bad value): each rule a sweep axis
+# reaches, and a family or flag its axis does not apply to
+FIRST_FAILURES = [
+    ("twin-beam", "r", [], 0.5, -0.5),
+    ("photon-subtracted", "r", [], 0.5, -0.5),
+    ("buridan", "tau", ["--delta=0.4"], 0.3, -0.1),
+    ("twin-beam", "nth", [], 0.1, -0.1),
+    ("squeezed-bell", "r2", ["--delta=0.4"], 0.1, 1.0),
+    ("twin-beam", "r2", ["--sigma=10"], 0.1, 1.5),
+    ("twin-beam", "gain", [], 1.0, 0.0),
+    ("squeezed-cat", "gain", ["--sigma=10"], 1.0, -1.0),
+    ("twin-beam", "sigma", [], 1.0, 0.0),
+    ("squeezed-cat", "delta", ["--gamma-mod=0"], 0.3, -math.pi / 4),
+    ("squeezed-cat", "gamma", ["--delta=0.3"], 0.5, -0.5),
+    ("twin-beam", "delta", [], 0.3, 0.4),
+    ("buridan", "gamma", ["--delta=0.4"], 0.3, 0.4),
+]
+
+
+def _csv(table):
+    buffer = io.StringIO()
+    cli._write_table(buffer, table)
+    return buffer.getvalue()
+
+
 class TestClosedSweepColumn:
     """A sweep evaluates its closed rows in one kernel call: each row
     must be its one-point fidelity_closed or average_fidelity, to the
@@ -534,19 +561,27 @@ class TestClosedSweepColumn:
 
     @pytest.mark.parametrize("family,axis,averaged", SWEEP_CASES)
     def test_rows_are_one_point_calls(self, family, axis, averaged):
+        """Every written cell, the echoed inputs too, is the cell of the
+        row's one-point inputs and evaluation."""
         ns, values = _sweep_case(family, axis, averaged)
         if values is None:
             with pytest.raises(ParameterError, match="does not apply"):
                 cli._run_sweep(ns)
             return
-        table = cli._run_sweep(ns)
-        assert len(table["fidelity"]) == len(values)
-        for fid, value in zip(table["fidelity"], values):
+        rows = list(csv.reader(io.StringIO(_csv(cli._run_sweep(ns)))))
+        assert rows[0] == list(CSV_HEADER) and len(rows) == len(values) + 1
+        for row, value in zip(rows[1:], values):
             spec, noise, gain, at = cli._point_inputs(ns, {axis: value})
-            rep = (average_fidelity(spec, noise, gain, at)
-                   if isinstance(at, AlphabetPrior)
+            prior = isinstance(at, AlphabetPrior)
+            rep = (average_fidelity(spec, noise, gain, at) if prior
                    else fidelity_closed(spec, noise, gain, at))
-            assert (fid, table["method"]) == (rep.value, "closed")
+            cells = [spec.r, noise.tau, noise.n_th, noise.r2,
+                     gain.gain(noise), None, None, at.sigma if prior
+                     else None, None if prior else at.real,
+                     None if prior else at.imag]
+            assert row == [family, *("" if c is None else "%.12g" % c
+                                     for c in cells),
+                           "closed", "%.12g" % rep.value]
 
     def test_first_failing_row_sets_the_exit(self, tmp_path, capsys):
         """R^2 = 1, the last row, is bad input: exit 2 with its message,
@@ -563,9 +598,10 @@ class TestClosedSweepColumn:
     @pytest.mark.parametrize("family,axis,averaged", SWEEP_CASES)
     def test_reused_inputs_are_fresh_inputs(self, family, axis, averaged,
                                             monkeypatch):
-        """A sweep rebuilds for each row only the input its axis enters:
-        each row's inputs equal the row's inputs built from scratch, and
-        every other input is one object for all the rows."""
+        """A sweep builds as a column only the input its axis enters: row
+        i of the one kernel call's inputs equals the row's inputs built
+        from scratch, and every other input is one point for all the
+        rows."""
         ns, values = _sweep_case(family, axis, averaged)
         if values is None:
             with pytest.raises(ParameterError, match="does not apply"):
@@ -577,13 +613,16 @@ class TestClosedSweepColumn:
             monkeypatch.setattr(cli, name, lambda *a, real=real: (
                 calls.append(a) or real(*a)))
         cli._run_sweep(ns)
-        (columns,) = calls
+        (inputs,) = calls
+        columns = [_rows(x, len(values)) for x in inputs]
         for row, value in zip(zip(*columns), values):
             assert row == cli._point_inputs(ns, {axis: value})
-        swept = cli.INPUTS.index(cli.AXIS_INPUT[axis])
-        for k, column in enumerate(columns):
-            assert len(column) == len(values)
-            assert k == swept or all(x is column[0] for x in column)
+        swept = {"tau": 1, "nth": 1, "r2": 1, "gain": 2, "sigma": 3,
+                 "beta_re": 3, "beta_im": 3}.get(axis, 0)
+        for k, x in enumerate(inputs):
+            fields = ([x] if k == 3 and not isinstance(x, AlphabetPrior)
+                      else vars(x).values())
+            assert (k == swept) == any(np.ndim(v) for v in fields)
 
     def test_quadrature_rows_reuse_inputs(self, monkeypatch):
         """Off the closed phases each row is one quadrature at its inputs
@@ -645,13 +684,13 @@ class TestClosedSweepColumn:
         argv = ["sweep", "--resource", "squeezed-bell", "--r", "0.8",
                 "--delta", "0.4", "--sigma", "10", "--vary", "gain",
                 "--from", "0.5", "--to", "1.5", "--steps", "8"]
-        whole = cli._run_sweep(parse_cli(argv))
+        whole = _csv(cli._run_sweep(parse_cli(argv)))
         calls = []
         monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
         monkeypatch.setattr(cli, "average_fidelity",
                             lambda *a: calls.append(a) or average_fidelity(*a))
-        assert cli._run_sweep(parse_cli(argv)) == whole
-        assert [len(a[0]) for a in calls] == [3, 3, 2]
+        assert _csv(cli._run_sweep(parse_cli(argv))) == whole
+        assert [len(a[2].g) for a in calls] == [3, 3, 2]
 
     def test_a_block_fault_before_a_bad_row(self, monkeypatch, capsys):
         """A NaN in the first block exits 4 though a later block holds
@@ -669,6 +708,67 @@ class TestClosedSweepColumn:
                      "1", "--steps", "5"]) == 4
         assert capsys.readouterr().err == (
             "telefid: twin-beam closed form is nan at r = 0.8\n")
+
+    @pytest.mark.parametrize("family,axis,flags,good,bad", FIRST_FAILURES)
+    def test_first_bad_row_past_a_block(self, family, axis, flags, good,
+                                        bad, monkeypatch, capsys):
+        """Blocks of 2 rows and a bad row 5 of 7: the column's checks
+        find it, the five rows before it are evaluated, and the exit and
+        message are those of building row 5's inputs alone."""
+        values = np.array([good] * 5 + [bad, good])
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 2)
+        monkeypatch.setattr(cli.SweepSpec, "values",
+                            property(lambda _: values))
+        argv = ["sweep", "--resource", family, "--vary", axis, "--from",
+                "0", "--to", "1", "--steps", "7", "--r=0.8", *flags]
+        with pytest.raises(ParameterError) as alone:
+            cli._point_inputs(parse_cli(argv), {axis: bad})
+        evaluated = []
+
+        def count(real):
+            def call(*args):
+                rep = real(*args)
+                evaluated.append(np.size(rep.value))
+                return rep
+            return call
+
+        for name in ("fidelity_closed", "average_fidelity"):
+            monkeypatch.setattr(cli, name, count(getattr(cli, name)))
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"telefid: {alone.value}\n"
+        applies = "does not apply" not in str(alone.value)
+        assert sum(evaluated) == (5 if applies else 0)
+
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_no_object_per_row(self, axis, monkeypatch):
+        """A 1,000-row squeezed-cat sweep builds as many inputs and
+        reports as a 10-row one."""
+        counts = {}
+
+        def count(cls, name):
+            real = getattr(cls, name)
+
+            def wrapped(self, *args, **kwargs):
+                counts[cls.__name__] = counts.get(cls.__name__, 0) + 1
+                return real(self, *args, **kwargs)
+            monkeypatch.setattr(cls, name, wrapped)
+
+        for cls in (ResourceSpec, NoiseParams, GainSetting, AlphabetPrior):
+            count(cls, "__post_init__")
+        count(FidelityReport, "__init__")
+        flags = ["--r=0.8", "--delta=0.4", "--gamma-mod=1.1", "--gain=1.3"]
+        if axis not in ("sigma", "beta_re", "beta_im"):
+            flags.append("--sigma=10")
+        built = []
+        for steps in ("10", "1000"):
+            counts.clear()
+            cli._run_sweep(parse_cli([
+                "sweep", "--resource", "squeezed-cat", "--vary", axis,
+                "--from", "0.1", "--to", "0.5", "--steps", steps, *flags]))
+            built.append(dict(counts))
+        assert built[0] == built[1]
+        assert set(built[0]) >= {"ResourceSpec", "NoiseParams",
+                                 "FidelityReport"}
 
     def test_averaged_sweep_memory_is_one_block(self):
         """8,000 averaged Bell rows: the 60-node sums of 2,048 rows at a
@@ -782,6 +882,31 @@ class TestCsvSchema:
         assert main(argv + ["--output", str(path)]) == 0
         assert path.read_bytes() == out.encode()
         assert len(set(row.split(",")[5] for row in out.splitlines())) == 6
+
+    def test_edge_cells(self):
+        """Float arrays and lists format as %.12g, signed zero and
+        subnormals too, and a joined list column leaves None empty."""
+        floats = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 1e-05,
+                  123456789012.5]
+        cells = ["-0", "4.94065645841e-324", "1.79769313486e+308", "0.3",
+                 "1e-05", "123456789012"]
+        twin = {"resource": "twin-beam", "r": np.array(floats[:3]),
+                "tau": floats[:3], "delta_opt": [None] * 3,
+                "fidelity": np.array(floats[:3])}
+        bell = {"resource": "squeezed-bell", "r": np.array(floats[3:]),
+                "tau": floats[3:], "delta_opt": [0.5, -0.0, None],
+                "fidelity": np.array(floats[3:])}
+        joined = cli._concat([twin, bell])
+        assert joined["r"].dtype == float
+        assert joined["delta_opt"].dtype == object
+        for table in (joined, {**joined, "r": floats}):
+            rows = list(csv.reader(io.StringIO(_csv(table))))[1:]
+            assert [row[1] for row in rows] == cells
+            assert [row[2] for row in rows] == cells
+            assert [row[12] for row in rows] == cells
+            assert [row[6] for row in rows] == ["", "", "", "0.5", "-0", ""]
+            assert [row[0] for row in rows] == (["twin-beam"] * 3
+                                                + ["squeezed-bell"] * 3)
 
     def test_twelve_significant_digits(self):
         buffer = io.StringIO()

@@ -302,8 +302,9 @@ class TestAveraged:
 
 
 class TestColumns:
-    """fidelity_closed and average_fidelity take a column of points in
-    one kernel call; each report must be the point's own, to the bit."""
+    """fidelity_closed and average_fidelity take a column of points, inputs
+    whose fields hold an array of one value per row, in one kernel call;
+    each row must be the point's own, to the bit."""
 
     SPECS = [ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=g)
              for r, d, g in ((0.0, 0.3, 0.5), (0.8, -1.2, 1e200),
@@ -313,31 +314,49 @@ class TestColumns:
     GAINS = [UNITY, GainSetting.fixed(1.7), GainSetting.unity_over_t(),
              GainSetting.fixed(0.2)]
     BETAS = [0j, 0.7 - 0.4j, 300.0, -2.0 + 1e300j]
+    # the points above as columns; NaN marks a gain on the unity rule
+    SPEC = ResourceSpec.squeezed_cat(np.array([0.0, 0.8, 2.5, 1.1]),
+                                     delta=np.array([0.3, -1.2, 0.7, 1.5]),
+                                     gamma_mod=np.array([0.5, 1e200, 4.0,
+                                                         0.0]))
+    NOISE = NoiseParams(tau=np.array([0.0, 0.3, 2.0, 0.0]),
+                        n_th=np.array([0.0, 0.1, 0.0, 0.0]),
+                        r2=np.array([0.0, 0.05, 0.0, 0.5]))
+    GAIN = GainSetting(np.array([1.0, 1.7, math.nan, 0.2]))
 
     def test_closed_rows_are_points(self):
-        reps = fidelity_closed(self.SPECS, self.NOISES, self.GAINS,
-                               self.BETAS)
-        assert isinstance(reps, tuple) and len(reps) == 4
-        for rep, *point in zip(reps, self.SPECS, self.NOISES, self.GAINS,
-                               self.BETAS):
-            assert rep == fidelity_closed(*point)
+        rep = fidelity_closed(self.SPEC, self.NOISE, self.GAIN,
+                              np.array(self.BETAS))
+        assert rep.method == "closed" and rep.value.shape == (4,)
+        for val, beta, *point in zip(rep.value.tolist(), rep.beta,
+                                     self.SPECS, self.NOISES, self.GAINS,
+                                     self.BETAS):
+            assert (val, beta) == (fidelity_closed(*point).value, point[-1])
 
     def test_average_rows_are_points(self):
-        """An off-phase row takes its own quadrature, the others one
-        closed call."""
-        specs = self.SPECS[:3] + [ResourceSpec.squeezed_cat(
-            0.5, delta=0.3, theta=0.4, gamma_mod=0.5)]
+        """A column off the closed phases takes a quadrature per row."""
         priors = [AlphabetPrior(s) for s in (0.1, 10.0, 1e4, 3.0)]
-        reps = average_fidelity(specs, self.NOISES, self.GAINS, priors)
-        assert [rep.method for rep in reps] == ["closed"] * 3 + [
-            "quadrature"]
-        for rep, *point in zip(reps, specs, self.NOISES, self.GAINS,
-                               priors):
-            assert rep == average_fidelity(*point)
+        rep = average_fidelity(self.SPEC, self.NOISE, self.GAIN,
+                               AlphabetPrior(np.array([0.1, 10.0, 1e4,
+                                                       3.0])))
+        assert rep.method == "closed"
+        assert rep.value.tolist() == [average_fidelity(*point).value for
+                                      point in zip(self.SPECS, self.NOISES,
+                                                   self.GAINS, priors)]
+        spec = ResourceSpec.squeezed_cat(np.array([0.5, 0.7]), delta=0.3,
+                                         theta=0.4, gamma_mod=0.5)
+        rep = average_fidelity(spec, self.NOISES[1], UNITY,
+                               AlphabetPrior(3.0))
+        assert rep.method == "quadrature"
+        assert rep.value.tolist() == [average_fidelity(
+            ResourceSpec.squeezed_cat(r, delta=0.3, theta=0.4,
+                                      gamma_mod=0.5), self.NOISES[1], UNITY,
+            AlphabetPrior(3.0)).value for r in (0.5, 0.7)]
 
     def test_one_item_repeats(self):
-        reps = fidelity_closed(self.SPECS[1], IDEAL, UNITY, self.BETAS)
-        assert [rep.value for rep in reps] == [
+        rep = fidelity_closed(self.SPECS[1], IDEAL, UNITY,
+                              np.array(self.BETAS))
+        assert rep.value.tolist() == [
             fidelity_closed(self.SPECS[1], IDEAL, UNITY, b).value
             for b in self.BETAS]
 
@@ -347,12 +366,14 @@ class TestColumns:
 
     def test_bad_columns(self):
         with pytest.raises(ParameterError, match="empty"):
-            fidelity_closed([], [], [], [])
+            fidelity_closed(ResourceSpec.twin_beam(np.array([])), IDEAL,
+                            UNITY)
         with pytest.raises(ParameterError, match="do not match"):
-            fidelity_closed(self.SPECS, self.NOISES[:2], UNITY)
-        with pytest.raises(ParameterError, match="one family"):
-            fidelity_closed([ResourceSpec.twin_beam(1.0),
-                             ResourceSpec.buridan_donkey(1.0)], IDEAL, UNITY)
+            fidelity_closed(self.SPEC, NoiseParams(tau=np.ones(2)), UNITY)
+        # a column's rows are checked as points: row 1 is bad
+        with pytest.raises(ParameterError, match="got -1.0") as exc:
+            ResourceSpec.twin_beam(np.array([1.0, -1.0]))
+        assert exc.value.row == 1
 
 
 class TestLargeSqueezing:

@@ -351,11 +351,11 @@ class TestAveragedOptimization:
                 gain = GainSetting.fixed(g)
                 ours = average_fidelity(spec, noise, gain, prior).value
                 # the 3600 nodes' point fidelities in one column call
-                reps = fidelity_closed(spec, noise, gain, [
+                vals = fidelity_closed(spec, noise, gain, np.array([
                     math.sqrt(sigma) * complex(t[i], t[j])
-                    for i in range(60) for j in range(60)])
-                ref = sum(w[k // 60] * w[k % 60] * rep.value
-                          for k, rep in enumerate(reps))
+                    for i in range(60) for j in range(60)])).value
+                ref = sum(w[k // 60] * w[k % 60] * val
+                          for k, val in enumerate(vals.tolist()))
                 assert ours == pytest.approx(ref, abs=1e-12)
 
     @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
@@ -420,12 +420,12 @@ class TestAveragedOptimization:
         def scan(gains, gammas, deltas):
             points = [(g, c, d) for g in gains for c in gammas
                       for d in deltas]
-            reps = average_fidelity(
-                [ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=c)
-                 for _, c, d in points], NONIDEAL,
-                [GainSetting.fixed(g) for g, _, _ in points], prior)
-            return max((rep.value, *point)
-                       for rep, point in zip(reps, points))
+            g, c, d = map(np.array, zip(*points))
+            vals = average_fidelity(
+                ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=c), NONIDEAL,
+                GainSetting(g), prior).value
+            return max((val, *point)
+                       for val, point in zip(vals.tolist(), points))
 
         best, g0, c0, d0 = scan(np.linspace(0.9, 1.1, 21),
                                 np.linspace(0.2, 1.6, 15),
@@ -492,12 +492,12 @@ class TestAveragedOptimization:
         dense scan of both branches here."""
         opt = optimize_gain_average("buridan", r, noise, AlphabetPrior(sigma))
         g_top = 2 / noise.transmissivity
-        points = [(g, d) for g in np.linspace(g_top / 101, g_top, 4001)
-                  for d in (0.0, math.pi / 2)]
-        dense = max(rep.value for rep in average_fidelity(
-            [ResourceSpec.buridan_donkey(r, delta=d) for _, d in points],
-            noise, [GainSetting.fixed(g) for g, _ in points],
-            AlphabetPrior(sigma)))
+        g, d = map(np.array, zip(*[
+            (g, d) for g in np.linspace(g_top / 101, g_top, 4001)
+            for d in (0.0, math.pi / 2)]))
+        dense = max(average_fidelity(
+            ResourceSpec.buridan_donkey(r, delta=d), noise, GainSetting(g),
+            AlphabetPrior(sigma)).value)
         assert opt.best_value >= dense - 1e-9
 
     @pytest.mark.parametrize("family", ["twin-beam", "squeezed-bell",
@@ -593,7 +593,7 @@ def test_column_is_each_points_own_optimization(family, sigma, axis):
     else:
         rs = [0.8] * 81
         noises = [NoiseParams(tau=t, r2=0.05) for t in PRESET_AXIS]
-        column = 0.8, noises
+        column = 0.8, NoiseParams(tau=np.array(PRESET_AXIS), r2=0.05)
     prior = None if sigma is None else AlphabetPrior(sigma)
 
     def run(r, noise):
@@ -640,9 +640,9 @@ def test_zero_d_arrays_are_points():
 
 
 def test_column_rejects_mismatched_lengths():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="do not match"):
         optimize_beta_independent("twin-beam", [0.1, 0.2],
-                                  [NONIDEAL, NONIDEAL, NONIDEAL])
+                                  NoiseParams(tau=np.array([0.1, 0.2, 0.3])))
 
 
 class TestOneShot:

@@ -41,6 +41,28 @@ class TestNoiseParams:
         with pytest.raises(ParameterError):
             NoiseParams(**kwargs)
 
+    @pytest.mark.parametrize("columns,row,message", [
+        # the earliest bad row wins over an earlier rule at a later row
+        (dict(tau=[0.1, 0.2, -1.0], n_th=[0.0, -1.0, 0.0]), 1,
+         "n_th must be >= 0, got -1.0"),
+        # within a row, the rules in a point's order: tau before R^2
+        (dict(tau=[0.1, -1.0], r2=[0.0, 2.0]), 1,
+         "tau must be >= 0, got -1.0"),
+        # and finiteness first
+        (dict(tau=[0.1, 0.2, math.nan], r2=[0.0, 0.5, 2.0]), 2,
+         "noise parameters must be finite, got nan"),
+        (dict(tau=[-0.5, 0.2], r2=[0.0, 1.0]), 0,
+         "tau must be >= 0, got -0.5"),
+    ])
+    def test_column_names_its_first_bad_row(self, columns, row, message):
+        """A column raises what its first bad row alone raises."""
+        with pytest.raises(ParameterError) as alone:
+            NoiseParams(**{k: v[row] for k, v in columns.items()})
+        with pytest.raises(ParameterError) as column:
+            NoiseParams(**{k: np.array(v) for k, v in columns.items()})
+        assert str(alone.value) == message
+        assert (str(column.value), column.value.row) == (message, row)
+
 
 class TestGainSetting:
 
