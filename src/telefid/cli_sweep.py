@@ -315,8 +315,8 @@ def _run_points(ns, axis, values):
     array, evaluated SWEEP_BLOCK rows a call (one block's inputs are the
     table's); rows before a bad row are evaluated first, as row by row."""
     fidelity = []
-    for at in range(0, len(values), SWEEP_BLOCK):
-        block = values[at:at + SWEEP_BLOCK]
+    for start in range(0, len(values), SWEEP_BLOCK):
+        block = values[start:start + SWEEP_BLOCK]
         try:
             inputs = _point_inputs(ns, {axis: block})
         except ParameterError as exc:
@@ -325,7 +325,7 @@ def _run_points(ns, axis, values):
             raise
         method, column = _evaluate(ns, inputs)
         fidelity.append(column)
-    *inputs, at = _point_inputs(ns, {axis: values}) if at else inputs
+    *inputs, at = _point_inputs(ns, {axis: values}) if start else inputs
     return _table(ns.resource, method, np.concatenate(fidelity), *inputs,
                   **({"sigma": at.sigma} if isinstance(at, AlphabetPrior)
                      else {"beta": at}))
