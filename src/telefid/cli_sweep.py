@@ -195,8 +195,7 @@ def _evaluate(ns, inputs):
     if isinstance(inputs[3], AlphabetPrior):
         rep = average_fidelity(*inputs)
     elif ns.method == "quadrature":
-        n = _shape(*inputs)[0]
-        spec, noise, gain, at = (_rows(x, n) for x in inputs)
+        spec, noise, gain, at = map(_rows, inputs, [_shape(*inputs)[0]] * 4)
         return "quadrature", np.concatenate([_check_fidelity(
             fidelity_quadrature(CoherentInput(b), *row).value)
             for b, *row in zip(at, spec, noise, gain)])

@@ -49,10 +49,11 @@ def _require(*rules, error=ParameterError):
     *values) in the order a point checks them, ok a bool or one per row:
     the first bad row's first broken rule raises its message with the
     values at that row, as that row alone would, its row attribute set."""
-    rows = [(math.inf if ok.all() else int(np.argmin(ok)))
+    rows = [math.inf if ok is True
+            else (math.inf if ok.all() else int(np.argmin(ok)))
             if isinstance(ok, np.ndarray) else math.inf if ok else 0
-            for ok, *_ in rules]
-    row = min(rows, default=math.inf)
+            for ok in next(zip(*rules))]
+    row = min(rows)
     if row < math.inf:
         _, message, *values = rules[rows.index(row)]
         exc = error(message.format(*(
