@@ -8,9 +8,9 @@ from .errors import (DegeneracyError, NumericalError, ParameterError,
 from .fidelity import (AlphabetPrior, FidelityReport, average_fidelity,
                        classical_benchmark, fidelity_closed,
                        fidelity_gaussian_oracle, fidelity_quadrature)
-from .optimize import (OptimizationResult, Optima, affinity,
-                       one_shot_fidelity, optimize_beta_independent,
-                       optimize_gain_average, r_max)
+from .optimize import (OptimizationResult, affinity, one_shot_fidelity,
+                       optimize_beta_independent, optimize_gain_average,
+                       r_max)
 from .phase_space import (FAMILIES, CoherentInput, PhasePoint, ResourceSpec,
                           TwoModePhasePoint, bogoliubov_args,
                           chi_input_coherent, chi_resource,
@@ -30,7 +30,7 @@ __all__ = [
     "AlphabetPrior", "BellOutcome", "CSV_HEADER", "CoherentInput",
     "DegeneracyError", "FAMILIES", "FidelityReport", "GainSetting",
     "GaussianOutput", "NoiseParams", "NumericalError",
-    "OptimizationResult", "Optima", "ParameterError", "PhasePoint",
+    "OptimizationResult", "ParameterError", "PhasePoint",
     "PhaseSpecializationError", "QuadratureError", "ResourceSpec",
     "SweepSpec", "TelefidError", "TwoModePhasePoint", "affinity",
     "average_fidelity", "bogoliubov_args", "chi_bell_conditioned",

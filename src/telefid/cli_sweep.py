@@ -14,7 +14,6 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
 
 import numpy as np
 
@@ -215,15 +214,15 @@ def _table(resource, method, fidelity, spec, noise, gain, beta=None,
             "method": method, "fidelity": fidelity, **cells}
 
 
-def _opt_table(family, noise, opts, prior=None, rep=None):
-    """The table of the Optima opts of family at noise and prior, or of
-    rep, the fidelities at input amplitudes with the optima's parameters."""
-    delta_opt, gamma_opt, value = (list(map(attrgetter(name), opts)) for name
-                                   in ("delta_opt", "gamma_opt", "best_value"))
-    return _table(family, rep.method if rep else opts[0].method,
-                  _check_fidelity(rep.value if rep else value), opts.spec,
-                  noise, opts.gain, rep and rep.beta, prior and prior.sigma,
-                  delta_opt=delta_opt, gamma_opt=gamma_opt)
+def _opt_table(family, noise, opt, prior=None, rep=None):
+    """The table of the optimization result opt of family at noise and
+    prior, a point or a column, or of rep, the fidelities at input
+    amplitudes with its parameters."""
+    return _table(family, (rep or opt).method,
+                  _check_fidelity(rep.value if rep else opt.best_value),
+                  opt.spec, noise, opt.gain, rep and rep.beta,
+                  prior and prior.sigma, delta_opt=opt.delta_opt,
+                  gamma_opt=opt.gamma_opt)
 
 
 def _concat(tables):
@@ -233,15 +232,15 @@ def _concat(tables):
 
 
 def _optimize_table(ns):
-    """The table of one optimization, a column of one point."""
+    """The table of one optimization, at a point."""
     noise = NoiseParams(tau=ns.tau, n_th=ns.nth, r2=ns.r2)
     if ns.sigma is None:
         return _opt_table(ns.resource, noise, optimize_beta_independent(
-            ns.resource, [ns.r], noise))
+            ns.resource, ns.r, noise))
     prior = AlphabetPrior(ns.sigma)
-    opts = optimize_gain_average(ns.resource, [ns.r], noise, prior)
-    return _opt_table(ns.resource, noise, opts, prior, fidelity_at_optimum(
-        opts, noise, prior, complex(ns.beta_re or 0.0, ns.beta_im or 0.0))
+    opt = optimize_gain_average(ns.resource, ns.r, noise, prior)
+    return _opt_table(ns.resource, noise, opt, prior, fidelity_at_optimum(
+        opt, noise, prior, complex(ns.beta_re or 0.0, ns.beta_im or 0.0))
         if ns.beta_re is not None or ns.beta_im is not None else None)
 
 
@@ -270,9 +269,9 @@ def run_figure_preset(tag):
     tables = []
     for res in FIG56_RESOURCES:
         # one lockstep optimization, and one kernel call per beta
-        opts = optimize_gain_average(res, rs, noise, prior)
-        tables += [_opt_table(res, noise, opts, prior, fidelity_at_optimum(
-            opts, noise, prior, complex(b))) for b in betas]
+        opt = optimize_gain_average(res, rs, noise, prior)
+        tables += [_opt_table(res, noise, opt, prior, fidelity_at_optimum(
+            opt, noise, prior, complex(b))) for b in betas]
     return _concat(tables)
 
 

@@ -315,10 +315,11 @@ def fidelity_closed(spec, noise, gain, beta=0j):
                           beta=beta if np.ndim(beta) else complex(beta))
 
 
-def _overlap(inp, spec, noise, gain, spread=0.0):
-    """(1/2pi) int chi_in(x,p) chi_out(-x,-p) e^{-spread (x^2+p^2)} dx dp
-    by adaptive quadrature on the integrand's exact Gaussian envelope
-    e^{-c (x^2+p^2)}, c = Delta_phi/8 + spread, with eps = e^{-tau/2} and
+def _overlap(inp, spec, noise, gain, sigma=None):
+    """(1/2pi) int chi_in(x,p) chi_out(-x,-p) dx dp by adaptive quadrature
+    (given sigma, at the noise _shifted_noise: at beta = 0, the average
+    over an AlphabetPrior of variance sigma) on the integrand's exact
+    Gaussian envelope e^{-c (x^2+p^2)}, c = Delta_phi/8, eps = e^{-tau/2},
     Delta_phi = e^{2r}|g~ + e^{i phi} eps|^2 + e^{-2r}|g~ - e^{i phi} eps|^2
     + 2(1 + g~^2 + 2 Gamma), the closed forms' Delta at phi = pi, from
     _delta_terms with squares taken as products, so c overflows only to
@@ -327,15 +328,16 @@ def _overlap(inp, spec, noise, gain, spread=0.0):
     tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
     it, QuadratureError."""
     gt, gam = gain.effective(noise), gamma_cov(noise, gain)
+    if sigma is not None:  # a point skips it: inf (g~ - 1)^2 times 0 is NaN
+        gam = _shifted_noise(gt, gam, sigma)
     chi_out = _chi_out_arrays(inp, spec, noise, gt, gam)
 
     def integrand(x, p):
-        val = _chi_input_arrays(inp.beta, x, p) * chi_out(-x, -p)
-        return val * np.exp(-spread * (x * x + p * p)) if spread else val
+        return _chi_input_arrays(inp.beta, x, p) * chi_out(-x, -p)
 
     D, _ = _delta_terms(spec.r, gt, cmath.exp(1j * spec.phi - noise.tau / 2),
                         gam)
-    rate = float(D / 8 + spread)
+    rate = float(D / 8)
     if rate == math.inf:
         return 0.0
     val = float((integrate_adaptive(integrand, rate) / (2 * math.pi)).real)
@@ -361,7 +363,8 @@ def average_fidelity(spec, noise, gain, prior):
     _shifted_noise. The cat's closed form takes it exactly, at beta = 0;
     the Bell-type forms factorize a Gauss-Hermite rule of order GH_ORDER
     in Re beta and Im beta into 1-D node sums; off the closed phases it
-    is one quadrature per point, a column's row by row.
+    is a single quadrature at beta = 0 and that shifted noise per point,
+    a column's row by row.
     """
     try:
         return FidelityReport(_closed(spec, noise, gain, sigma=prior.sigma),
@@ -370,9 +373,7 @@ def average_fidelity(spec, noise, gain, prior):
         inputs, value = (spec, noise, gain, prior), []
         shape = _shape(*inputs)
         for s, nz, g, p in zip(*(_rows(x, math.prod(shape)) for x in inputs)):
-            gap = 1 - g.effective(nz)  # the prior's envelope, folded in
-            value.append(_overlap(CoherentInput(0j), s, nz, g,
-                                  gap * gap * p.sigma / 2))
+            value.append(_overlap(CoherentInput(0j), s, nz, g, p.sigma))
         return FidelityReport(_num(np.reshape(value, shape)), "quadrature",
                               sigma=prior.sigma)
 

@@ -12,7 +12,8 @@ objective over the searched axes (the averaged gain as w, stretched
 around its ridge at g~ = e^{-tau/2}, then the cat's gamma), as it does
 the affinity's overlap in r', on a grid refined by _zoom_max's meshes.
 Each grid and mesh is one kernel call with a row per point, so each row
-ends where the point alone would, to the bit. The subcase points
+ends where the point alone would, to the bit, and a column's optima are
+one OptimizationResult with a value per row. The subcase points
 (delta = 0, the photon-subtraction angle, gamma = 0 and the unity gain
 g = 1/T) stay in as a floor, so the subcase-domination inequalities
 hold exactly rather than to rounding. Each optimum's spec comes from
@@ -48,7 +49,9 @@ AFFINITY_POINTS = 201
 @dataclass(frozen=True)
 class OptimizationResult:
     """The best fidelity, the parameters reaching it (also as the spec
-    and gain to evaluate them with) and how they were found."""
+    and gain to evaluate them with) and how they were found: of a point,
+    numbers; of a column, arrays of one per row, None where a field does
+    not apply, one method and the call's total evaluations."""
 
     best_value: float
     delta_opt: float | None = None
@@ -160,25 +163,17 @@ def _best_delta(family, r, form):
     return np.choose(i, deltas), np.choose(i, vals)
 
 
-class Optima(tuple):
-    """A column's OptimizationResults, with its spec and gain columns."""
-
-    @property
-    def evaluations(self):
-        return sum(o.evaluations for o in self)
-
-
 def _optimize(family, r, noise, prior=None):
-    """The optimum over the family's free parameters at a point, or an
-    Optima at each of a column of points (r a number or a sequence, noise
-    a point or a column, of one length): at beta = 0 on the unity
-    gain, or averaged over the prior with g free on [2/(T N), 2/T],
-    N = AVG_GAIN_POINTS. The objective at each searched point takes the
-    best delta. The unity gain with the beta-independent optimum is an
-    averaged candidate, so the averaged optimum never falls below it.
-    The route names what was searched: eigen where delta is free, then
-    zoom, or closed where nothing was. A NumericalError of any row is
-    the column's."""
+    """The optimum over the family's free parameters at a point (r and
+    noise points) or at each of a column of them (r a sequence or noise
+    a column, of one length), in one OptimizationResult: at beta = 0 on
+    the unity gain, or averaged over the prior with g free on
+    [2/(T N), 2/T], N = AVG_GAIN_POINTS. The objective at each searched
+    point takes the best delta. The unity gain with the beta-independent
+    optimum is an averaged candidate, so the averaged optimum never falls
+    below it. The route names what was searched: eigen where delta is
+    free, then zoom, or closed where nothing was. A NumericalError of any
+    row is the column's."""
     if family not in FAMILIES:
         raise ParameterError(f"unknown resource family {family!r}")
     shape = _shape(r, noise)
@@ -236,14 +231,14 @@ def _optimize(family, r, noise, prior=None):
         gamma, nfev = point[:, -1] if cat else None, nfev + m
     if prior is not None:
         base = _optimize(family, rs, noise)
-        unity = np.array([b.gamma_opt for b in base]) if cat else 0.0
+        unity = base.gamma_opt if cat else 0.0
         # the first of the highest candidates
         take = np.max(np.reshape(score(rows, g_unity, unity), (n, -1)),
                       axis=1) > value
         g_opt = np.where(take, g_unity, gain(rows, point[:, 0]))
         gamma = np.where(take, unity, gamma) if cat else None
-        # the unity candidate and the public average
-        nfev = nfev + [b.evaluations for b in base] + 2
+        # the unity candidate and the public average, and the base's
+        nfev = np.sum(nfev + 2) + base.evaluations
     delta, best = _best_delta(family, rs, form(
         rows, g_opt, 0.0 if gamma is None else gamma))
     route = "+".join((["eigen"] if "delta" in free else [])
@@ -256,19 +251,19 @@ def _optimize(family, r, noise, prior=None):
     gain = GainSetting(np.where(unity, np.nan, g_opt))
     if prior is not None:  # the value is the public average, one call
         best = average_fidelity(spec, noise, gain, prior).value
-    fields = zip(*([None] * n if x is None else np.broadcast_to(x, n).tolist()
-                   for x in (best, delta, gm, prior and g_opt, nfev)))
-    optima = Optima(OptimizationResult(*f, route or "closed", s, GainSetting(
-        None if u else g)) for f, s, u, g in zip(
-            fields, _rows(spec, n), unity.tolist(), g_opt.tolist()))
-    optima.spec, optima.gain = spec, gain
-    return optima if shape else optima[0]
+    fields = [x if x is None or shape else x.item()  # a point's numbers
+              for x in (best, delta, gm, prior and g_opt)]
+    if not shape:
+        spec, gain = _rows(spec, 1)[0], GainSetting(None if unity[0]
+                                                    else g_opt.item())
+    return OptimizationResult(*fields, int(np.sum(nfev)), route or "closed",
+                              spec, gain)
 
 
 def optimize_beta_independent(family, r, noise):
     """Maximize the beta-independent fidelity (gain rule g = 1/T) over
     the family's free resource parameters, at a point or, with r or
-    noise a sequence, at each of a column of points (an Optima)."""
+    noise a sequence, at each of a column of points in one result."""
     return _optimize(family, r, noise)
 
 
@@ -276,16 +271,17 @@ def optimize_gain_average(family, r, noise, prior):
     """Maximize the prior-averaged fidelity over gain and the family's
     free resource parameters; g runs over [2/(T N), 2/T] with N =
     AVG_GAIN_POINTS. At a point or, with r or noise a sequence, at each
-    of a column of points (an Optima)."""
+    of a column of points in one result."""
     return _optimize(family, r, noise, prior)
 
 
 def fidelity_at_optimum(opt, noise, prior, beta):
     """Fidelity at input amplitude beta with the parameters of an
     averaged optimum opt, taken at this noise and prior: at a point, or
-    of an Optima, with noise and beta points or columns of its length, a
-    column in one kernel call, as fidelity_closed. Each beta must lie in
-    the prior's support, |beta|^2 <= 700 sigma."""
+    of a column result, with noise and beta points or columns of its
+    length, a column in one kernel call, as fidelity_closed. Each beta
+    must lie in the prior's support, |beta|^2 <= 700 sigma; a column
+    names its first row outside it."""
     size = np.abs(np.asarray(beta, dtype=complex))  # |beta|^2 overflows
     _require((~(size > math.sqrt(700 * prior.sigma)),
               "|beta| = {:.3g} lies outside the numerical support, |beta|^2 "

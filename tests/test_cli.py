@@ -936,20 +936,25 @@ class TestDeterminism:
 
 
 def test_package_imports_only_stdlib_and_numpy():
-    """numpy is the only runtime dependency: importing the package and
-    its command line adds no module outside the standard library, numpy
-    and telefid to those the interpreter starts with."""
-    code = ("import sys\n"
-            "before = set(sys.modules)\n"
-            "import telefid, telefid.cli_sweep\n"
-            "print(' '.join(sorted(set(sys.modules) - before)))")
+    """numpy is the only runtime dependency: a fresh interpreter that
+    imports the command line, as the bench's setup time does, holds no
+    top-level package a bare one lacks outside the standard library,
+    numpy and telefid; none of the test or oracle tools (scipy, mpmath,
+    hypothesis, pytest) loads, which would slow every start."""
     src = os.path.dirname(os.path.dirname(telefid.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    roots = {name.split(".")[0] for name in out.split()}
-    assert "telefid" in roots
-    assert roots - set(sys.stdlib_module_names) <= {"numpy", "telefid"}
+
+    def roots(imports):
+        code = (f"import sys\n{imports}\n"
+                "print(' '.join(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=src)).stdout
+        return {name.split(".")[0] for name in out.split()}
+
+    new = roots("from telefid.cli_sweep import main") - roots("")
+    assert "telefid" in new
+    assert new - set(sys.stdlib_module_names) == {"numpy", "telefid"}
+    assert not new & {"scipy", "mpmath", "hypothesis", "pytest"}
 
 
 def test_python_m_telefid_runs_the_cli():

@@ -227,8 +227,8 @@ class TestAveraged:
 
     def test_cat_average_matches_the_overlap_at_any_prior(self):
         """The cat's closed average is its beta = 0 form at the noise
-        Gamma + (g~ - 1)^2 sigma: it matches the overlap quadrature with
-        the prior's envelope folded in at any sigma. The 60-node rule it
+        Gamma + (g~ - 1)^2 sigma: it matches the overlap quadrature taken
+        at that noise at any sigma. The 60-node rule it
         replaced was off once lambda = 4 (g~ - 1)^2 sigma/Delta passed
         about 10: by 7.1e-3 (0.00279 against 0.00988) at the first point
         here, where lambda is about 80."""
@@ -247,9 +247,8 @@ class TestAveraged:
                 cases.append((spec, noise, rng.uniform(0.3, 1.5), sigma))
         for spec, noise, gt, sigma in cases:
             gain = GainSetting.fixed(gt / noise.transmissivity)
-            gap = 1 - gain.effective(noise)
             ref = fidelity_module._overlap(CoherentInput(0j), spec, noise,
-                                           gain, gap * gap * sigma / 2)
+                                           gain, sigma)
             rep = average_fidelity(spec, noise, gain, AlphabetPrior(sigma))
             assert rep.method == "closed"
             assert abs(rep.value - ref) <= 1e-10

@@ -22,7 +22,7 @@ from telefid.optimize import (AFFINITY_RMAX, PARAM_XTOL, ZOOM_POINTS,
                               fidelity_at_optimum, one_shot_fidelity,
                               optimize_beta_independent,
                               optimize_gain_average, r_max)
-from telefid.phase_space import photon_subtraction_angle
+from telefid.phase_space import _rows, photon_subtraction_angle
 
 NONIDEAL = NoiseParams(tau=0.3, r2=0.05)
 
@@ -582,11 +582,12 @@ PRESET_AXIS = [float(x) for x in np.linspace(0.0, 2.0, 81)]
 @pytest.mark.parametrize("sigma", [None, 10.0])
 @pytest.mark.parametrize("axis", ["r", "tau"])
 def test_column_is_each_points_own_optimization(family, sigma, axis):
-    """A column call searches its points in lockstep, and each row must
-    be the point's own optimization, to the bit: best value, parameters,
-    route and evaluations (repr shows every float exactly). The columns
-    are preset 3-II's 81 r at tau = 0.3 and preset 6-I's 81 tau at
-    r = 0.8, R^2 = 0.05; the column's evaluations are the rows'."""
+    """A column call searches its points in lockstep and returns one
+    result, and each row must be the point's own optimization, to the
+    bit: best value, parameters, route, spec and gain (repr shows every
+    float exactly; a column marks a unity-gain row NaN). The columns are
+    preset 3-II's 81 r at tau = 0.3 and preset 6-I's 81 tau at r = 0.8,
+    R^2 = 0.05; the column's evaluations are the points' total."""
     if axis == "r":
         rs, noises = PRESET_AXIS, [NoiseParams(tau=0.3)] * 81
         column = rs, noises[0]
@@ -600,12 +601,23 @@ def test_column_is_each_points_own_optimization(family, sigma, axis):
         return (optimize_beta_independent(family, r, noise) if prior is None
                 else optimize_gain_average(family, r, noise, prior))
 
-    opts = run(*column)
-    assert isinstance(opts, optimize.Optima) and len(opts) == 81
-    assert type(opts.evaluations) is int
-    assert opts.evaluations == sum(opt.evaluations for opt in opts)
-    for opt, r, noise in zip(opts, rs, noises):
-        assert repr(opt) == repr(run(r, noise))
+    opt = run(*column)
+    points = [run(r, noise) for r, noise in zip(rs, noises)]
+    assert type(opt.evaluations) is int
+    assert opt.evaluations == sum(point.evaluations for point in points)
+    assert all(x is None or isinstance(x, np.ndarray) and x.shape == (81,)
+               for x in (opt.best_value, opt.delta_opt, opt.gamma_opt,
+                         opt.g_opt))
+    specs, gains = _rows(opt.spec, 81), _rows(opt.gain, 81)
+    for i, point in enumerate(points):
+        for name in ("best_value", "delta_opt", "gamma_opt", "g_opt"):
+            value = getattr(opt, name)
+            assert repr(value if value is None else float(value[i])) == \
+                repr(getattr(point, name)), name
+        assert opt.method == point.method
+        assert repr(specs[i]) == repr(point.spec)
+        assert repr(GainSetting(None if math.isnan(gains[i].g)
+                                else gains[i].g)) == repr(point.gain)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -679,6 +691,36 @@ class TestOneShot:
                                               prior, 2 - 1j).value
         with pytest.raises(ParameterError, match="numerical support"):
             fidelity_at_optimum(opt, NONIDEAL, prior, 84)
+
+    @pytest.mark.parametrize("family", ["squeezed-cat", "squeezed-bell",
+                                        "twin-beam"])
+    def test_column_rows_are_points(self, family):
+        """An averaged column result at a column of amplitudes gives each
+        row its point call's value, to the bit."""
+        prior = AlphabetPrior(10.0)
+        rs = np.array([0.0, 0.3, 0.8, 1.4, 2.0])
+        betas = np.array([0j, 1.5, -2 + 1j, 0.5j, 3 - 3j])
+        opt = optimize_gain_average(family, rs, NONIDEAL, prior)
+        rep = fidelity_at_optimum(opt, NONIDEAL, prior, betas)
+        for r, beta, value in zip(rs, betas, rep.value):
+            point = fidelity_at_optimum(optimize_gain_average(
+                family, r, NONIDEAL, prior), NONIDEAL, prior, beta)
+            assert float(value).hex() == point.value.hex()
+
+    def test_column_names_its_row_outside_the_support(self):
+        """Of two rows outside the support, the first raises, with the
+        message its point call raises."""
+        prior = AlphabetPrior(10.0)
+        rs = np.array([0.0, 0.3, 0.8, 1.4, 2.0])
+        opt = optimize_gain_average("squeezed-bell", rs, NONIDEAL, prior)
+        with pytest.raises(ParameterError) as point:
+            fidelity_at_optimum(optimize_gain_average(
+                "squeezed-bell", 0.8, NONIDEAL, prior), NONIDEAL, prior, 84j)
+        with pytest.raises(ParameterError) as column:
+            fidelity_at_optimum(opt, NONIDEAL, prior,
+                                np.array([1.0, 2 - 1j, 84j, 0j, -90.0]))
+        assert column.value.row == 2
+        assert str(column.value) == str(point.value)
 
 
 class TestAffinity:
