@@ -5,7 +5,7 @@ Every subcommand outputs one table of columns keyed by the frozen
 CSV_HEADER, each one value for every row or an array of one per row,
 and empty where it does not apply. A sweep carries its axis as one float
 array from its values to the written cells, the input it enters a
-column checked in one pass and evaluated in one kernel call per block.
+column checked in one pass and evaluated in one call per block.
 Identical invocations give identical bytes.
 """
 
@@ -22,8 +22,7 @@ from .fidelity import (AlphabetPrior, average_fidelity, fidelity_closed,
                        fidelity_quadrature)
 from .optimize import (fidelity_at_optimum, optimize_beta_independent,
                        optimize_gain_average)
-from .phase_space import (FAMILIES, CoherentInput, ResourceSpec, _require,
-                          _rows, _shape)
+from .phase_space import FAMILIES, CoherentInput, ResourceSpec, _require
 from .protocol import GainSetting, NoiseParams
 
 CSV_HEADER = ("resource", "r", "tau", "nth", "r2", "gain", "delta_opt",
@@ -190,14 +189,11 @@ def _check_fidelity(values):
 
 def _evaluate(ns, inputs):
     """(method, checked fidelity array) at inputs (spec, noise, gain,
-    at): closed rows in one call, quadratures each checked in turn."""
+    at), a point or a column, in one call on every route."""
     if isinstance(inputs[3], AlphabetPrior):
         rep = average_fidelity(*inputs)
     elif ns.method == "quadrature":
-        spec, noise, gain, at = map(_rows, inputs, [_shape(*inputs)[0]] * 4)
-        return "quadrature", np.concatenate([_check_fidelity(
-            fidelity_quadrature(CoherentInput(b), *row).value)
-            for b, *row in zip(at, spec, noise, gain)])
+        rep = fidelity_quadrature(CoherentInput(inputs[3]), *inputs[:3])
     else:
         rep = fidelity_closed(*inputs)
     return rep.method, _check_fidelity(rep.value)

@@ -13,10 +13,10 @@ exactly its beta = 0 form at _shifted_noise; the Bell-type forms still
 average theirs on GH_ORDER Gauss-Hermite nodes. The kernel is numpy
 alone, which rounds a number as any element of an array, so a column of
 points (inputs with arrays in fields, one value per row) takes one call
-and gives each row its point's value, to the bit.
+and gives each row its point's value, to the bit. The quadrature overlap
+takes a column the same way, and integrates it one row at a time.
 """
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import (NumericalError, PhaseSpecializationError,
                      QuadratureError)
-from .phase_space import (CoherentInput, _chi_input_arrays, _finite, _num,
-                          _require, _rows, _shape)
+from .phase_space import (_chi_input_arrays, _finite, _num, _require,
+                          _rows, _shape)
 from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
 from .quadrature import CONV_ABS_TOL, integrate_adaptive
 
@@ -315,7 +315,7 @@ def fidelity_closed(spec, noise, gain, beta=0j):
                           beta=beta if np.ndim(beta) else complex(beta))
 
 
-def _overlap(inp, spec, noise, gain, sigma=None):
+def _overlap(beta, spec, noise, gain, sigma=None):
     """(1/2pi) int chi_in(x,p) chi_out(-x,-p) dx dp by adaptive quadrature
     (given sigma, at the noise _shifted_noise: at beta = 0, the average
     over an AlphabetPrior of variance sigma) on the integrand's exact
@@ -326,31 +326,36 @@ def _overlap(inp, spec, noise, gain, sigma=None):
     inf; there the fidelity is 0, as the integrand is bounded and
     vanishes off the origin. A negative value within the quadrature's
     tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
-    it, QuadratureError."""
+    it, QuadratureError. At amplitudes beta, a point or a column: g~,
+    Gamma and c are formed at once, then each row integrated at its spec."""
+    shape = _shape(spec, noise, gain, beta, sigma)
     gt, gam = gain.effective(noise), gamma_cov(noise, gain)
     if sigma is not None:  # a point skips it: inf (g~ - 1)^2 times 0 is NaN
         gam = _shifted_noise(gt, gam, sigma)
-    chi_out = _chi_out_arrays(inp, spec, noise, gt, gam)
-
-    def integrand(x, p):
-        return _chi_input_arrays(inp.beta, x, p) * chi_out(-x, -p)
-
-    D, _ = _delta_terms(spec.r, gt, cmath.exp(1j * spec.phi - noise.tau / 2),
+    D, _ = _delta_terms(spec.r, gt, np.exp(1j * spec.phi - noise.tau / 2),
                         gam)
-    rate = float(D / 8)
-    if rate == math.inf:
-        return 0.0
-    val = float((integrate_adaptive(integrand, rate) / (2 * math.pi)).real)
-    if val < -CONV_ABS_TOL / (2 * math.pi):
-        raise QuadratureError(f"overlap fidelity {val:.3g} < 0")
-    return max(val, 0.0)
+    value = []
+    for b, s, tau, g, c, rate in zip(*(_rows(x, math.prod(shape)) for x in (
+            beta, spec, noise.tau, gt, gam, D / 8))):
+        chi_out = _chi_out_arrays(b, s, tau, g, c)
+
+        def integrand(x, p):
+            return _chi_input_arrays(b, x, p) * chi_out(-x, -p)
+
+        val = 0.0 if rate == math.inf else float((integrate_adaptive(
+            integrand, rate) / (2 * math.pi)).real)
+        if val < -CONV_ABS_TOL / (2 * math.pi):
+            raise QuadratureError(f"overlap fidelity {val:.3g} < 0")
+        value.append(max(val, 0.0))
+    return _num(np.reshape(value, shape))
 
 
 def fidelity_quadrature(inp, spec, noise, gain):
     """Overlap fidelity (1/2pi) int chi_in(x,p) chi_out(-x,-p) dx dp by
-    adaptive quadrature. Universal: any phases, any family."""
-    return FidelityReport(_overlap(inp, spec, noise, gain), "quadrature",
-                          beta=inp.beta)
+    adaptive quadrature. Universal: any phases, any family. At a point
+    or, as fidelity_closed, of a column (inp.beta may be an array)."""
+    return FidelityReport(_overlap(inp.beta, spec, noise, gain),
+                          "quadrature", beta=inp.beta)
 
 
 def average_fidelity(spec, noise, gain, prior):
@@ -363,19 +368,15 @@ def average_fidelity(spec, noise, gain, prior):
     _shifted_noise. The cat's closed form takes it exactly, at beta = 0;
     the Bell-type forms factorize a Gauss-Hermite rule of order GH_ORDER
     in Re beta and Im beta into 1-D node sums; off the closed phases it
-    is a single quadrature at beta = 0 and that shifted noise per point,
-    a column's row by row.
+    is one quadrature at beta = 0 and that shifted noise per row, in one
+    _overlap call, as fidelity_quadrature.
     """
     try:
         return FidelityReport(_closed(spec, noise, gain, sigma=prior.sigma),
                               "closed", sigma=prior.sigma)
     except PhaseSpecializationError:
-        inputs, value = (spec, noise, gain, prior), []
-        shape = _shape(*inputs)
-        for s, nz, g, p in zip(*(_rows(x, math.prod(shape)) for x in inputs)):
-            value.append(_overlap(CoherentInput(0j), s, nz, g, p.sigma))
-        return FidelityReport(_num(np.reshape(value, shape)), "quadrature",
-                              sigma=prior.sigma)
+        return FidelityReport(_overlap(0j, spec, noise, gain, prior.sigma),
+                              "quadrature", sigma=prior.sigma)
 
 
 def fidelity_gaussian_oracle(inp, r, noise, gain):

@@ -117,15 +117,16 @@ def gamma_cov(noise, gain):
                     + np.where(noise.r2 == 0, 0.0, g * g * noise.r2))
 
 
-def _chi_out_arrays(inp, spec, noise, gt, gam):
-    """chi_out at effective gain g~ and noise Gamma, on arrays (x, p)."""
-    et = math.exp(-noise.tau / 2)
+def _chi_out_arrays(beta, spec, tau, gt, gam):
+    """chi_out of one point, at amplitude beta, reduced channel time tau,
+    effective gain g~ and noise Gamma, on arrays (x, p)."""
+    et = math.exp(-tau / 2)
 
     def chi(x, p):
         a1 = gt * (x - 1j * p) / SQRT2
         a2 = et * (x + 1j * p) / SQRT2
         # no noise is a factor of 1, also where x^2 + p^2 overflows
-        return (_chi_input_arrays(inp.beta, gt * x, gt * p)
+        return (_chi_input_arrays(beta, gt * x, gt * p)
                 * _chi_resource_arrays(spec, a1, a2)
                 * (np.exp(-0.5 * gam * (x * x + p * p)) if gam else 1.0))
     return chi
@@ -136,10 +137,10 @@ def chi_out(inp, spec, noise, gain, pt):
     chi_in(g~x, g~p) chi_res(g~x, -g~p; e^{-tau/2}x, e^{-tau/2}p)
     exp{-Gamma (x^2+p^2)/2}. Past |x|, |p| ~ 1e154 the squares inside
     overflow to inf, and the value is their limit, 0."""
+    gt, gam = gain.effective(noise), gamma_cov(noise, gain)
     with np.errstate(over="ignore"):
-        return complex(_chi_out_arrays(
-            inp, spec, noise, gain.effective(noise), gamma_cov(noise, gain))(
-                np.asarray(float(pt.x)), np.asarray(float(pt.p))))
+        return complex(_chi_out_arrays(inp.beta, spec, noise.tau, gt, gam)(
+            np.asarray(float(pt.x)), np.asarray(float(pt.p))))
 
 
 def chi_out_ideal(inp, spec, pt):

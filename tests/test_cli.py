@@ -529,6 +529,7 @@ def _sweep_case(family, axis, averaged):
     return ns, SweepSpec(axis, start, stop, 101).values.tolist()
 
 
+QUADRATURE = ["--method=quadrature", "--phi=3"]
 # (family, axis, flags, good value, bad value): each rule a sweep axis
 # reaches, and a family or flag its axis does not apply to
 FIRST_FAILURES = [
@@ -545,6 +546,11 @@ FIRST_FAILURES = [
     ("squeezed-cat", "gamma", ["--delta=0.3"], 0.5, -0.5),
     ("twin-beam", "delta", [], 0.3, 0.4),
     ("buridan", "gamma", ["--delta=0.4"], 0.3, 0.4),
+    # the quadrature route, off the closed phases
+    ("squeezed-bell", "r2", ["--delta=0.4", *QUADRATURE], 0.1, 1.0),
+    ("twin-beam", "r", QUADRATURE, 0.5, -0.5),
+    ("squeezed-cat", "delta", ["--gamma-mod=0", *QUADRATURE], 0.3,
+     -math.pi / 4),
 ]
 
 
@@ -625,8 +631,10 @@ class TestClosedSweepColumn:
             assert (k == swept) == any(np.ndim(v) for v in fields)
 
     def test_quadrature_rows_reuse_inputs(self, monkeypatch):
-        """Off the closed phases each row is one quadrature at its inputs
-        as built from scratch, the unswept ones reused."""
+        """Off the closed phases a block is one quadrature call: row i of
+        its inputs is row i's inputs as built from scratch, the unswept
+        spec and gain are the point objects, and each fidelity is its
+        row's one-point quadrature."""
         ns = parse_cli(["sweep", "--resource", "squeezed-bell", "--r",
                         "0.6", "--delta", "0.4", "--phi", "3", "--method",
                         "quadrature", "--vary", "r2", "--from", "0", "--to",
@@ -635,12 +643,18 @@ class TestClosedSweepColumn:
         monkeypatch.setattr(cli, "fidelity_quadrature", lambda *a: (
             calls.append(a) or fidelity.fidelity_quadrature(*a)))
         table = cli._run_sweep(ns)
-        assert table["method"] == "quadrature" and len(calls) == 3
-        for (inp, *row), value in zip(calls, SweepSpec(
-                "r2", 0.0, 0.2, 3).values.tolist()):
-            spec, noise, gain, at = cli._point_inputs(ns, {"r2": value})
-            assert (inp, *row) == (CoherentInput(at), spec, noise, gain)
-            assert row[0] is calls[0][1] and row[2] is calls[0][3]
+        assert table["method"] == "quadrature" and len(calls) == 1
+        (inp, spec, noise, gain), = calls
+        assert not any(np.ndim(v) for x in (inp, spec, gain)
+                       for v in vars(x).values())
+        values = SweepSpec("r2", 0.0, 0.2, 3).values.tolist()
+        for row, value, got in zip(zip(*(_rows(x, 3) for x in calls[0])),
+                                   values, table["fidelity"].tolist()):
+            at_spec, at_noise, at_gain, at = cli._point_inputs(
+                ns, {"r2": value})
+            point = (CoherentInput(at), at_spec, at_noise, at_gain)
+            assert row == point
+            assert got == fidelity.fidelity_quadrature(*point).value
 
     def test_degenerate_cat_row_sets_the_exit(self, tmp_path, capsys):
         """delta = -pi/4 at gamma 0 leaves the cat's core no norm: the
@@ -732,12 +746,35 @@ class TestClosedSweepColumn:
                 return rep
             return call
 
-        for name in ("fidelity_closed", "average_fidelity"):
+        for name in ("fidelity_closed", "average_fidelity",
+                     "fidelity_quadrature"):
             monkeypatch.setattr(cli, name, count(getattr(cli, name)))
         assert main(argv) == 2
         assert capsys.readouterr().err == f"telefid: {alone.value}\n"
         applies = "does not apply" not in str(alone.value)
         assert sum(evaluated) == (5 if applies else 0)
+
+    def test_quadrature_fault_past_a_block(self, tmp_path, capsys,
+                                           monkeypatch):
+        """Blocks of 2 rows and a quadrature that fails on row 3 of 7:
+        exit 4 with its message, and no CSV."""
+        real, rows = fidelity.integrate_adaptive, []
+
+        def integrate(f, rate):
+            rows.append(rate)
+            if len(rows) == 4:
+                raise QuadratureError("no convergence on row 3")
+            return real(f, rate)
+
+        monkeypatch.setattr(fidelity, "integrate_adaptive", integrate)
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", 2)
+        path = tmp_path / "sweep.csv"
+        assert main(["sweep", "--resource", "twin-beam", "--r", "0.8",
+                     *QUADRATURE, "--vary", "tau", "--from", "0", "--to",
+                     "0.6", "--steps", "7", "--output", str(path)]) == 4
+        assert capsys.readouterr().err == (
+            "telefid: no convergence on row 3\n")
+        assert len(rows) == 4 and not path.exists()
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_no_object_per_row(self, axis, monkeypatch):

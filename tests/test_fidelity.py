@@ -247,8 +247,7 @@ class TestAveraged:
                 cases.append((spec, noise, rng.uniform(0.3, 1.5), sigma))
         for spec, noise, gt, sigma in cases:
             gain = GainSetting.fixed(gt / noise.transmissivity)
-            ref = fidelity_module._overlap(CoherentInput(0j), spec, noise,
-                                           gain, sigma)
+            ref = fidelity_module._overlap(0j, spec, noise, gain, sigma)
             rep = average_fidelity(spec, noise, gain, AlphabetPrior(sigma))
             assert rep.method == "closed"
             assert abs(rep.value - ref) <= 1e-10
@@ -301,9 +300,9 @@ class TestAveraged:
 
 
 class TestColumns:
-    """fidelity_closed and average_fidelity take a column of points, inputs
-    whose fields hold an array of one value per row, in one kernel call;
-    each row must be the point's own, to the bit."""
+    """fidelity_closed, fidelity_quadrature and average_fidelity take a
+    column of points, inputs whose fields hold an array of one value per
+    row, in one call; each row must be the point's own, to the bit."""
 
     SPECS = [ResourceSpec.squeezed_cat(r, delta=d, gamma_mod=g)
              for r, d, g in ((0.0, 0.3, 0.5), (0.8, -1.2, 1e200),
@@ -351,6 +350,55 @@ class TestColumns:
             ResourceSpec.squeezed_cat(r, delta=0.3, theta=0.4,
                                       gamma_mod=0.5), self.NOISES[1], UNITY,
             AlphabetPrior(3.0)).value for r in (0.5, 0.7)]
+
+    def test_quadrature_rows_are_points(self):
+        """fidelity_quadrature and the off-phase average take a column in
+        one call, one integration per row: each row is its point's value
+        to the bit, a NaN gain row is on the unity rule, and a row whose
+        envelope rate overflows (r = 800) has fidelity 0."""
+        rs, taus = [0.0, 0.8, 800.0, 1.1], [0.0, 0.3, 2.0, 0.1]
+        gains, betas = [1.0, 1.7, 0.2, math.nan], [0j, 0.7 - 0.4j, 3.0, 1j]
+        spec = ResourceSpec.squeezed_bell(np.array(rs), phi=3.0,
+                                          delta=0.4, theta=0.2)
+        noise = NoiseParams(tau=np.array(taus), r2=0.05)
+        gain = GainSetting(np.array(gains))
+        rep = fidelity_quadrature(CoherentInput(np.array(betas)), spec,
+                                  noise, gain)
+        avg = average_fidelity(spec, noise, gain, AlphabetPrior(3.0))
+        assert rep.method == avg.method == "quadrature"
+        assert rep.value.shape == avg.value.shape == (4,)
+        for k, (r, tau, g, beta) in enumerate(zip(rs, taus, gains, betas)):
+            point = (ResourceSpec.squeezed_bell(r, phi=3.0, delta=0.4,
+                                                theta=0.2),
+                     NoiseParams(tau=tau, r2=0.05),
+                     GainSetting(None if math.isnan(g) else g))
+            one = fidelity_quadrature(CoherentInput(beta), *point).value
+            assert type(one) is float
+            assert float(rep.value[k]).hex() == one.hex()
+            assert float(avg.value[k]).hex() == average_fidelity(
+                *point, AlphabetPrior(3.0)).value.hex()
+        assert rep.value[2] == avg.value[2] == 0.0
+
+    def test_unity_rule_rows_off_the_closed_phases(self):
+        """A NaN gain row off the closed phases is on the unity rule, as
+        GainSetting() alone: each row of the average and of the
+        quadrature is its point's value, to the bit. Split into point
+        settings, the NaN row had no Gaussian envelope and raised
+        QuadratureError."""
+        spec = ResourceSpec.twin_beam(0.5, phi=3.0)
+        noise = NoiseParams(tau=0.3, r2=0.05)
+        gain = GainSetting(np.array([math.nan, 1.1]))
+        points = [GainSetting(), GainSetting(1.1)]
+        avg = average_fidelity(spec, noise, gain, AlphabetPrior(1.0))
+        assert [v.hex() for v in avg.value.tolist()] == [
+            average_fidelity(spec, noise, g, AlphabetPrior(1.0)).value.hex()
+            for g in points]
+        betas = [0.7 - 0.4j, 1.5j]
+        rep = fidelity_quadrature(CoherentInput(np.array(betas)), spec,
+                                  noise, gain)
+        assert [v.hex() for v in rep.value.tolist()] == [
+            fidelity_quadrature(CoherentInput(b), spec, noise, g).value.hex()
+            for b, g in zip(betas, points)]
 
     def test_one_item_repeats(self):
         rep = fidelity_closed(self.SPECS[1], IDEAL, UNITY,
