@@ -21,8 +21,6 @@ from .protocol import (BellOutcome, GainSetting, GaussianOutput, NoiseParams,
                        chi_out_via_measurement_average, displace_chi,
                        gamma_cov, gaussian_pipeline, outcome_distribution,
                        propagate_lossy)
-from .cli_sweep import (CSV_HEADER, SweepSpec, emit_csv, main, parse_cli,
-                        run_figure_preset)
 
 __version__ = "0.1.0"
 
@@ -44,3 +42,13 @@ __all__ = [
     "outcome_distribution", "parse_cli", "propagate_lossy", "r_max",
     "run_figure_preset",
 ]
+
+
+def __getattr__(name):
+    """The names of __all__ not imported above, the command line's, from
+    cli_sweep on first use: `python -m telefid.cli_sweep` then runs that
+    module once, as __main__, with no runpy warning."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli_sweep
+    return getattr(cli_sweep, name)

@@ -14,7 +14,8 @@ average theirs on GH_ORDER Gauss-Hermite nodes. The kernel is numpy
 alone, which rounds a number as any element of an array, so a column of
 points (inputs with arrays in fields, one value per row) takes one call
 and gives each row its point's value, to the bit. The quadrature overlap
-takes a column the same way, and integrates it one row at a time.
+takes a column the same way and integrates its rows in lockstep, each
+row again its point's value.
 """
 
 import math
@@ -27,8 +28,8 @@ import numpy as np
 
 from .errors import (NumericalError, PhaseSpecializationError,
                      QuadratureError)
-from .phase_space import (_chi_input_arrays, _finite, _num, _require,
-                          _rows, _shape)
+from .phase_space import (_chi_input_arrays, _exp, _finite, _num,
+                          _require, _rows, _shape, _spec_scalars)
 from .protocol import _chi_out_arrays, gamma_cov, gaussian_pipeline
 from .quadrature import CONV_ABS_TOL, integrate_adaptive
 
@@ -327,27 +328,35 @@ def _overlap(beta, spec, noise, gain, sigma=None):
     vanishes off the origin. A negative value within the quadrature's
     tolerance, CONV_ABS_TOL/(2pi), is a fidelity that rounds to 0; below
     it, QuadratureError. At amplitudes beta, a point or a column: g~,
-    Gamma and c are formed at once, then each row integrated at its spec."""
+    Gamma, c, e^{-tau/2} and each row's _spec_scalars are formed once as
+    columns, and the rows integrated in one lockstep integrate_adaptive
+    call, whose integrand takes the rows it is given by index."""
     shape = _shape(spec, noise, gain, beta, sigma)
     gt, gam = gain.effective(noise), gamma_cov(noise, gain)
     if sigma is not None:  # a point skips it: inf (g~ - 1)^2 times 0 is NaN
         gam = _shifted_noise(gt, gam, sigma)
     D, _ = _delta_terms(spec.r, gt, np.exp(1j * spec.phi - noise.tau / 2),
                         gam)
-    value = []
-    for b, s, tau, g, c, rate in zip(*(_rows(x, math.prod(shape)) for x in (
-            beta, spec, noise.tau, gt, gam, D / 8))):
-        chi_out = _chi_out_arrays(b, s, tau, g, c)
+    m = math.prod(shape)
+    rate = np.broadcast_to(D / 8, m)
+    live = np.flatnonzero(rate != math.inf)
+    specs = _rows(spec, m)
+    b, et, g, c = (np.broadcast_to(x, m)[live].reshape(-1, 1, 1) for x in
+                   (beta, _exp(-noise.tau / 2), gt, gam))
+    scalars = [np.reshape(v, (-1, 1, 1)) for v in zip(
+        *(_spec_scalars(specs[row]) for row in live))]
 
-        def integrand(x, p):
-            return _chi_input_arrays(b, x, p) * chi_out(-x, -p)
+    def integrand(x, p, rows):
+        return _chi_input_arrays(b[rows], x, p) * _chi_out_arrays(
+            b[rows], spec.family, [v[rows] for v in scalars], et[rows],
+            g[rows], c[rows], -x, -p)
 
-        val = 0.0 if rate == math.inf else float((integrate_adaptive(
-            integrand, rate) / (2 * math.pi)).real)
-        if val < -CONV_ABS_TOL / (2 * math.pi):
-            raise QuadratureError(f"overlap fidelity {val:.3g} < 0")
-        value.append(max(val, 0.0))
-    return _num(np.reshape(value, shape))
+    value = np.zeros(m)
+    value[live] = (integrate_adaptive(integrand, rate[live])
+                   / (2 * math.pi)).real
+    _require((~(value < -CONV_ABS_TOL / (2 * math.pi)),
+              "overlap fidelity {:.3g} < 0", value), error=QuadratureError)
+    return _num(np.reshape(np.where(value < 0, 0.0, value), shape))
 
 
 def fidelity_quadrature(inp, spec, noise, gain):

@@ -33,6 +33,9 @@ CORE_PARAMS = {
     "squeezed-cat": ("delta", "theta", "gamma_mod", "gamma_phase"),
     "buridan": ("delta", "theta"),
 }
+# the core kets |k1, k2> of each Fock family, photon numbers
+FOCK_KETS = {"twin-beam": ((0, 0),), "squeezed-bell": ((0, 0), (1, 1)),
+             "buridan": ((0, 1), (1, 0))}
 # the names ResourceSpec.of, the CLI and the optimizers accept
 FAMILIES = (*CORE_PARAMS, "photon-subtracted")
 
@@ -266,17 +269,29 @@ def fock_displacement_element(m, n, alpha):
             raise ParameterError(f"Fock index {label} must be an integer")
         if not 0 <= idx <= MAX_FOCK_ORDER:
             raise ParameterError(f"Fock index {label} out of range: {idx}")
-    if m < n:
-        return np.conj(fock_displacement_element(n, m, -np.asarray(alpha)))
-    alpha = np.asarray(alpha, dtype=complex)
-    ratio = math.sqrt(math.factorial(n) / math.factorial(m))
-    # 0 where the Gaussian underflows, also past |alpha|^2's overflow
-    with np.errstate(over="ignore", invalid="ignore"):
-        a2 = (alpha * alpha.conj()).real
-        gauss = np.exp(-a2 / 2)
-        val = np.where(gauss == 0, 0j, ratio * alpha ** (m - n) * gauss
-                       * laguerre(n, m - n, a2))
+    val = _fock_mode(alpha)(m, n)
     return val if val.ndim else complex(val)
+
+
+def _fock_mode(xi):
+    """fock_displacement_element at xi as a function of (m, n), its
+    |xi|^2, Gaussian and underflow mask formed once: -xi, taken for
+    m < n, has the same |xi|^2 to the bit."""
+    xi = np.asarray(xi, dtype=complex)
+    # 0 where the Gaussian underflows, also past |xi|^2's overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = (xi * xi.conj()).real
+        gauss = np.exp(-a2 / 2)
+    under = gauss == 0
+
+    def element(m, n):
+        lo, hi, z = (n, m, xi) if m >= n else (m, n, -xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            val = np.where(under, 0j, math.sqrt(
+                math.factorial(lo) / math.factorial(hi)) * z ** (hi - lo)
+                * gauss * laguerre(lo, hi - lo, a2))
+        return val if m >= n else np.conj(val)
+    return element
 
 
 def coherent_displacement_overlap(g1, xi, g2):
@@ -292,7 +307,7 @@ def coherent_displacement_overlap(g1, xi, g2):
     xi = np.asarray(xi, dtype=complex)
     d = (g1 - g2) - xi
     with np.errstate(over="ignore", invalid="ignore"):
-        cross = 0.0 if g1 == g2 else (np.conj(g1) * g2).imag
+        cross = np.where(g1 == g2, 0.0, (np.conj(g1) * g2).imag)
         val = _exp_or_zero(-(d.real * d.real + d.imag * d.imag) / 2,
                            (xi * np.conj(g1 + g2)).imag + cross)
     return val if val.ndim else complex(val)
@@ -320,9 +335,18 @@ def bogoliubov_args(zeta, alpha1, alpha2):
     xi_i = cosh(r) (a_i + e^{i phi} tanh(r) conj(a_j)), i != j: a sum of
     size |a| times cosh r, which overflows to inf, never to inf - inf.
     """
+    return _bogoliubov(*_squeezer(zeta), alpha1, alpha2)
+
+
+def _squeezer(zeta):
+    """cosh r and tanh r e^{i phi} of zeta = r e^{i phi}."""
     r = abs(zeta)
     ch, _ = _cosh_sinh(r)
-    t = math.tanh(r) * cmath.exp(1j * cmath.phase(zeta))
+    return ch, math.tanh(r) * cmath.exp(1j * cmath.phase(zeta))
+
+
+def _bogoliubov(ch, t, alpha1, alpha2):
+    """bogoliubov_args from _squeezer's two: numbers or columns."""
     a1, a2 = (np.asarray(a, dtype=complex) for a in (alpha1, alpha2))
     with np.errstate(over="ignore"):
         return ch * (a1 + t * np.conj(a2)), ch * (a2 + t * np.conj(a1))
@@ -335,42 +359,52 @@ def _core_terms(spec):
     "fock" (k = photon number) or "coh" (k = coherent amplitude).
     """
     c, s = math.cos(spec.delta), math.sin(spec.delta)
-    e_th = cmath.exp(1j * spec.theta)
-    if spec.family == "twin-beam":
-        return 1.0, [(1.0, "fock", 0, 0)]
-    if spec.family == "squeezed-bell":
-        return 1.0, [(c, "fock", 0, 0), (e_th * s, "fock", 1, 1)]
-    if spec.family == "buridan":
-        return 1.0, [(c, "fock", 0, 1), (e_th * s, "fock", 1, 0)]
-    g = spec.gamma
-    return float(spec.norm_sq) ** -0.5, [(c, "coh", 0.0, 0.0),
-                                  (e_th * s, "coh", g, g)]
+    coeffs = ((1.0,) if spec.family == "twin-beam"
+              else (c, cmath.exp(1j * spec.theta) * s))
+    cat = spec.family == "squeezed-cat"
+    return (float(spec.norm_sq) ** -0.5 if cat else 1.0, [
+        (ci, "coh" if cat else "fock", *kets)
+        for ci, kets in zip(coeffs, _core_kets(spec.family, spec.gamma))])
 
 
-def _mode_element(kind, bra, ket, xi):
-    if kind == "fock":
-        return fock_displacement_element(bra, ket, xi)
-    return coherent_displacement_overlap(bra, xi, ket)
+def _core_kets(family, gamma):
+    """The kets (k1, k2) of the core terms: FOCK_KETS, or the cat's
+    coherent amplitudes, 0 and gamma (a number or a column)."""
+    return (((0.0, 0.0), (gamma, gamma)) if family == "squeezed-cat"
+            else FOCK_KETS[family])
 
 
-def _chi_resource_arrays(spec, alpha1, alpha2):
-    """chi_res on arrays of complex two-mode arguments."""
-    return _chi_core_arrays(spec, *bogoliubov_args(spec.zeta, alpha1, alpha2))
-
-
-def _chi_core_arrays(spec, xi1, xi2):
-    """The core superposition's chi at the Bogoliubov-transformed
-    arguments (xi1, xi2): chi_res at the arguments they come from."""
+def _spec_scalars(spec):
+    """The numbers chi_res takes from a point spec, as math and cmath
+    round them: _squeezer's two, the core norm^2, gamma and conj(c_i) c_j
+    per pair (i, j) of core terms. A column takes them row by row and
+    stacks them into (m, 1, 1) columns, each row's chi its point's."""
     norm, terms = _core_terms(spec)
-    # every family's core terms share one ket kind
-    kind = terms[0][1]
+    return (*_squeezer(spec.zeta), norm * norm, spec.gamma,
+            *(np.conj(ci) * cj for ci, *_ in terms for cj, *_ in terms))
+
+
+def _chi_resource_arrays(family, scalars, alpha1, alpha2):
+    """chi_res on arrays of complex two-mode arguments, from the family
+    and its _spec_scalars: numbers, or columns of rows."""
+    return _chi_core_arrays(family, scalars,
+                            *_bogoliubov(*scalars[:2], alpha1, alpha2))
+
+
+def _chi_core_arrays(family, scalars, xi1, xi2):
+    """The core superposition's chi at the Bogoliubov-transformed
+    arguments (xi1, xi2): chi_res at the arguments they come from. A
+    Fock mode's elements share one Gaussian."""
+    _, _, norm2, g, *coeffs = scalars
+    kets = _core_kets(family, g)
+    # one pair's elements at a time: no more arrays alive than a pair's
+    e1, e2 = ((lambda m, n, xi=xi: coherent_displacement_overlap(m, xi, n))
+              if family == "squeezed-cat" else _fock_mode(xi)
+              for xi in (xi1, xi2))
     total = 0.0
-    for ci, _, a_i, b_i in terms:
-        for cj, _, a_j, b_j in terms:
-            total = total + (np.conj(ci) * cj
-                             * _mode_element(kind, a_i, a_j, xi1)
-                             * _mode_element(kind, b_i, b_j, xi2))
-    return norm * norm * total
+    for c, (i, j) in zip(coeffs, [(i, j) for i in kets for j in kets]):
+        total = total + c * e1(i[0], j[0]) * e2(i[1], j[1])
+    return norm2 * total
 
 
 def _chi_input_arrays(beta, x, p):
@@ -391,6 +425,6 @@ def chi_input_coherent(inp, pt):
 def chi_resource(spec, pt):
     """Characteristic function of the entangled resource at a two-mode
     phase-space point."""
-    val = _chi_resource_arrays(spec, np.asarray(pt.m1.alpha),
-                               np.asarray(pt.m2.alpha))
+    val = _chi_resource_arrays(spec.family, _spec_scalars(spec),
+                               pt.m1.alpha, pt.m2.alpha)
     return complex(val)

@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DegeneracyError, QuadratureError
 from .phase_space import (SQRT2, _chi_core_arrays, _chi_input_arrays,
                           _chi_resource_arrays, _cosh_sinh, _exp, _finite,
-                          _num, _require, bogoliubov_args)
+                          _num, _require, _spec_scalars, bogoliubov_args)
 from .quadrature import (CONV_ABS_TOL, _leggauss, box_halfwidth,
                          integrate_adaptive)
 
@@ -117,19 +117,17 @@ def gamma_cov(noise, gain):
                     + np.where(noise.r2 == 0, 0.0, g * g * noise.r2))
 
 
-def _chi_out_arrays(beta, spec, tau, gt, gam):
-    """chi_out of one point, at amplitude beta, reduced channel time tau,
-    effective gain g~ and noise Gamma, on arrays (x, p)."""
-    et = math.exp(-tau / 2)
-
-    def chi(x, p):
-        a1 = gt * (x - 1j * p) / SQRT2
-        a2 = et * (x + 1j * p) / SQRT2
-        # no noise is a factor of 1, also where x^2 + p^2 overflows
-        return (_chi_input_arrays(beta, gt * x, gt * p)
-                * _chi_resource_arrays(spec, a1, a2)
-                * (np.exp(-0.5 * gam * (x * x + p * p)) if gam else 1.0))
-    return chi
+def _chi_out_arrays(beta, family, scalars, et, gt, gam, x, p):
+    """chi_out on arrays (x, p) at amplitude beta, et = e^{-tau/2},
+    effective gain g~ and noise Gamma, the resource given by its family
+    and _spec_scalars: of one point, or of rows as (m, 1, 1) columns."""
+    a1 = gt * (x - 1j * p) / SQRT2
+    a2 = et * (x + 1j * p) / SQRT2
+    # no noise is a factor of 1, also where x^2 + p^2 overflows
+    return (_chi_input_arrays(beta, gt * x, gt * p)
+            * _chi_resource_arrays(family, scalars, a1, a2)
+            * (np.exp(-0.5 * gam * (x * x + p * p)) if np.any(gam)
+               else 1.0))
 
 
 def chi_out(inp, spec, noise, gain, pt):
@@ -139,8 +137,10 @@ def chi_out(inp, spec, noise, gain, pt):
     overflow to inf, and the value is their limit, 0."""
     gt, gam = gain.effective(noise), gamma_cov(noise, gain)
     with np.errstate(over="ignore"):
-        return complex(_chi_out_arrays(inp.beta, spec, noise.tau, gt, gam)(
-            np.asarray(float(pt.x)), np.asarray(float(pt.p))))
+        return complex(_chi_out_arrays(
+            inp.beta, spec.family, _spec_scalars(spec),
+            math.exp(-noise.tau / 2), gt, gam, np.asarray(float(pt.x)),
+            np.asarray(float(pt.p))))
 
 
 def chi_out_ideal(inp, spec, pt):
@@ -173,13 +173,14 @@ def _bell_integrand(inp, spec, noise, a2):
     # and xi2 = a2 ch/cosh 2r + e^{i phi} sh conj(d), cosh 2r = ch^2 + sh^2
     c2 = ch * ch + sh * sh
     xi1_peak, xi2_peak = -ph * a2.conjugate() * (sh / c2), a2 * (ch / c2)
+    scalars = _spec_scalars(spec)
 
     def kernel(s, u):
         xi, v = s + z0.real, u - z0.imag
         d = T * (s - 1j * u) / 2 - kappa * peak
         return (np.exp(-noise.r2 * (xi * xi + v * v) / 4)
                 * _chi_input_arrays(inp.beta, T * xi / SQRT2, T * v / SQRT2)
-                * _chi_core_arrays(spec, ch * d + xi1_peak,
+                * _chi_core_arrays(spec.family, scalars, ch * d + xi1_peak,
                                    xi2_peak + ph * sh * np.conj(d)))
 
     return rate, z0, kernel

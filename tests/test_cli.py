@@ -756,13 +756,14 @@ class TestClosedSweepColumn:
 
     def test_quadrature_fault_past_a_block(self, tmp_path, capsys,
                                            monkeypatch):
-        """Blocks of 2 rows and a quadrature that fails on row 3 of 7:
-        exit 4 with its message, and no CSV."""
-        real, rows = fidelity.integrate_adaptive, []
+        """Blocks of 2 rows, one lockstep integration each, and a
+        quadrature that fails on row 3 of 7, in the second block: exit 4
+        with its message, and no CSV."""
+        real, blocks = fidelity.integrate_adaptive, []
 
         def integrate(f, rate):
-            rows.append(rate)
-            if len(rows) == 4:
+            blocks.append(len(rate))
+            if len(blocks) == 2:
                 raise QuadratureError("no convergence on row 3")
             return real(f, rate)
 
@@ -774,7 +775,7 @@ class TestClosedSweepColumn:
                      "0.6", "--steps", "7", "--output", str(path)]) == 4
         assert capsys.readouterr().err == (
             "telefid: no convergence on row 3\n")
-        assert len(rows) == 4 and not path.exists()
+        assert blocks == [2, 2] and not path.exists()
 
     @pytest.mark.parametrize("axis", SWEEP_AXES)
     def test_no_object_per_row(self, axis, monkeypatch):
@@ -1003,6 +1004,21 @@ def test_python_m_telefid_runs_the_cli():
         text=True, env=dict(os.environ, PYTHONPATH=src))
     assert (done.returncode, done.stdout, done.stderr) == (
         0, IDEAL_ROW.rsplit(",", 1)[1] + "\n", "")
+
+
+def test_python_m_cli_sweep_runs_the_cli():
+    """python -m telefid.cli_sweep prints what python -m telefid prints,
+    with no runpy warning: the package imports its command line only on
+    first use of one of its names."""
+    src = os.path.dirname(os.path.dirname(telefid.__file__))
+    done = [subprocess.run(
+        [sys.executable, "-m", module, "fidelity", "--resource",
+         "twin-beam", "--r", "1", "--gain", "1"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src))
+        for module in ("telefid.cli_sweep", "telefid")]
+    assert [(d.returncode, d.stderr) for d in done] == [(0, ""), (0, "")]
+    assert done[0].stdout == done[1].stdout == (
+        IDEAL_ROW.rsplit(",", 1)[1] + "\n")
 
 
 def test_package_imports_no_oracle():

@@ -121,12 +121,13 @@ class TestClosedVersusQuadrature:
     def test_overlap_rounding_below_zero(self, monkeypatch):
         """A converged overlap below 0 by less than the quadrature's
         tolerance over 2pi is a fidelity that rounds to 0; further below,
-        QuadratureError."""
+        QuadratureError. The block's one call returns a value per row."""
         spec = ResourceSpec.squeezed_bell(0.8, delta=0.4, theta=1.0)
         for raw, want in ((-0.9 * CONV_ABS_TOL, 0.0),
                           (-1.1 * CONV_ABS_TOL, None)):
-            monkeypatch.setattr(fidelity_module, "integrate_adaptive",
-                                lambda f, rate, raw=raw: complex(raw))
+            monkeypatch.setattr(
+                fidelity_module, "integrate_adaptive",
+                lambda f, rate, raw=raw: np.full(len(rate), complex(raw)))
             if want is None:
                 with pytest.raises(QuadratureError):
                     fidelity_quadrature(CoherentInput(0j), spec, IDEAL,
@@ -353,8 +354,8 @@ class TestColumns:
 
     def test_quadrature_rows_are_points(self):
         """fidelity_quadrature and the off-phase average take a column in
-        one call, one integration per row: each row is its point's value
-        to the bit, a NaN gain row is on the unity rule, and a row whose
+        one call, its rows integrated in lockstep: each row is its point's
+        value to the bit, a NaN gain row is on the unity rule, and a row whose
         envelope rate overflows (r = 800) has fidelity 0."""
         rs, taus = [0.0, 0.8, 800.0, 1.1], [0.0, 0.3, 2.0, 0.1]
         gains, betas = [1.0, 1.7, 0.2, math.nan], [0j, 0.7 - 0.4j, 3.0, 1j]
@@ -378,6 +379,36 @@ class TestColumns:
             assert float(avg.value[k]).hex() == average_fidelity(
                 *point, AlphabetPrior(3.0)).value.hex()
         assert rep.value[2] == avg.value[2] == 0.0
+
+    @pytest.mark.parametrize("family, field, values", [
+        ("twin-beam", "r", [0.0, 0.6, 800.0, 1.4, 0.9]),
+        ("squeezed-bell", "delta", [0.0, 0.4, 1.2, 2.5, 3.0]),
+        ("buridan", "r", [0.2, 0.7, 1.3, 800.0, 0.05]),
+        ("squeezed-cat", "gamma_mod", [0.0, 0.3, 0.9, 1.6, 2.0]),
+        ("squeezed-cat", "r", [0.1, 1.4, 0.5, 800.0, 0.9]),
+    ])
+    def test_quadrature_spec_columns_are_points(self, family, field,
+                                                values):
+        """An r, delta or gamma_mod column on the quadrature route, with an
+        amplitude column, each row its point's value to the bit in one
+        lockstep call; a row whose envelope rate overflows (r = 800) is
+        0, and the cat's amplitude is complex."""
+        core = {"delta": 0.7, "theta": 0.4, "gamma_mod": 1.1,
+                "gamma_phase": 0.6}
+        core = {k: v for k, v in core.items() if k in CORE_PARAMS[family]}
+        point = {"r": 0.8, **core}
+        betas = [0.5j, 1.0 - 0.3j, 0j, -0.8, 0.2 + 0.9j]
+        noise, gain = NoiseParams(tau=0.2, r2=0.05), GainSetting(1.2)
+
+        def fid(beta, **value):
+            spec = ResourceSpec.of(family, phi=2.5, **{**point, **value})
+            return fidelity_quadrature(CoherentInput(beta), spec, noise,
+                                       gain).value
+
+        col = fid(np.array(betas), **{field: np.array(values)})
+        assert [v.hex() for v in col.tolist()] == [
+            fid(b, **{field: v}).hex() for b, v in zip(betas, values)]
+        assert 800.0 not in values or col[values.index(800.0)] == 0.0
 
     def test_unity_rule_rows_off_the_closed_phases(self):
         """A NaN gain row off the closed phases is on the unity rule, as

@@ -5,6 +5,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -108,6 +109,46 @@ class TestFockDisplacement:
         for m, n in ((1, 1), (0, 1), (2, 0), (3, 3)):
             for alpha in (1e160, 1e300 - 1e300j, 40.0):
                 assert fock_displacement_element(m, n, alpha) == 0
+
+    def test_low_orders_against_mpmath(self):
+        """For m, n <= 1, the elements the Fock families' chi takes, at
+        |alpha| up to 40 and at 1e160: 0 where the double Gaussian
+        e^{-|alpha|^2/2} underflows, elsewhere sqrt(n!/m!) alpha^(m-n)
+        e^{-|alpha|^2/2} L_n^(m-n)(|alpha|^2) in 50 digits, for m < n as
+        conj(<n|D(-alpha)|m>), to 1e-14 of the sum of its terms' moduli
+        (L at -|alpha|^2): L_1 = 1 - |alpha|^2 cancels near |alpha| = 1,
+        where no double holds a relative 1e-14. The double |alpha|^2 is
+        rounded by up to 2^-53 of itself, which moves e^{-|alpha|^2/2} by
+        |alpha|^2 2^-54 of itself: up to 8e-14 at |alpha| = 37.6. A
+        subnormal Gaussian is rounded by up to 2^-1075, times the rest."""
+        rng = np.random.default_rng(17)
+        mods = np.concatenate([np.linspace(0, 40, 81), [1e160]])
+        underflowed = 0
+        for mod in mods:
+            alpha = complex(mod * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+            a2 = abs(alpha) ** 2 if mod < 1e150 else math.inf
+            for m in (0, 1):
+                for n in (0, 1):
+                    got = fock_displacement_element(m, n, alpha)
+                    if math.exp(-a2 / 2) == 0:
+                        underflowed += 1
+                        assert got == 0
+                        continue
+                    hi, lo, sign = (m, n, 1) if m >= n else (n, m, -1)
+                    with mpmath.workdps(50):
+                        a = sign * mpmath.mpc(alpha)
+                        x = abs(a) ** 2
+                        pre = (mpmath.sqrt(mpmath.factorial(lo)
+                                           / mpmath.factorial(hi))
+                               * a ** (hi - lo) * mpmath.exp(-x / 2))
+                        want = complex(pre * mpmath.laguerre(lo, hi - lo, x))
+                        scale = abs(pre * mpmath.laguerre(lo, hi - lo, -x))
+                        rest = float(scale / mpmath.exp(-x / 2))
+                    want = want if m >= n else want.conjugate()
+                    assert abs(got - want) <= ((1e-14 + a2 * 2 ** -53)
+                                               * float(scale)
+                                               + 2 ** -1074 * rest)
+        assert underflowed >= 4
 
     def test_column_norm(self):
         # D is unitary; truncation tail is negligible for small alpha

@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from telefid import QuadratureError
-from telefid.quadrature import (NODE_LADDER, _hermite_rule, box_halfwidth,
-                                integrate_adaptive, tensor_grid)
+from telefid.quadrature import (MAX_CALL_POINTS, NODE_LADDER, _hermite_rule,
+                                box_halfwidth, integrate_adaptive,
+                                tensor_grid)
 
 
 def test_box_halfwidth_scaling():
@@ -84,3 +85,61 @@ def test_nonconvergent_raises():
 def test_no_envelope_raises(rate):
     with pytest.raises(QuadratureError):
         integrate_adaptive(lambda x, p: np.ones_like(x), rate)
+
+
+def _rows_integrand(freqs, shapes):
+    """Row k of a lockstep call is e^{-(x^2 + p^2)/2 + i freqs[k] x p}:
+    the higher the frequency, the later its rung. shapes records the
+    grid shape of each call."""
+    freqs = np.asarray(freqs, dtype=float)
+
+    def f(x, p, rows):
+        shapes.append(x.shape)
+        return np.exp(-(x * x + p * p) / 2
+                      + 1j * freqs[rows][:, None, None] * x * p)
+    return f
+
+
+def _point(freq, rate):
+    return integrate_adaptive(
+        lambda x, p: np.exp(-(x * x + p * p) / 2 + 1j * freq * x * p), rate)
+
+
+def _hex(z):
+    return complex(z).real.hex(), complex(z).imag.hex()
+
+
+def test_lockstep_rows_are_their_point_calls():
+    """Rows that stop on different rungs, 20 of them at 16 nodes: each
+    row is its point call's value to the bit, no call takes more than
+    MAX_CALL_POINTS points unless it is one row, and the 16-node rung
+    takes two calls."""
+    # rows stop at 32, 32, 128 and 256 nodes
+    freqs = np.tile([0.0, 0.5, 1.5, 3.0], 5)
+    rates = np.full(20, 0.5)
+    shapes = []
+    got = integrate_adaptive(_rows_integrand(freqs, shapes), rates)
+    assert got.shape == (20,)
+    for k in range(20):
+        assert _hex(got[k]) == _hex(_point(freqs[k], rates[k]))
+    assert all(k * n * n <= MAX_CALL_POINTS or k == 1
+               for k, n, _ in shapes)
+    rungs = [n for _, n, _ in shapes]
+    assert rungs.count(16) == 2 and len(set(rungs)) > 3
+
+
+@pytest.mark.parametrize("bad, first", [
+    ([0.5, float("nan"), 1e-6], "no Gaussian envelope"),
+    ([0.5, 1e-6, float("nan")], "no convergence"),
+])
+def test_lockstep_error_is_the_first_failing_row(bad, first):
+    """A NaN rate has no envelope, and the oscillation on a flat one does
+    not converge while the 0.5 row does: the error raised is that of
+    the first failing row, in order."""
+    rates = np.array(bad)
+
+    def f(x, p, rows):
+        c = rates[rows][:, None, None]
+        return np.exp(-c * (x * x + p * p)) * np.cos(40.0 * x * p * (c < 0.1))
+    with pytest.raises(QuadratureError, match=first):
+        integrate_adaptive(f, rates)
